@@ -49,29 +49,41 @@ fn bench_abstract_vs_explicit(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_exploration(c: &mut Criterion) {
-    // The same materialization, sequential vs sharded: the win is
-    // proportional to core count, the overhead is the channel traffic.
-    let mut group = c.benchmark_group("sym/sharded-exploration");
+/// Breadth-first reachability over `CounterSystem::successors` with
+/// packed-key dedup: the exploration no build can avoid.
+fn reach(sys: &CounterSystem) -> usize {
+    let mut seen = std::collections::HashSet::from([sys.packing().pack(&sys.initial())]);
+    let mut queue = vec![sys.initial()];
+    let mut head = 0;
+    while let Some(state) = queue.get(head).cloned() {
+        head += 1;
+        for next in sys.successors(&state) {
+            if seen.insert(sys.packing().pack(&next)) {
+                queue.push(next);
+            }
+        }
+    }
+    queue.len()
+}
+
+fn bench_build_vs_reach(c: &mut Criterion) {
+    // What materializing costs over bare reachability: the counter graph
+    // and the width-1/2 representative graphs (labels, names and the CSR
+    // freeze included) next to the reachability sweep they all contain.
+    let mut group = c.benchmark_group("sym/build-vs-reach");
     group.sample_size(10);
-    let t = mutex_template();
-    let spec = CountingSpec::standard(&t);
-    for n in [10_000u32, 50_000] {
-        let sys = CounterSystem::new(t.clone(), n);
-        group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, &n| {
-            b.iter(|| {
-                let k = sys.kripke(&spec);
-                assert_eq!(k.num_states() as u32, 2 * n + 1);
-                k
-            })
-        });
-        let shards = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-        group.bench_with_input(BenchmarkId::new("sharded", n), &n, |b, &n| {
-            b.iter(|| {
-                let k = sys.kripke_sharded(&spec, shards);
-                assert_eq!(k.num_states() as u32, 2 * n + 1);
-                k
-            })
+    let n = 10_000u32;
+    let engine = SymEngine::new(mutex_template());
+    let sys = engine.system(n);
+    group.bench_function(BenchmarkId::new("reach", n), |b| {
+        b.iter(|| assert_eq!(reach(&sys) as u32, 2 * n + 1))
+    });
+    group.bench_function(BenchmarkId::new("counter_graph", n), |b| {
+        b.iter(|| engine.counter_graph(n))
+    });
+    for width in [1u32, 2] {
+        group.bench_function(BenchmarkId::new(format!("rep_w{width}"), n), |b| {
+            b.iter(|| engine.representative_graph(n, width).unwrap())
         });
     }
     group.finish();
@@ -224,7 +236,7 @@ criterion_group!(
     benches,
     bench_counter_graph,
     bench_abstract_vs_explicit,
-    bench_sharded_exploration,
+    bench_build_vs_reach,
     bench_mutex_verification,
     bench_representative_width,
     bench_fair_check,

@@ -47,8 +47,6 @@ fn bench_socket_round_trip(c: &mut Criterion) {
         VerifyService::start(ServeConfig {
             workers: 2,
             cache_shards: 4,
-            exploration_shards: 2,
-            sharded_threshold: 1_000_000,
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),
@@ -73,8 +71,6 @@ fn bench_concurrent_load(c: &mut Criterion) {
         VerifyService::start(ServeConfig {
             workers: 2,
             cache_shards: 4,
-            exploration_shards: 2,
-            sharded_threshold: 1_000_000,
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),

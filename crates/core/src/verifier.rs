@@ -365,8 +365,7 @@ impl<'a> FamilyVerifier<'a> {
     /// through the service's memoized structure cache: sizes this service
     /// has seen before — from *any* caller with a structurally equal
     /// template and spec — reuse their materialized counter graphs, and
-    /// fresh large sizes materialize with the sharded parallel
-    /// exploration.
+    /// fresh sizes are built once.
     ///
     /// # Examples
     ///

@@ -2,9 +2,8 @@
 
 use std::collections::HashMap;
 
-use crate::atom::{Atom, AtomTable};
-use crate::bits::BitSet;
-use crate::structure::{Kripke, StateId, StructureError};
+use crate::atom::Atom;
+use crate::structure::{intern_labels, Kripke, StateId, StructureError};
 
 /// A builder for [`Kripke`] structures.
 ///
@@ -28,7 +27,6 @@ use crate::structure::{Kripke, StateId, StructureError};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct KripkeBuilder {
-    atoms: AtomTable,
     labels: Vec<Vec<Atom>>,
     names: Vec<String>,
     adjacency: Vec<Vec<StateId>>,
@@ -126,25 +124,14 @@ impl KripkeBuilder {
     ///
     /// Returns a [`StructureError`] if the structure is empty, `init` is
     /// unknown, or some state has no outgoing transition.
-    pub fn build(mut self, init: StateId) -> Result<Kripke, StructureError> {
-        let n = self.labels.len();
-        let mut atoms = std::mem::take(&mut self.atoms);
-        // Intern all atoms first so ids are stable.
-        let mut label_sets = Vec::with_capacity(n);
-        let interned: Vec<Vec<crate::atom::AtomId>> = self
-            .labels
-            .iter()
-            .map(|lab| lab.iter().map(|a| atoms.intern(a.clone())).collect())
-            .collect();
-        let nbits = atoms.len();
-        for ids in interned {
-            let mut set = BitSet::new(nbits);
-            for id in ids {
-                set.insert(id.idx());
-            }
-            label_sets.push(set);
+    pub fn build(self, init: StateId) -> Result<Kripke, StructureError> {
+        let (atoms, labels) = intern_labels(self.labels);
+        let (mut heads, mut edges) = (vec![0], Vec::new());
+        for outs in &self.adjacency {
+            edges.extend_from_slice(outs);
+            heads.push(edges.len() as u32);
         }
-        Kripke::from_parts(atoms, label_sets, &self.adjacency, init, self.names)
+        Kripke::from_csr(atoms, labels, heads, edges, init, self.names)
     }
 }
 

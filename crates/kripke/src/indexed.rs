@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use crate::atom::{Atom, AtomId, AtomTable, Index, CANONICAL_INDEX};
 use crate::bits::BitSet;
-use crate::structure::{Kripke, StateId, StructureError};
+use crate::structure::{Kripke, StructureError};
 
 /// A Kripke structure together with its index set `I`.
 ///
@@ -124,17 +124,8 @@ impl IndexedKripke {
                 set
             })
             .collect();
-        let adjacency: Vec<Vec<StateId>> = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.successors(s).to_vec())
-            .collect();
-        let names = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.state_name(s).to_string())
-            .collect();
-        Kripke::from_parts(atoms, labels, &adjacency, self.kripke.initial(), names)
+        self.kripke
+            .relabeled(atoms, labels)
             .expect("reduction preserves structural invariants")
     }
 
@@ -189,17 +180,7 @@ impl IndexedKripke {
                 set
             })
             .collect();
-        let adjacency: Vec<Vec<StateId>> = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.successors(s).to_vec())
-            .collect();
-        let names = self
-            .kripke
-            .states()
-            .map(|s| self.kripke.state_name(s).to_string())
-            .collect();
-        let k = Kripke::from_parts(atoms, labels, &adjacency, self.kripke.initial(), names)?;
+        let k = self.kripke.relabeled(atoms, labels)?;
         Ok(IndexedKripke {
             kripke: k,
             indices: self.indices.clone(),
@@ -211,6 +192,7 @@ impl IndexedKripke {
 mod tests {
     use super::*;
     use crate::builder::KripkeBuilder;
+    use crate::structure::StateId;
 
     fn sample() -> IndexedKripke {
         let mut b = KripkeBuilder::new();

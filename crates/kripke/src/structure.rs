@@ -94,47 +94,64 @@ pub struct Kripke {
 }
 
 impl Kripke {
-    pub(crate) fn from_parts(
+    /// Assembles a structure from compressed-sparse-row parts: state
+    /// `s` has successors `succ_edges[succ_heads[s]..succ_heads[s + 1]]`
+    /// and label `labels[s]` over `atoms`. Every constructor (the
+    /// [`KripkeBuilder`](crate::KripkeBuilder), restriction, relabeling,
+    /// the BFS builders of `icstar-sym`) goes through here, so there is
+    /// one validator and one predecessor pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`Kripke::validate`], plus [`StructureError::DanglingEdge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `succ_heads` has `|S| + 1` entries, from 0 to
+    /// `succ_edges.len()`, and there is one name per state.
+    pub fn from_csr(
         atoms: AtomTable,
         labels: Vec<BitSet>,
-        adjacency: &[Vec<StateId>],
+        succ_heads: Vec<u32>,
+        succ_edges: Vec<StateId>,
         init: StateId,
         names: Vec<String>,
     ) -> Result<Self, StructureError> {
         let n = labels.len();
+        assert!(
+            succ_heads.len() == n + 1
+                && succ_heads[0] == 0
+                && succ_heads[n] as usize == succ_edges.len()
+                && names.len() == n,
+            "malformed CSR parts"
+        );
         if n == 0 {
             return Err(StructureError::Empty);
         }
         if init.idx() >= n {
             return Err(StructureError::BadInitial(init));
         }
-        // Compress to CSR, checking totality and edge sanity.
-        let mut succ_heads = Vec::with_capacity(n + 1);
-        let mut succ_edges = Vec::new();
-        let mut pred_count = vec![0u32; n];
-        succ_heads.push(0);
-        for (s, outs) in adjacency.iter().enumerate() {
-            if outs.is_empty() {
+        // Check totality and edge sanity while counting in-degrees.
+        let mut pred_heads = vec![0u32; n + 1];
+        for s in 0..n {
+            let (lo, hi) = (succ_heads[s] as usize, succ_heads[s + 1] as usize);
+            if lo >= hi {
                 return Err(StructureError::NotTotal(StateId(s as u32)));
             }
-            for &t in outs {
+            for &t in &succ_edges[lo..hi] {
                 if t.idx() >= n {
                     return Err(StructureError::DanglingEdge(StateId(s as u32), t));
                 }
-                pred_count[t.idx()] += 1;
-                succ_edges.push(t);
+                pred_heads[t.idx() + 1] += 1;
             }
-            succ_heads.push(succ_edges.len() as u32);
         }
-        // Build predecessor CSR.
-        let mut pred_heads = vec![0u32; n + 1];
         for s in 0..n {
-            pred_heads[s + 1] = pred_heads[s] + pred_count[s];
+            pred_heads[s + 1] += pred_heads[s];
         }
         let mut cursor = pred_heads[..n].to_vec();
         let mut pred_edges = vec![StateId(0); succ_edges.len()];
-        for (s, outs) in adjacency.iter().enumerate() {
-            for &t in outs {
+        for s in 0..n {
+            for &t in &succ_edges[succ_heads[s] as usize..succ_heads[s + 1] as usize] {
                 pred_edges[cursor[t.idx()] as usize] = StateId(s as u32);
                 cursor[t.idx()] += 1;
             }
@@ -149,6 +166,31 @@ impl Kripke {
             init,
             names,
         })
+    }
+
+    /// The same states, names and transitions, with `label(s)` as the
+    /// label of each state `s`. Atoms are interned in first-seen order, as
+    /// [`KripkeBuilder`](crate::KripkeBuilder) interns them.
+    pub fn relabel_with(&self, label: impl FnMut(StateId) -> Vec<Atom>) -> Kripke {
+        let (atoms, labels) = intern_labels(self.states().map(label));
+        self.relabeled(atoms, labels)
+            .expect("relabeling preserves a valid structure")
+    }
+
+    /// The same states, names and transitions, relabeled over `atoms`.
+    pub(crate) fn relabeled(
+        &self,
+        atoms: AtomTable,
+        labels: Vec<BitSet>,
+    ) -> Result<Kripke, StructureError> {
+        Kripke::from_csr(
+            atoms,
+            labels,
+            self.succ_heads.clone(),
+            self.succ_edges.clone(),
+            self.init,
+            self.names.clone(),
+        )
     }
 
     /// Number of states `|S|`.
@@ -292,25 +334,34 @@ impl Kripke {
                 next += 1;
             }
         }
-        let n = next as usize;
-        let mut labels = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
-        let mut adjacency: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for s in self.states() {
-            let Some(ns) = remap[s.idx()] else { continue };
+        let (mut labels, mut names) = (Vec::new(), Vec::new());
+        let (mut heads, mut edges) = (vec![0], Vec::new());
+        for s in self.states().filter(|s| remap[s.idx()].is_some()) {
             labels.push(self.labels[s.idx()].clone());
             names.push(self.names[s.idx()].clone());
-            debug_assert_eq!(labels.len() - 1, ns.idx());
-            for &t in self.successors(s) {
-                if let Some(nt) = remap[t.idx()] {
-                    adjacency[ns.idx()].push(nt);
-                }
-            }
+            edges.extend(self.successors(s).iter().filter_map(|t| remap[t.idx()]));
+            heads.push(edges.len() as u32);
         }
         let init = remap[self.init.idx()].expect("initial state is reachable");
-        let m = Kripke::from_parts(self.atoms.clone(), labels, &adjacency, init, names)?;
+        let m = Kripke::from_csr(self.atoms.clone(), labels, heads, edges, init, names)?;
         Ok((m, remap))
     }
+}
+
+/// Interns one atom list per state into a fresh table, in first-seen
+/// order, and returns the table with the states' label bitsets.
+pub(crate) fn intern_labels<L: IntoIterator<Item = Atom>>(
+    labels: impl IntoIterator<Item = L>,
+) -> (AtomTable, Vec<BitSet>) {
+    let mut atoms = AtomTable::new();
+    let ids: Vec<Vec<usize>> = (labels.into_iter())
+        .map(|label| label.into_iter().map(|a| atoms.intern(a).idx()).collect())
+        .collect();
+    let nbits = atoms.len();
+    let sets = ids
+        .into_iter()
+        .map(|ids| BitSet::from_iter_with_capacity(nbits, ids));
+    (atoms, sets.collect())
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! `icstar-sym` answers one question about one family cheaply; this crate
 //! makes that an always-on **service** answering many questions from many
 //! callers, where repeated and overlapping questions are near-free. It is
-//! the ROADMAP's "async service layer" + "sharded counter exploration"
-//! pair, and follows the program of Namjoshi–Trefler's *Symmetry
+//! the ROADMAP's "async service layer", and follows the program of Namjoshi–Trefler's *Symmetry
 //! Reduction for the Local Mu-Calculus*: build one reduced structure,
 //! reuse it across many local queries.
 //!
@@ -22,10 +21,9 @@
 //!                      │   …           │  build   │  spec fp, n) ↦    │
 //!                      └───────┬───────┘          │  Arc<structure>   │
 //!                              │                  └───────────────────┘
-//!                              ▼ on miss, large n
-//!                    sharded exploration (icstar-sym):
-//!                    frontier partitioned by packed-key hash
-//!                    across scoped threads
+//!                              ▼ on miss
+//!                    sequential BFS build (icstar-sym):
+//!                    explore + label, then CSR freeze
 //!                              │
 //!                              ▼
 //!   JobHandle::wait ◀── VerdictReport (one verdict per size × formula)
@@ -44,9 +42,9 @@
 //!   build, then share the [`Arc`](std::sync::Arc)); hit/miss counts are
 //!   reported in [`StatsSnapshot`].
 //! * **Engine.** Checking runs on [`icstar_sym::SymSession`]s seeded with
-//!   the cached structures; large-`n` misses materialize with the sharded
-//!   parallel exploration ([`icstar_sym::CounterSystem::kripke_sharded`]),
-//!   so a single big build also uses all cores.
+//!   the cached structures; misses materialize with the sequential BFS
+//!   builder ([`icstar_sym::CounterSystem::kripke`]), whose cost stays
+//!   close to bare reachability.
 //! * **Persistence.** With [`ServeConfig::cache_dir`] set, the cache is
 //!   backed by a [`SpillStore`]: materialized structures spill to
 //!   versioned, checksummed files keyed by workload fingerprints, and a
@@ -54,8 +52,8 @@
 //!   horizontally-scaled replicas warm-start instead of re-exploring
 //!   (metered as `serve.cache.{spills,restores,restore_rejects}`).
 //! * **Tracing.** Every job leaves a causal span tree
-//!   (`job` → `queue_wait` / `cache_lookup` / `build` / `shard[i]` /
-//!   `check`) in the service's
+//!   (`job` → `queue_wait` / `cache_lookup` / `build` → `explore` /
+//!   `freeze` / `fairness`, and `check`) in the service's
 //!   [`FlightRecorder`](icstar_telemetry::FlightRecorder)
 //!   ([`ServeConfig::recorder`], bounded ring, always on); the job's
 //!   [`TraceId`](icstar_telemetry::TraceId) is on its [`JobHandle`],

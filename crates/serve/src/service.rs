@@ -25,12 +25,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Independent lock domains of the structure cache.
     pub cache_shards: usize,
-    /// Threads used by one sharded exploration
-    /// ([`icstar_sym::CounterSystem::kripke_sharded`]).
+    /// Ignored: every build runs the sequential BFS. Kept so existing
+    /// configurations compile.
     pub exploration_shards: usize,
-    /// Family sizes at or above this materialize with the sharded
-    /// exploration; smaller ones use the sequential BFS (coordination
-    /// overhead would dominate).
+    /// Ignored, like [`ServeConfig::exploration_shards`]; defaults to
+    /// `u32::MAX`.
     pub sharded_threshold: u32,
     /// Abstract-state budget of the structure cache: once the total
     /// state count of materialized cached structures exceeds this,
@@ -61,23 +60,17 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Workers sized to the machine, 16 cache shards, sharding from
-    /// `n = 20_000` up.
-    ///
-    /// Exploration shards default to *half* the cores (at least 2): with
-    /// a core-sized worker pool, each concurrent large materialization
-    /// spawning a full core-count of threads would oversubscribe the
-    /// machine quadratically. Half-sized explorations keep two
-    /// simultaneous large builds at saturation, not thrash; structurally
-    /// equal workloads never build twice anyway (the cache deduplicates
-    /// in-flight builds).
+    /// Workers sized to the machine (at least 2) and 16 cache shards.
+    /// Each build runs on the worker that needs it; structurally equal
+    /// workloads never build twice (the cache deduplicates in-flight
+    /// builds).
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         ServeConfig {
             workers: cores.max(2),
             cache_shards: 16,
-            exploration_shards: (cores / 2).max(2),
-            sharded_threshold: 20_000,
+            exploration_shards: 1,
+            sharded_threshold: u32::MAX,
             cache_budget_states: u64::MAX,
             telemetry: Registry::new(),
             recorder: FlightRecorder::new(),
@@ -419,7 +412,7 @@ impl VerifyService {
             cached_abstract_states: self.inner.cache.abstract_states(),
             cache_evictions: self.inner.cache.evictions(),
             evicted_abstract_states: self.inner.cache.evicted_states(),
-            sharded_explorations: s.sharded_explorations.get(),
+            sharded_explorations: 0,
             cutoffs_certified: s.cutoffs_certified.get(),
             cutoff_answers: s.cutoff_answers.get(),
             p50_total_ns: total.p50(),
@@ -510,8 +503,8 @@ fn timed_fetch<T>(
 ///
 /// Every phase also records a span under the job's `root` context —
 /// `cache_lookup` (with its hit/miss outcome), `build` (only when this
-/// worker actually materialized; under it, the sharded exploration's
-/// `shard[i]` spans), and `check` — all on the flight recorder, tagged
+/// worker actually materialized; under it, the build's `explore`,
+/// `freeze` and `fairness` phases), and `check` — all on the flight recorder, tagged
 /// with this worker's index as the Chrome-trace lane.
 fn process(
     inner: &Inner,
@@ -770,11 +763,10 @@ fn process_unbounded(
 }
 
 /// Builds the counter graph bundle (structure + compiled fairness) for
-/// the cache: sharded exploration for large families, sequential BFS for
-/// small ones. The `build` span it records under `root` parents the
-/// exploration's `shard[i]` spans when the sharded path runs, so the
-/// trace shows exactly which worker paid for the materialization and how
-/// the shards split it.
+/// the cache. The `build` span it records under `root` parents the
+/// build's phase spans (`explore`, `freeze`, and `fairness` on fair
+/// templates), so the trace shows which worker paid for the
+/// materialization and where its time went.
 fn materialize(
     inner: &Inner,
     engine: &SymEngine,
@@ -787,18 +779,10 @@ fn materialize(
     build.set_tid(worker);
     build.attr("kind", "counter");
     build.attr("n", n.to_string());
-    if n >= inner.config.sharded_threshold {
-        inner.stats.sharded_explorations.inc();
-        build.attr("mode", "sharded");
-        engine.counter_graph_sharded_traced(
-            n,
-            inner.config.exploration_shards,
-            Some((recorder.clone(), build.context())),
-        )
-    } else {
-        build.attr("mode", "sequential");
-        engine.counter_graph(n)
-    }
+    let sys = engine
+        .system(n)
+        .with_trace(recorder.clone(), build.context(), worker);
+    icstar_sym::counter_graph(&sys, engine.spec())
 }
 
 #[cfg(test)]
@@ -811,12 +795,9 @@ mod tests {
         ServeConfig {
             workers: 2,
             cache_shards: 4,
-            exploration_shards: 2,
-            sharded_threshold: 1_000_000, // keep unit tests sequential
             cache_budget_states: u64::MAX,
             telemetry: Registry::new(), // isolated: exact counts below
-            recorder: FlightRecorder::new(),
-            cache_dir: None,
+            ..ServeConfig::default()
         }
     }
 
@@ -1177,12 +1158,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_builds_hang_shard_spans_under_the_build_span() {
-        // Force the sharded path for a small family.
-        let config = ServeConfig {
-            sharded_threshold: 1,
-            ..small_config()
-        };
+    fn builds_hang_phase_spans_under_the_build_span() {
+        let config = small_config();
         let recorder = config.recorder.clone();
         let service = VerifyService::start(config);
         let h = service.submit(
@@ -1194,18 +1171,17 @@ mod tests {
         h.wait().unwrap();
         let spans = recorder.spans_for(trace);
         let build = spans.iter().find(|s| s.name == "build").expect("build");
-        assert!(build
-            .attrs
+        let phases: Vec<&str> = spans
             .iter()
-            .any(|(k, v)| k == "mode" && v == "sharded"));
-        let shards: Vec<_> = spans
-            .iter()
-            .filter(|s| s.name.starts_with("shard["))
+            .filter(|s| s.parent == Some(build.id))
+            .map(|s| s.name.as_str())
             .collect();
-        assert_eq!(shards.len(), 2, "one span per exploration shard");
-        for s in &shards {
-            assert_eq!(s.parent, Some(build.id), "shards belong to the build");
-        }
+        assert_eq!(phases, ["explore", "freeze"], "phases of a plain build");
+        assert!(spans
+            .iter()
+            .filter(|s| s.parent == Some(build.id))
+            .all(|s| s.tid == build.tid));
+        assert_eq!(service.stats().sharded_explorations, 0);
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub(crate) struct ServiceStats {
     /// (unknown atom, unrestricted formula, failed build). The `HEALTH`
     /// wire command's error count.
     pub(crate) verdict_errors: Counter,
-    /// `serve.explore.sharded` — materializations via the sharded sweep.
-    pub(crate) sharded_explorations: Counter,
     /// `serve.cutoff.certified` — cutoff certificates issued (one per
     /// distinct (template, spec, formula) triple; refusals not counted).
     pub(crate) cutoffs_certified: Counter,
@@ -65,7 +63,6 @@ impl ServiceStats {
             jobs_completed: registry.counter("serve.jobs.completed"),
             formulas_checked: registry.counter("serve.formulas.checked"),
             verdict_errors: registry.counter("serve.verdicts.errors"),
-            sharded_explorations: registry.counter("serve.explore.sharded"),
             cutoffs_certified: registry.counter("serve.cutoff.certified"),
             cutoff_answers: registry.counter("serve.cutoff.hits"),
             queue_depth: registry.gauge("serve.queue.depth"),
@@ -111,7 +108,8 @@ pub struct StatsSnapshot {
     /// Total abstract states carried by evicted entries — together with
     /// `cache_evictions`, the pressure signal for tuning the budget.
     pub evicted_abstract_states: u64,
-    /// Materializations that used the sharded parallel exploration.
+    /// Always 0: every build is sequential. Kept so the `STATS` key
+    /// list stays stable for existing clients.
     pub sharded_explorations: u64,
     /// Cutoff certificates issued so far (one per distinct (template,
     /// spec, formula) triple; refusals are not counted).

@@ -84,10 +84,8 @@ impl CounterState {
             self.counts.len(),
             "response map length mismatch"
         );
-        let mut counts = vec![0u32; self.counts.len()];
-        for (q, &c) in self.counts.iter().enumerate() {
-            counts[response[q] as usize] += c;
-        }
+        let mut counts = Vec::new();
+        respond_into(&self.counts, response, None, &mut counts);
         CounterState { counts }
     }
 
@@ -109,13 +107,31 @@ impl CounterState {
             self.counts.len(),
             "response map length mismatch"
         );
-        let mut counts = vec![0u32; self.counts.len()];
-        for (q, &c) in self.counts.iter().enumerate() {
-            let c = if q == from as usize { c - 1 } else { c };
-            counts[response[q] as usize] += c;
-        }
-        counts[to as usize] += 1;
+        let mut counts = Vec::new();
+        respond_into(&self.counts, response, Some((from, to)), &mut counts);
         CounterState { counts }
+    }
+}
+
+/// Overwrites `out` with `counts` after every copy follows `response`,
+/// except, given `initiator = Some((from, to))`, one copy in `from` that
+/// moves to `to` instead: the allocation-free rewrite behind
+/// [`CounterState::respond`], [`CounterState::broadcast`] and the
+/// explorers' broadcast moves.
+pub(crate) fn respond_into(
+    counts: &[u32],
+    response: &[u32],
+    initiator: Option<(u32, u32)>,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    out.resize(counts.len(), 0);
+    for (q, &c) in counts.iter().enumerate() {
+        out[response[q] as usize] += c;
+    }
+    if let Some((from, to)) = initiator {
+        out[response[from as usize] as usize] -= 1;
+        out[to as usize] += 1;
     }
 }
 
@@ -162,6 +178,11 @@ impl CounterPacking {
         }
     }
 
+    /// Number of count fields per vector.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
     /// Bits per count field.
     pub fn bits_per_count(&self) -> u32 {
         self.bits
@@ -179,9 +200,21 @@ impl CounterPacking {
     /// Panics if the vector has the wrong length or a count exceeds the
     /// layout's field width.
     pub fn pack(&self, state: &CounterState) -> PackedCounter {
-        let counts = state.counts();
-        assert_eq!(counts.len(), self.slots, "counter length mismatch");
         let mut words = vec![0u64; self.words()];
+        self.pack_into(state.counts(), &mut words);
+        PackedCounter(words.into_boxed_slice())
+    }
+
+    /// Packs a bare count slice into `words` (length
+    /// [`CounterPacking::words`]), overwriting it — the allocation-free
+    /// form the exploration's dedup table uses.
+    ///
+    /// # Panics
+    ///
+    /// As [`CounterPacking::pack`].
+    pub(crate) fn pack_into(&self, counts: &[u32], words: &mut [u64]) {
+        assert_eq!(counts.len(), self.slots, "counter length mismatch");
+        words.fill(0);
         for (i, &c) in counts.iter().enumerate() {
             debug_assert!(
                 self.bits == 64 || (c as u64) < (1u64 << self.bits),
@@ -196,7 +229,6 @@ impl CounterPacking {
                 words[word + 1] |= (c as u64) >> (64 - off);
             }
         }
-        PackedCounter(words.into_boxed_slice())
     }
 
     /// Recovers the counter vector from a packed key.

@@ -180,27 +180,14 @@ fn relabel(
     m: &Kripke,
     mut label_fn: impl FnMut(&dyn Fn(&str) -> u32, &[Atom]) -> Vec<Atom>,
 ) -> Kripke {
-    let mut b = KripkeBuilder::new();
-    for s in m.states() {
+    m.relabel_with(|s| {
         let label = m.label_atoms(s);
         let mut counts: HashMap<&str, u32> = HashMap::new();
-        for a in &label {
-            if a.is_indexed() {
-                *counts.entry(a.name()).or_insert(0) += 1;
-            }
+        for a in label.iter().filter(|a| a.is_indexed()) {
+            *counts.entry(a.name()).or_insert(0) += 1;
         }
-        let count = |p: &str| counts.get(p).copied().unwrap_or(0);
-        let atoms = label_fn(&count, &label);
-        let id = b.state_labeled(m.state_name(s).to_string(), atoms);
-        debug_assert_eq!(id, s);
-    }
-    for s in m.states() {
-        for &t in m.successors(s) {
-            b.edge(s, t);
-        }
-    }
-    b.build(m.initial())
-        .expect("relabeling preserves the graph, hence totality")
+        label_fn(&|p| counts.get(p).copied().unwrap_or(0), &label)
+    })
 }
 
 /// The largest representative width [`verify_counter_abstraction`]

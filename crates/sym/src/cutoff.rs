@@ -46,7 +46,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use icstar_bisim::structures_correspond;
-use icstar_kripke::{Atom, Kripke, KripkeBuilder};
+use icstar_kripke::{Atom, Kripke};
 use icstar_logic::{cutoff_fragment_depth, PathFormula, RestrictionError, StateFormula};
 
 use crate::engine::SymEngine;
@@ -139,23 +139,10 @@ type EquatedStates = ((usize, usize), Option<(usize, usize)>);
 /// Copies `m` with every label the support cannot observe dropped:
 /// same states, same transitions, labels intersected with the support.
 fn project(m: &Kripke, support: &AtomSupport) -> Kripke {
-    let mut b = KripkeBuilder::new();
-    let ids: Vec<_> = m
-        .states()
-        .map(|s| {
-            b.state_labeled(
-                m.state_name(s).to_string(),
-                m.label_atoms(s).into_iter().filter(|a| support.keeps(a)),
-            )
-        })
-        .collect();
-    for s in m.states() {
-        for &t in m.successors(s) {
-            b.edge(ids[s.idx()], ids[t.idx()]);
-        }
-    }
-    b.build(ids[m.initial().idx()])
-        .expect("projection preserves a valid structure")
+    m.relabel_with(|s| {
+        let atoms = m.label_atoms(s).into_iter();
+        atoms.filter(|a| support.keeps(a)).collect()
+    })
 }
 
 /// Tuning knobs for [`SymEngine::certify_cutoff_with`].

@@ -32,7 +32,7 @@ use icstar_logic::{
 };
 use icstar_mc::fair::FairChecker;
 use icstar_mc::Checker;
-use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
+use icstar_telemetry::Registry;
 
 use crate::crosscheck::verify_counter_abstraction;
 use crate::error::SymError;
@@ -165,51 +165,10 @@ impl SymEngine {
         fairness::counter_graph(&self.system(n), &self.spec)
     }
 
-    /// [`SymEngine::counter_graph`] with the sharded exploration
-    /// underneath ([`CounterSystem::kripke_sharded`]).
-    pub fn counter_graph_sharded(&self, n: u32, shards: usize) -> CounterGraph {
-        self.counter_graph_sharded_traced(n, shards, None)
-    }
-
-    /// As [`SymEngine::counter_graph_sharded`], optionally attaching the
-    /// exploration to a causal trace (see
-    /// [`SymEngine::counter_structure_sharded_traced`]).
-    pub fn counter_graph_sharded_traced(
-        &self,
-        n: u32,
-        shards: usize,
-        trace: Option<(FlightRecorder, SpanContext)>,
-    ) -> CounterGraph {
-        let mut sys = self.system(n);
-        if let Some((recorder, parent)) = trace {
-            sys = sys.with_trace(recorder, parent);
-        }
-        fairness::counter_graph_sharded(&sys, &self.spec, shards)
-    }
-
-    /// Materializes the counter-abstracted structure at size `n` with a
-    /// sharded parallel exploration ([`CounterSystem::kripke_sharded`]):
-    /// the same structure, explored by `shards` cooperating threads.
-    pub fn counter_structure_sharded(&self, n: u32, shards: usize) -> Kripke {
-        self.counter_structure_sharded_traced(n, shards, None)
-    }
-
-    /// As [`SymEngine::counter_structure_sharded`], optionally attaching
-    /// the exploration to a causal trace: with `trace = Some((recorder,
-    /// parent))`, every shard worker records a `shard[i]` span under
-    /// `parent` ([`CounterSystem::with_trace`]) — this is how a served
-    /// job's `build` span acquires per-shard children.
-    pub fn counter_structure_sharded_traced(
-        &self,
-        n: u32,
-        shards: usize,
-        trace: Option<(FlightRecorder, SpanContext)>,
-    ) -> Kripke {
-        let mut sys = self.system(n);
-        if let Some((recorder, parent)) = trace {
-            sys = sys.with_trace(recorder, parent);
-        }
-        sys.kripke_sharded(&self.spec, shards)
+    /// Forwards to [`SymEngine::counter_graph`]; `shards` is ignored.
+    /// Kept only so existing callers compile: every build is sequential.
+    pub fn counter_graph_sharded(&self, n: u32, _shards: usize) -> CounterGraph {
+        self.counter_graph(n)
     }
 
     /// Materializes the width-`width` representative structure at size
@@ -867,10 +826,11 @@ mod tests {
             e.representative_structure(4, 9),
             Err(SymError::BadRepWidth { .. })
         ));
-        let seq = e.counter_structure(30);
-        let par = e.counter_structure_sharded(30, 4);
-        assert_eq!(seq.num_states(), par.num_states());
-        assert_eq!(seq.num_transitions(), par.num_transitions());
+        // The compatibility forward builds the same structure.
+        let seq = e.counter_graph(30).kripke;
+        let fwd = e.counter_graph_sharded(30, 4).kripke;
+        assert_eq!(seq.num_states(), fwd.num_states());
+        assert_eq!(seq.num_transitions(), fwd.num_transitions());
     }
 
     #[test]

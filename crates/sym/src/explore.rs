@@ -13,21 +13,20 @@
 //! [`icstar_nets::interleave`], or fires a **broadcast move**
 //! ([`icstar_sym::Broadcast`](crate::Broadcast)): one initiating copy
 //! steps while every other copy simultaneously follows the response map —
-//! on occupancy vectors a single O(|S|) rewrite, in the sequential BFS
-//! and the sharded exploration alike. Abstract states with no enabled
+//! on occupancy vectors a single O(|S|) rewrite. Abstract states with no enabled
 //! move (possible only under guards, or at `n = 0`) receive a stuttering
 //! self-loop so the transition relation stays total, as the paper
 //! requires.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use icstar_kripke::{Kripke, KripkeBuilder, StateId};
-use icstar_telemetry::{FlightRecorder, Registry, SpanContext};
+use icstar_kripke::Kripke;
+use icstar_telemetry::{FlightRecorder, Registry, SpanContext, TraceScope};
 
-use crate::counter::{CounterPacking, CounterState, PackedCounter};
-use crate::labels::CountingSpec;
+use crate::build::{self, StateTable};
+use crate::counter::{respond_into, CounterPacking, CounterState};
+use crate::labels::{CountingSpec, LabelTable};
 use crate::template::GuardedTemplate;
 
 /// The counter abstraction of `n` identical copies of a template: an
@@ -52,7 +51,7 @@ pub struct CounterSystem {
     n: u32,
     packing: CounterPacking,
     telemetry: Registry,
-    trace: Option<(FlightRecorder, SpanContext)>,
+    trace: Option<(FlightRecorder, SpanContext, u32)>,
 }
 
 impl CounterSystem {
@@ -81,16 +80,27 @@ impl CounterSystem {
         self
     }
 
-    /// Attaches a causal-trace parent: the sharded exploration then
-    /// records one `shard[i]` span per worker (with `tid = i` and the
-    /// shard's arrival/state counts as attributes) under `parent` in
-    /// `recorder`, making shard imbalance directly visible in a single
-    /// job's trace. Without this, exploration records no spans — only
+    /// Attaches a causal-trace parent: every materialization then records
+    /// its phases as spans under `parent` in `recorder`, on Chrome lane
+    /// `tid` — `explore` (the BFS, labels included) and `freeze` (atom
+    /// interning and the CSR freeze), plus `fairness` when
+    /// [`crate::fairness::counter_graph`] compiles a fair template's
+    /// requirements. Without this, exploration records no spans — only
     /// the aggregate `sym.explore.*` metrics.
     #[must_use]
-    pub fn with_trace(mut self, recorder: FlightRecorder, parent: SpanContext) -> Self {
-        self.trace = Some((recorder, parent));
+    pub fn with_trace(mut self, recorder: FlightRecorder, parent: SpanContext, tid: u32) -> Self {
+        self.trace = Some((recorder, parent, tid));
         self
+    }
+
+    /// Opens the span of one build phase under the attached trace parent,
+    /// if any; it records when dropped.
+    pub(crate) fn phase(&self, name: &str) -> Option<TraceScope> {
+        self.trace.as_ref().map(|(recorder, parent, tid)| {
+            let mut span = recorder.scope_under(*parent, name);
+            span.set_tid(*tid);
+            span
+        })
     }
 
     /// The template being composed.
@@ -121,83 +131,88 @@ impl CounterSystem {
     /// Two single-copy moves yield the same occupancy vector only if they
     /// share the same `(from, to)` local-state pair (distinct sources
     /// change distinct entries) — except self-moves `q → q`, which all
-    /// collapse onto `state` itself. Deduplication therefore happens on
-    /// cheap `u32` target comparisons per source plus one self-move flag,
-    /// instead of comparing whole counter vectors.
-    ///
-    /// Broadcast moves follow the single-copy moves: each enabled
-    /// broadcast is one O(|S|) whole-vector rewrite
-    /// ([`CounterState::broadcast`]) — an abstract transition costs the
-    /// same whether it synchronizes zero copies or a million. Broadcast
-    /// results can coincide with each other or with single-copy results
-    /// (e.g. an identity response map *is* a single move), so they are
-    /// deduplicated by vector comparison against the handful of
-    /// successors already emitted.
+    /// collapse onto `state` itself. Broadcast moves follow the
+    /// single-copy moves: each enabled broadcast is one O(|S|)
+    /// whole-vector rewrite ([`CounterState::broadcast`]) — an abstract
+    /// transition costs the same whether it synchronizes zero copies or a
+    /// million. Its result can coincide with an earlier one (e.g. an
+    /// identity response map *is* a single move); each successor is kept
+    /// at its first occurrence.
     pub fn successors(&self, state: &CounterState) -> Vec<CounterState> {
-        let num_states = self.template.num_states() as u32;
-        let capacity: usize = (0..num_states)
-            .filter(|&q| state.count(q) > 0)
-            .map(|q| self.template.base().successors(q).len())
-            .sum::<usize>()
-            + self.template.broadcasts().len();
-        let mut out: Vec<CounterState> = Vec::with_capacity(capacity);
-        let mut self_move_seen = false;
-        // Distinct enabled targets of the current source, reused per q.
-        let mut targets: Vec<u32> = Vec::new();
-        for q in 0..num_states {
-            if state.count(q) == 0 {
-                continue;
+        let mut out: Vec<CounterState> = Vec::new();
+        self.each_move(state.counts(), &mut Vec::new(), |succ, _| {
+            if !out.iter().any(|s| s.counts() == succ) {
+                out.push(CounterState::new(succ.to_vec()));
             }
-            targets.clear();
-            for (k, &q2) in self.template.base().successors(q).iter().enumerate() {
-                if self.template.enabled(state, q, k) && !targets.contains(&q2) {
-                    targets.push(q2);
-                }
-            }
-            for &q2 in &targets {
-                if q2 == q {
-                    // A self-move leaves the occupancy unchanged; all such
-                    // moves (from any source) are one abstract edge.
-                    if !self_move_seen {
-                        self_move_seen = true;
-                        out.push(state.clone());
-                    }
-                } else {
-                    out.push(state.move_one(q, q2));
-                }
-            }
-        }
-        for b in self.template.broadcasts() {
-            if state.count(b.source()) == 0 || !self.template.broadcast_enabled(state, b) {
-                continue;
-            }
-            let next = state.broadcast(b.source(), b.target(), b.response());
-            if !out.contains(&next) {
-                out.push(next);
-            }
-        }
+        });
         if out.is_empty() {
             out.push(state.clone());
         }
         out
     }
 
+    /// The move semantics behind [`CounterSystem::successors`], the BFS
+    /// builder and the fairness compiler: calls `emit(next, (src, tgt))`
+    /// for every enabled move of the occupancy vector `cur`, in canonical
+    /// order — each enabled local transition `src → tgt` of an occupied
+    /// state, then each enabled broadcast whose initiator takes
+    /// `src → tgt`. Several moves may lead to the same vector; callers
+    /// keep the first. Emits nothing when no move is enabled, and the
+    /// caller then stutters. `next` is scratch space.
+    pub(crate) fn each_move(
+        &self,
+        cur: &[u32],
+        next: &mut Vec<u32>,
+        mut emit: impl FnMut(&[u32], (u32, u32)),
+    ) {
+        let t = &self.template;
+        for q in 0..cur.len() as u32 {
+            if cur[q as usize] == 0 {
+                continue;
+            }
+            for (k, &q2) in t.base().successors(q).iter().enumerate() {
+                if t.enabled_at(cur, q, k) {
+                    next.clear();
+                    next.extend_from_slice(cur);
+                    next[q as usize] -= 1;
+                    next[q2 as usize] += 1;
+                    emit(next, (q, q2));
+                }
+            }
+        }
+        for b in t.broadcasts() {
+            if cur[b.source() as usize] == 0 || !b.enabled_at(cur) {
+                continue;
+            }
+            let mv = (b.source(), b.target());
+            respond_into(cur, b.response(), Some(mv), next);
+            emit(next, mv);
+        }
+    }
+
     /// A readable name for an abstract state: non-empty local states with
     /// their occupancy, e.g. `idle^2|crit^1`.
     pub fn state_name(&self, state: &CounterState) -> String {
         let mut name = String::new();
-        for (q, &c) in state.counts().iter().enumerate() {
+        self.write_name(state.counts(), &mut name);
+        name
+    }
+
+    /// Appends [`CounterSystem::state_name`] of the occupancy vector
+    /// `counts` to `name`.
+    pub(crate) fn write_name(&self, counts: &[u32], name: &mut String) {
+        let start = name.len();
+        for (q, &c) in counts.iter().enumerate() {
             if c > 0 {
-                if !name.is_empty() {
+                if name.len() > start {
                     name.push('|');
                 }
                 let _ = write!(name, "{}^{}", self.template.base().state_name(q as u32), c);
             }
         }
-        if name.is_empty() {
+        if name.len() == start {
             name.push_str("empty");
         }
-        name
     }
 
     /// Materializes the reachable abstract graph as a [`Kripke`] labeled
@@ -207,257 +222,58 @@ impl CounterSystem {
     /// polynomial in `n` for a fixed template — instead of the `|Q|^n`
     /// states of the explicit composition.
     pub fn kripke(&self, spec: &CountingSpec) -> Kripke {
-        self.kripke_with_states(spec).0
+        self.build(spec).0
     }
 
     /// [`CounterSystem::kripke`] plus the occupancy vector of every
-    /// state, indexed by [`StateId`] (position `i` is the vector of state
-    /// `i`). The fairness compiler ([`crate::fairness`]) uses the vectors
-    /// to re-enumerate each state's moves and flag the fair ones.
+    /// state, indexed by [`StateId`](icstar_kripke::StateId) (position
+    /// `i` is the vector of state `i`).
     pub fn kripke_with_states(&self, spec: &CountingSpec) -> (Kripke, Vec<CounterState>) {
-        let started = Instant::now();
-        let mut b = KripkeBuilder::new();
-        let mut ids: HashMap<PackedCounter, StateId> = HashMap::new();
-        let mut queue: Vec<CounterState> = Vec::new();
-
-        let add = |state: CounterState,
-                   b: &mut KripkeBuilder,
-                   ids: &mut HashMap<PackedCounter, StateId>,
-                   queue: &mut Vec<CounterState>|
-         -> StateId {
-            let key = self.packing.pack(&state);
-            if let Some(&id) = ids.get(&key) {
-                return id;
-            }
-            let atoms = spec.atoms_for_counter(&self.template, &state);
-            let id = b.state_labeled(self.state_name(&state), atoms);
-            ids.insert(key, id);
-            queue.push(state);
-            id
-        };
-
-        // Exploration telemetry is accumulated in locals and flushed
-        // once after the sweep: the hot loop itself touches no atomics.
-        let mut arrivals = 0u64;
-        let mut frontier_peak = 0usize;
-
-        let init = add(self.initial(), &mut b, &mut ids, &mut queue);
-        let mut head = 0;
-        while head < queue.len() {
-            frontier_peak = frontier_peak.max(queue.len() - head);
-            let state = queue[head].clone();
-            head += 1;
-            let from = ids[&self.packing.pack(&state)];
-            for next in self.successors(&state) {
-                arrivals += 1;
-                let to = add(next, &mut b, &mut ids, &mut queue);
-                b.edge(from, to);
-            }
-        }
-        self.flush_explore_metrics(queue.len() as u64, arrivals, started);
-        self.telemetry
-            .gauge("sym.explore.frontier_peak")
-            .set_max(frontier_peak as i64);
-        let kripke = b
-            .build(init)
-            .expect("counter exploration is stutter-completed, hence total");
-        (kripke, queue)
-    }
-
-    /// Publishes one exploration's aggregate counts:
-    /// `sym.explore.states` (distinct states discovered) vs
-    /// `sym.explore.arrivals` (successor arrivals, duplicates included)
-    /// give the dedup ratio; `sym.explore.build_ns` over
-    /// `sym.explore.states` gives states/sec.
-    fn flush_explore_metrics(&self, states: u64, arrivals: u64, started: Instant) {
-        self.telemetry.counter("sym.explore.builds").inc();
-        self.telemetry.counter("sym.explore.states").add(states);
-        self.telemetry.counter("sym.explore.arrivals").add(arrivals);
-        self.telemetry
-            .histogram("sym.explore.build_ns")
-            .record_duration(started.elapsed());
-    }
-
-    /// Materializes the same structure as [`CounterSystem::kripke`], but
-    /// explores the reachable space with `shards` cooperating threads.
-    ///
-    /// Packed keys are partitioned by hash: each shard owns the states
-    /// hashing to it, deduplicates arrivals against its own map (no shared
-    /// mutable state), expands the new ones, and routes every successor to
-    /// its owner's channel. A global in-flight counter (incremented before
-    /// each send, decremented after processing) detects termination: when
-    /// it reaches zero no state is queued or being expanded anywhere, so
-    /// all shards stop. The per-shard state sets and edge lists are then
-    /// merged and frozen in a canonical order.
-    ///
-    /// The result is **deterministic** — states sorted by occupancy
-    /// vector, edges in per-state successor order — and *isomorphic* to
-    /// the single-threaded structure (same states, labels, and edges;
-    /// only the state numbering differs), for any `shards ≥ 1` and any
-    /// thread interleaving. `shards == 1` falls back to the sequential
-    /// BFS.
-    pub fn kripke_sharded(&self, spec: &CountingSpec, shards: usize) -> Kripke {
-        self.kripke_sharded_with_states(spec, shards).0
-    }
-
-    /// [`CounterSystem::kripke_sharded`] plus the id-ordered occupancy
-    /// vectors, exactly as [`CounterSystem::kripke_with_states`] returns
-    /// them for the sequential sweep.
-    pub fn kripke_sharded_with_states(
-        &self,
-        spec: &CountingSpec,
-        shards: usize,
-    ) -> (Kripke, Vec<CounterState>) {
-        if shards <= 1 {
-            return self.kripke_with_states(spec);
-        }
-        let started = Instant::now();
-        let (discovered, arrivals) = self.explore_sharded(shards);
-        self.flush_explore_metrics(discovered.len() as u64, arrivals, started);
-
-        let mut b = KripkeBuilder::new();
-        let mut ids: HashMap<PackedCounter, StateId> = HashMap::with_capacity(discovered.len());
-        for (state, _) in &discovered {
-            let atoms = spec.atoms_for_counter(&self.template, state);
-            let id = b.state_labeled(self.state_name(state), atoms);
-            ids.insert(self.packing.pack(state), id);
-        }
-        for (state, succs) in &discovered {
-            let from = ids[&self.packing.pack(state)];
-            for key in succs {
-                b.edge(from, ids[key]);
-            }
-        }
-        let init = ids[&self.packing.pack(&self.initial())];
-        let kripke = b
-            .build(init)
-            .expect("sharded exploration is stutter-completed, hence total");
-        let states = discovered.into_iter().map(|(state, _)| state).collect();
+        let (kripke, table) = self.build(spec);
+        let states = table
+            .states()
+            .map(|counts| CounterState::new(counts.to_vec()))
+            .collect();
         (kripke, states)
     }
 
-    /// The parallel reachability sweep behind
-    /// [`CounterSystem::kripke_sharded`]: returns every reachable state
-    /// with its packed successor keys, sorted by occupancy vector, plus
-    /// the total successor-arrival count. Each shard records its own
-    /// wall time into `sym.explore.shard_ns` on exit, so imbalance
-    /// between shards is visible as histogram spread.
-    fn explore_sharded(&self, shards: usize) -> (Vec<(CounterState, Vec<PackedCounter>)>, u64) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-
-        let shard_of = |key: &PackedCounter| -> usize {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            (h.finish() % shards as u64) as usize
-        };
-        let shard_of = &shard_of;
-
-        let mut txs: Vec<Sender<CounterState>> = Vec::with_capacity(shards);
-        let mut rxs: Vec<Receiver<CounterState>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-
-        // States sent but not yet fully expanded. Incrementing *before*
-        // every send and decrementing only *after* a state's successors
-        // have all been sent keeps the counter positive while any work
-        // exists, so `pending == 0` is a sound termination signal.
-        let pending = AtomicUsize::new(1);
-        let init = self.initial();
-        txs[shard_of(&self.packing.pack(&init))]
-            .send(init)
-            .expect("receiver is alive");
-
-        let shard_ns = self.telemetry.histogram("sym.explore.shard_ns");
-        let (mut discovered, arrivals): (Vec<(CounterState, Vec<PackedCounter>)>, u64) =
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard_idx, rx)| {
-                        let txs = txs.clone();
-                        let pending = &pending;
-                        let shard_ns = shard_ns.clone();
-                        let trace = self.trace.clone();
-                        s.spawn(move || {
-                            // The shard's trace span (if a parent was
-                            // attached): opened here, closed — and thereby
-                            // recorded, with this shard's counts — when the
-                            // worker exits.
-                            let mut shard_span = trace.map(|(recorder, parent)| {
-                                let mut span =
-                                    recorder.scope_under(parent, format!("shard[{shard_idx}]"));
-                                span.set_tid(shard_idx as u32);
-                                span
-                            });
-                            let shard_started = Instant::now();
-                            let mut arrivals = 0u64;
-                            let mut seen: std::collections::HashSet<PackedCounter> =
-                                std::collections::HashSet::new();
-                            let mut mine: Vec<(CounterState, Vec<PackedCounter>)> = Vec::new();
-                            loop {
-                                // Block (kernel-parked) until a state arrives,
-                                // re-checking the termination counter once per
-                                // millisecond — long enough that starved
-                                // shards cost ~nothing, short enough that the
-                                // post-completion drain is invisible next to
-                                // any real exploration.
-                                match rx.recv_timeout(std::time::Duration::from_millis(1)) {
-                                    Ok(state) => {
-                                        arrivals += 1;
-                                        let key = self.packing.pack(&state);
-                                        if seen.insert(key) {
-                                            let succs = self.successors(&state);
-                                            let keys: Vec<PackedCounter> = succs
-                                                .iter()
-                                                .map(|succ| self.packing.pack(succ))
-                                                .collect();
-                                            for (succ, skey) in succs.into_iter().zip(&keys) {
-                                                pending.fetch_add(1, Ordering::SeqCst);
-                                                txs[shard_of(skey)]
-                                                    .send(succ)
-                                                    .expect("peer exits only at pending == 0");
-                                            }
-                                            mine.push((state, keys));
-                                        }
-                                        pending.fetch_sub(1, Ordering::SeqCst);
-                                    }
-                                    Err(RecvTimeoutError::Timeout) => {
-                                        if pending.load(Ordering::SeqCst) == 0 {
-                                            break;
-                                        }
-                                    }
-                                    Err(RecvTimeoutError::Disconnected) => break,
-                                }
-                            }
-                            shard_ns.record_duration(shard_started.elapsed());
-                            if let Some(span) = &mut shard_span {
-                                span.attr("arrivals", arrivals.to_string());
-                                span.attr("states", mine.len().to_string());
-                            }
-                            (mine, arrivals)
-                        })
-                    })
-                    .collect();
-                drop(txs);
-                let mut all = Vec::new();
-                let mut arrivals = 0u64;
-                for h in handles {
-                    let (mine, shard_arrivals) = h.join().expect("shard worker panicked");
-                    all.extend(mine);
-                    arrivals += shard_arrivals;
-                }
-                (all, arrivals)
-            });
-        discovered.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        // The init send is a bootstrap, not a successor arrival; keep the
-        // count comparable with the sequential BFS's.
-        (discovered, arrivals.saturating_sub(1))
+    /// The BFS builder: explores from the initial vector, labeling each
+    /// state from a [`LabelTable`] when it is discovered and writing its
+    /// successor row as it is expanded, then freezes. A state's id is its
+    /// discovery position, so the structure comes out byte-identical to a
+    /// [`KripkeBuilder`](icstar_kripke::KripkeBuilder) fed the same BFS.
+    pub(crate) fn build(&self, spec: &CountingSpec) -> (Kripke, StateTable) {
+        let started = Instant::now();
+        let explore = self.phase("explore");
+        let (universe, labels) = LabelTable::compile(spec, &self.template);
+        let mut next = Vec::new();
+        let (rows, table, frontier_peak) = build::explore(
+            self.packing,
+            universe,
+            self.initial().counts(),
+            |v, label| {
+                labels.push_labels(v, label);
+                let mut name = String::new();
+                self.write_name(v, &mut name);
+                name
+            },
+            |cur, emit| self.each_move(cur, &mut next, |succ, _| emit(succ)),
+        );
+        // Exploration telemetry is flushed once after the sweep: the hot
+        // loop itself touches no atomics. `states` vs `arrivals` (edges)
+        // gives the dedup ratio, `build_ns` over `states` states/sec.
+        let t = &self.telemetry;
+        t.counter("sym.explore.builds").inc();
+        t.counter("sym.explore.states").add(table.len() as u64);
+        t.counter("sym.explore.arrivals")
+            .add(rows.num_edges() as u64);
+        t.histogram("sym.explore.build_ns")
+            .record_duration(started.elapsed());
+        t.gauge("sym.explore.frontier_peak")
+            .set_max(frontier_peak as i64);
+        drop(explore);
+        let _freeze = self.phase("freeze");
+        (rows.freeze(), table)
     }
 }
 
@@ -523,50 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_exploration_matches_sequential() {
-        // Same states (by name), same labels, same edge set — for every
-        // shard count, on guarded, free, and broadcast templates alike.
-        use std::collections::BTreeSet;
-        for t in [
-            mutex_template(),
-            GuardedTemplate::free(fig41_template()),
-            crate::template::ring_station_template(3, 2),
-            crate::workloads::barrier_template(),
-            crate::workloads::msi_template(),
-            crate::workloads::wakeup_template(),
-        ] {
-            let spec = CountingSpec::standard(&t);
-            for n in [0u32, 1, 7, 40] {
-                let sys = CounterSystem::new(t.clone(), n);
-                let seq = sys.kripke(&spec);
-                for shards in [2usize, 3, 8] {
-                    let par = sys.kripke_sharded(&spec, shards);
-                    par.validate().unwrap();
-                    assert_eq!(par.num_states(), seq.num_states());
-                    assert_eq!(par.num_transitions(), seq.num_transitions());
-                    let snapshot = |k: &icstar_kripke::Kripke| {
-                        let mut states = BTreeSet::new();
-                        let mut edges = BTreeSet::new();
-                        for s in k.states() {
-                            let mut atoms = k.label_atoms(s);
-                            atoms.sort();
-                            states.insert((k.state_name(s).to_string(), atoms));
-                            for &d in k.successors(s) {
-                                edges.insert((
-                                    k.state_name(s).to_string(),
-                                    k.state_name(d).to_string(),
-                                ));
-                            }
-                        }
-                        (states, edges, k.state_name(k.initial()).to_string())
-                    };
-                    assert_eq!(snapshot(&par), snapshot(&seq), "shards = {shards}, n = {n}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn broadcast_successors_rewrite_the_whole_vector() {
         let t = crate::workloads::barrier_template();
         let sys = CounterSystem::new(t, 5);
@@ -598,26 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_output_is_deterministic() {
-        let t = mutex_template();
-        let sys = CounterSystem::new(t.clone(), 25);
-        let spec = CountingSpec::standard(&t);
-        let a = sys.kripke_sharded(&spec, 4);
-        for shards in [2usize, 4, 7] {
-            let b = sys.kripke_sharded(&spec, shards);
-            // States are frozen in sorted occupancy order, so the result
-            // is bit-for-bit reproducible whatever the shard count.
-            assert_eq!(a.num_states(), b.num_states());
-            for s in a.states() {
-                assert_eq!(a.state_name(s), b.state_name(s));
-                assert_eq!(a.label_atoms(s), b.label_atoms(s));
-                assert_eq!(a.successors(s), b.successors(s));
-            }
-            assert_eq!(a.initial(), b.initial());
-        }
-    }
-
-    #[test]
     fn exploration_publishes_metrics() {
         let registry = icstar_telemetry::Registry::new();
         let t = mutex_template();
@@ -640,59 +392,33 @@ mod tests {
         assert!(snap.counter("sym.explore.arrivals") >= snap.counter("sym.explore.states"));
         assert!(snap.gauge("sym.explore.frontier_peak").unwrap() > 0);
         assert_eq!(snap.histogram("sym.explore.build_ns").unwrap().count, 1);
-
-        // The sharded sweep publishes the same aggregates plus one
-        // shard_ns sample per shard.
-        let sharded = icstar_telemetry::Registry::new();
-        let sys = CounterSystem::new(t.clone(), 5).with_telemetry(sharded.clone());
-        sys.kripke_sharded(&spec, 3);
-        let snap = sharded.snapshot();
-        assert_eq!(snap.counter("sym.explore.builds"), Some(1));
-        assert_eq!(
-            snap.counter("sym.explore.states"),
-            Some(k.num_states() as u64)
-        );
-        assert_eq!(
-            snap.counter("sym.explore.arrivals"),
-            Some(k.num_transitions() as u64)
-        );
-        assert_eq!(snap.histogram("sym.explore.shard_ns").unwrap().count, 3);
     }
 
     #[test]
-    fn traced_sharded_exploration_records_one_span_per_shard() {
-        let recorder = icstar_telemetry::FlightRecorder::with_capacity(64);
-        let t = mutex_template();
-        let spec = CountingSpec::standard(&t);
-        let build = recorder.scope("build");
-        let parent = build.context();
-        let shards = 3usize;
-        CounterSystem::new(t, 25)
-            .with_trace(recorder.clone(), parent)
-            .kripke_sharded(&spec, shards);
-        drop(build);
-        let spans = recorder.spans_for(parent.trace);
-        let shard_spans: Vec<_> = spans
-            .iter()
-            .filter(|e| e.name.starts_with("shard["))
-            .collect();
-        assert_eq!(shard_spans.len(), shards);
-        let mut names: Vec<_> = shard_spans.iter().map(|e| e.name.clone()).collect();
-        names.sort();
-        assert_eq!(names, ["shard[0]", "shard[1]", "shard[2]"]);
-        for span in &shard_spans {
-            assert_eq!(span.parent, Some(parent.span), "attached under build");
-            assert!(span.attrs.iter().any(|(k, _)| k == "arrivals"));
-            assert!(span.attrs.iter().any(|(k, _)| k == "states"));
+    fn traced_exploration_records_its_phases_under_the_parent() {
+        // A plain build has two phases; a fair template's counter graph
+        // adds the fairness compilation.
+        let plain = mutex_template();
+        let fair = mutex_template().with_fairness("enter", [(1, 2)]);
+        for (t, phases) in [
+            (plain, &["explore", "freeze"][..]),
+            (fair, &["explore", "freeze", "fairness"][..]),
+        ] {
+            let recorder = icstar_telemetry::FlightRecorder::with_capacity(64);
+            let build = recorder.scope("build");
+            let parent = build.context();
+            let sys = CounterSystem::new(t.clone(), 25).with_trace(recorder.clone(), parent, 3);
+            crate::fairness::counter_graph(&sys, &CountingSpec::standard(&t));
+            drop(build);
+            let spans = recorder.spans_for(parent.trace);
+            let children: Vec<_> = spans
+                .iter()
+                .filter(|e| e.parent == Some(parent.span))
+                .collect();
+            let names: Vec<&str> = children.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(names, phases);
+            assert!(children.iter().all(|e| e.tid == 3), "on the builder's lane");
         }
-        // tid carries the shard index, so Perfetto lanes separate.
-        let tids: std::collections::BTreeSet<u32> = shard_spans.iter().map(|e| e.tid).collect();
-        assert_eq!(tids, (0..shards as u32).collect());
-        // Untraced systems record nothing.
-        let quiet = icstar_telemetry::FlightRecorder::with_capacity(64);
-        CounterSystem::new(mutex_template(), 10)
-            .kripke_sharded(&CountingSpec::standard(&mutex_template()), 2);
-        assert!(quiet.is_empty());
     }
 
     #[test]

@@ -36,12 +36,13 @@ use icstar_logic::StateFormula;
 use icstar_mc::expand;
 use icstar_mc::fair::{FairChecker, FairReq, TransFairness};
 
-use crate::counter::{CounterState, PackedCounter};
+use crate::build::StateTable;
+use crate::counter::CounterState;
 use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy};
 use crate::error::SymError;
 use crate::explore::CounterSystem;
 use crate::labels::CountingSpec;
-use crate::rep::{representative_with_states, RepState};
+use crate::rep::{build_rep, each_rep_move};
 use crate::template::GuardedTemplate;
 
 /// The counter structure of a system bundled with its compiled fairness
@@ -68,22 +69,14 @@ pub struct RepGraph {
 }
 
 /// Builds the counter structure together with its fairness requirements.
+///
+/// On a traced system ([`CounterSystem::with_trace`]) a fair template's
+/// compilation records a `fairness` span next to the build's `explore`
+/// and `freeze` spans.
 pub fn counter_graph(sys: &CounterSystem, spec: &CountingSpec) -> CounterGraph {
-    let (kripke, states) = sys.kripke_with_states(spec);
-    let fairness = counter_fairness(sys, &states);
-    CounterGraph { kripke, fairness }
-}
-
-/// [`counter_graph`] with the sharded exploration
-/// ([`CounterSystem::kripke_sharded`]) underneath. The result is
-/// deterministic and identical to the sequential one for any `shards`.
-pub fn counter_graph_sharded(
-    sys: &CounterSystem,
-    spec: &CountingSpec,
-    shards: usize,
-) -> CounterGraph {
-    let (kripke, states) = sys.kripke_sharded_with_states(spec, shards);
-    let fairness = counter_fairness(sys, &states);
+    let (kripke, mut table) = sys.build(spec);
+    let _span = sys.template().is_fair().then(|| sys.phase("fairness"));
+    let fairness = counter_moves_fairness(sys, &mut table);
     CounterGraph { kripke, fairness }
 }
 
@@ -98,8 +91,11 @@ pub fn rep_graph(
     spec: &CountingSpec,
     width: u32,
 ) -> Result<RepGraph, SymError> {
-    let (kripke, states) = representative_with_states(sys, spec, width)?;
-    let fairness = rep_fairness(sys, &states);
+    let (kripke, mut table) = build_rep(sys, spec, width)?;
+    let (mut total, mut next) = (Vec::new(), Vec::new());
+    let fairness = compile(sys.template(), &mut table, |cur, edge| {
+        each_rep_move(sys, cur, &mut total, &mut next, |succ, mv| edge(succ, mv))
+    });
     Ok(RepGraph { kripke, fairness })
 }
 
@@ -107,150 +103,60 @@ pub fn rep_graph(
 /// structure, given the id-ordered occupancy vectors from
 /// [`CounterSystem::kripke_with_states`].
 pub fn counter_fairness(sys: &CounterSystem, states: &[CounterState]) -> TransFairness {
-    let t = sys.template();
-    if !t.is_fair() {
-        return TransFairness::unconstrained();
+    let mut table = StateTable::new(*sys.packing());
+    for s in states {
+        table.intern(s.counts());
     }
-    let index: HashMap<PackedCounter, u32> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (sys.packing().pack(s), i as u32))
-        .collect();
-    let reqs: Vec<FairReq> = t
-        .fairness()
-        .iter()
-        .map(|d| {
-            let mut released = BitSet::new(states.len());
-            let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-            for (i, c) in states.iter().enumerate() {
-                let mut any = false;
-                for &(src, tgt) in d.moves() {
-                    if c.count(src) == 0 {
-                        continue;
-                    }
-                    let plain_enabled = t
-                        .base()
-                        .successors(src)
-                        .iter()
-                        .enumerate()
-                        .any(|(k, &q2)| q2 == tgt && t.enabled(c, src, k));
-                    if plain_enabled {
-                        any = true;
-                        let next = c.move_one(src, tgt);
-                        edges.insert((i as u32, index[&sys.packing().pack(&next)]));
-                    }
-                    for bc in t.broadcasts() {
-                        if bc.source() == src && bc.target() == tgt && t.broadcast_enabled(c, bc) {
-                            any = true;
-                            let next = c.broadcast(src, tgt, bc.response());
-                            edges.insert((i as u32, index[&sys.packing().pack(&next)]));
-                        }
-                    }
-                }
-                if !any {
-                    released.insert(i);
-                }
-            }
-            FairReq::new(released, edges)
-        })
-        .collect();
-    TransFairness::new(reqs)
+    counter_moves_fairness(sys, &mut table)
 }
 
-/// Compiles the template's fairness declarations onto a representative
-/// structure, given the id-ordered states from
-/// [`representative_with_states`]. A group move may be fired by a
-/// tracked copy or by an abstracted one; both realizations are flagged.
-pub fn rep_fairness(sys: &CounterSystem, states: &[RepState]) -> TransFairness {
-    let t = sys.template();
+fn counter_moves_fairness(sys: &CounterSystem, table: &mut StateTable) -> TransFairness {
+    let mut next = Vec::new();
+    compile(sys.template(), table, |cur, edge| {
+        sys.each_move(cur, &mut next, |succ, mv| edge(succ, mv))
+    })
+}
+
+/// Compiles the template's declarations as a filter over the moves of
+/// the states in `table`: `moves(cur, edge)` calls `edge(next, (src,
+/// tgt))` for every move of `cur` — a copy taking `src → tgt`, or
+/// initiating a broadcast that does — leading to `next`. A declaration's
+/// edges are the transitions realized by moves it selects; its released
+/// states are those where it selects none.
+fn compile(
+    t: &GuardedTemplate,
+    table: &mut StateTable,
+    mut moves: impl FnMut(&[u32], &mut dyn FnMut(&[u32], (u32, u32))),
+) -> TransFairness {
     if !t.is_fair() {
         return TransFairness::unconstrained();
     }
-    let num_locals = t.num_states();
-    let key = |s: &RepState| (s.locals.clone(), sys.packing().pack(&s.others));
-    let index: HashMap<(Vec<u32>, PackedCounter), u32> = states
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (key(s), i as u32))
-        .collect();
-    let reqs: Vec<FairReq> = t
-        .fairness()
-        .iter()
-        .map(|d| {
-            let mut released = BitSet::new(states.len());
-            let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-            for (i, state) in states.iter().enumerate() {
-                let total = state.total_counts(num_locals);
-                let mut any = false;
-                for &(src, tgt) in d.moves() {
-                    let plain_enabled = t
-                        .base()
-                        .successors(src)
-                        .iter()
-                        .enumerate()
-                        .any(|(k, &q2)| q2 == tgt && t.enabled(&total, src, k));
-                    if plain_enabled {
-                        for (c, &q) in state.locals.iter().enumerate() {
-                            if q != src {
-                                continue;
-                            }
-                            any = true;
-                            let mut locals = state.locals.clone();
-                            locals[c] = tgt;
-                            let next = RepState {
-                                locals,
-                                others: state.others.clone(),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                        if state.others.count(src) > 0 {
-                            any = true;
-                            let next = RepState {
-                                locals: state.locals.clone(),
-                                others: state.others.move_one(src, tgt),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                    }
-                    for bc in t.broadcasts() {
-                        if bc.source() != src
-                            || bc.target() != tgt
-                            || !t.broadcast_enabled(&total, bc)
-                        {
-                            continue;
-                        }
-                        for (c, &q) in state.locals.iter().enumerate() {
-                            if q != src {
-                                continue;
-                            }
-                            any = true;
-                            let mut locals: Vec<u32> =
-                                state.locals.iter().map(|&l| bc.response_of(l)).collect();
-                            locals[c] = bc.target();
-                            let next = RepState {
-                                locals,
-                                others: state.others.respond(bc.response()),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                        if state.others.count(src) > 0 {
-                            any = true;
-                            let next = RepState {
-                                locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
-                                others: state.others.broadcast(src, tgt, bc.response()),
-                            };
-                            edges.insert((i as u32, index[&key(&next)]));
-                        }
-                    }
-                }
-                if !any {
-                    released.insert(i);
+    let decls = t.fairness();
+    let mut released = vec![BitSet::new(table.len()); decls.len()];
+    let mut edges = vec![BTreeSet::new(); decls.len()];
+    let (mut cur, mut taken) = (Vec::new(), vec![false; decls.len()]);
+    for i in 0..table.len() {
+        cur.clear();
+        cur.extend_from_slice(table.state(i));
+        taken.fill(false);
+        moves(&cur, &mut |next, (src, tgt)| {
+            for (d, decl) in decls.iter().enumerate() {
+                if decl.contains(src, tgt) {
+                    let (j, new) = table.intern(next);
+                    debug_assert!(!new, "moves stay among the reachable states");
+                    taken[d] = true;
+                    edges[d].insert((i as u32, j));
                 }
             }
-            FairReq::new(released, edges)
-        })
-        .collect();
-    TransFairness::new(reqs)
+        });
+        for (d, &taken) in taken.iter().enumerate() {
+            if !taken {
+                released[d].insert(i);
+            }
+        }
+    }
+    let reqs = released.into_iter().zip(edges);
+    TransFairness::new(reqs.map(|(r, e)| FairReq::new(r, e)))
 }
 
 /// Compiles the template's fairness declarations onto the explicit
@@ -385,26 +291,6 @@ mod tests {
                 FairChecker::new(&g.kripke, &g.fairness).holds(&f).unwrap(),
                 "fairly holds at n = {n}"
             );
-        }
-    }
-
-    #[test]
-    fn sharded_graph_matches_sequential() {
-        let t = stutter_exit();
-        let spec = CountingSpec::standard(&t);
-        let sys = CounterSystem::new(t, 12);
-        let seq = counter_graph(&sys, &spec);
-        for shards in [2usize, 4] {
-            let par = counter_graph_sharded(&sys, &spec, shards);
-            assert_eq!(par.kripke.num_states(), seq.kripke.num_states());
-            assert_eq!(par.fairness.reqs().len(), seq.fairness.reqs().len());
-            for (a, b) in par.fairness.reqs().iter().zip(seq.fairness.reqs()) {
-                // Sharded ids are sorted-occupancy order, same as the
-                // sequential BFS's only by coincidence of this template;
-                // compare structurally via released counts + edge counts.
-                assert_eq!(a.states().len(), b.states().len());
-                assert_eq!(a.edges().len(), b.edges().len());
-            }
         }
     }
 

@@ -22,7 +22,7 @@ use icstar_logic::{build, StateFormula};
 
 use crate::counter::CounterState;
 use crate::fingerprint::Fnv;
-use crate::template::GuardedTemplate;
+use crate::template::{Check, GuardedTemplate};
 
 /// The plain atom `p_ge{k}` meaning `#p ≥ k`.
 ///
@@ -174,39 +174,28 @@ impl CountingSpec {
 
     /// Every atom this spec can emit, in a stable order.
     pub fn atom_universe(&self) -> Vec<Atom> {
-        let mut atoms = Vec::new();
-        for (p, k) in &self.at_least {
-            atoms.push(at_least_atom(p, *k));
-        }
-        for p in &self.zero {
-            atoms.push(none_atom(p));
-        }
-        for p in &self.exactly_one {
-            atoms.push(Atom::exactly_one(p.clone()));
-        }
-        atoms
+        self.entries().map(|(.., atom)| atom).collect()
     }
 
     /// The atoms labeling an abstract state, given each proposition's
     /// occupancy through `count`.
     pub fn atoms_for(&self, mut count: impl FnMut(&str) -> u32) -> Vec<Atom> {
-        let mut atoms = Vec::new();
-        for (p, k) in &self.at_least {
-            if count(p) >= *k {
-                atoms.push(at_least_atom(p, *k));
-            }
-        }
-        for p in &self.zero {
-            if count(p) == 0 {
-                atoms.push(none_atom(p));
-            }
-        }
-        for p in &self.exactly_one {
-            if count(p) == 1 {
-                atoms.push(Atom::exactly_one(p.clone()));
-            }
-        }
-        atoms
+        self.entries()
+            .filter(|&(p, lo, hi, _)| (lo..=hi).contains(&count(p)))
+            .map(|(.., atom)| atom)
+            .collect()
+    }
+
+    /// Every entry as `(prop, lo, hi, atom)`, in
+    /// [`CountingSpec::atom_universe`] order: the atom labels a state
+    /// iff `prop`'s occupancy lies in `lo..=hi`.
+    fn entries(&self) -> impl Iterator<Item = (&str, u32, u32, Atom)> {
+        let at_least =
+            (self.at_least.iter()).map(|(p, k)| (p.as_str(), *k, u32::MAX, at_least_atom(p, *k)));
+        let zero = (self.zero.iter()).map(|p| (p.as_str(), 0, 0, none_atom(p)));
+        let one =
+            (self.exactly_one.iter()).map(|p| (p.as_str(), 1, 1, Atom::exactly_one(p.clone())));
+        at_least.chain(zero).chain(one)
     }
 
     /// A stable 64-bit structural fingerprint: equal for equal specs,
@@ -237,6 +226,34 @@ impl CountingSpec {
         counts: &CounterState,
     ) -> Vec<Atom> {
         self.atoms_for(|p| template.prop_count(counts, p))
+    }
+}
+
+/// A [`CountingSpec`] compiled against one template for one build: per
+/// atom of the universe, its occupancy test with the prop resolved to the
+/// local states carrying it. Labeling a state then pushes the universe
+/// positions of the atoms whose test passes, in
+/// [`CountingSpec::atoms_for`] order, with no string formatting and no
+/// `Atom` clones.
+#[derive(Clone, Debug)]
+pub(crate) struct LabelTable(Vec<Check>);
+
+impl LabelTable {
+    /// Compiles `spec` against `template`'s labeling; returns the atom
+    /// universe ([`CountingSpec::atom_universe`]) with the table.
+    pub(crate) fn compile(spec: &CountingSpec, template: &GuardedTemplate) -> (Vec<Atom>, Self) {
+        let (atoms, tests) = spec
+            .entries()
+            .map(|(p, lo, hi, atom)| (atom, Check::new(template.states_with(p), lo, hi)))
+            .unzip();
+        (atoms, LabelTable(tests))
+    }
+
+    /// Pushes onto `label` the universe position of every atom labeling
+    /// the occupancy vector `counts`.
+    pub(crate) fn push_labels(&self, counts: &[u32], label: &mut Vec<u32>) {
+        let holds = self.0.iter().enumerate().filter(|(_, t)| t.holds(counts));
+        label.extend(holds.map(|(u, _)| u as u32));
     }
 }
 

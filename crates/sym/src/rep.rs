@@ -25,15 +25,13 @@
 //! representatives no longer speak for every copy — the engine rejects
 //! such formulas instead of answering unsoundly.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use icstar_kripke::{Atom, Index, IndexedKripke};
 
-use icstar_kripke::{Atom, Index, IndexedKripke, KripkeBuilder, StateId};
-
-use crate::counter::{CounterState, PackedCounter};
+use crate::build::{self, StateTable};
+use crate::counter::{respond_into, CounterPacking, CounterState};
 use crate::error::SymError;
 use crate::explore::CounterSystem;
-use crate::labels::CountingSpec;
+use crate::labels::{CountingSpec, LabelTable};
 
 /// The index carried by the first distinguished copy in representative
 /// structures; a width-`k` structure labels its tracked copies
@@ -94,9 +92,8 @@ pub fn representative(
 }
 
 /// [`representative`] plus the [`RepState`] of every structure state,
-/// indexed by [`StateId`] (position `i` is the state with id `i`). The
-/// fairness compiler ([`crate::fairness`]) uses the vectors to
-/// re-enumerate each state's moves and flag the fair ones.
+/// indexed by [`StateId`](icstar_kripke::StateId) (position `i` is the
+/// state with id `i`).
 ///
 /// # Errors
 ///
@@ -106,6 +103,26 @@ pub fn representative_with_states(
     spec: &CountingSpec,
     width: u32,
 ) -> Result<(IndexedKripke, Vec<RepState>), SymError> {
+    let (kripke, table) = build_rep(sys, spec, width)?;
+    let num_locals = sys.template().num_states();
+    let states = table
+        .states()
+        .map(|v| RepState {
+            locals: v[num_locals..].to_vec(),
+            others: CounterState::new(v[..num_locals].to_vec()),
+        })
+        .collect();
+    Ok((kripke, states))
+}
+
+/// The BFS builder of the width-`width` structure; returns it with its
+/// discovered states as flat vectors `others ++ locals`: the occupancy of
+/// the abstracted copies, then each tracked copy's local state.
+pub(crate) fn build_rep(
+    sys: &CounterSystem,
+    spec: &CountingSpec,
+    width: u32,
+) -> Result<(IndexedKripke, StateTable), SymError> {
     let n = sys.size();
     if n == 0 {
         return Err(SymError::EmptyFamily);
@@ -115,147 +132,135 @@ pub fn representative_with_states(
     }
     let template = sys.template();
     let num_locals = template.num_states();
+    let w = width as usize;
 
-    let initial = RepState {
-        locals: vec![template.initial(); width as usize],
-        others: CounterState::all_in(num_locals, template.initial(), n - width),
-    };
+    // Every label draws on one universe: the spec's counting atoms, then
+    // the indexed atom `p[c]` of every (tracked copy, prop) pair, listed
+    // per (copy, local state) so a label is a slice copy plus a table
+    // lookup.
+    let (mut universe, labels) = LabelTable::compile(spec, template);
+    let props: Vec<&str> = template.props().collect();
+    let (base, num_props) = (universe.len() as u32, props.len() as u32);
+    universe.extend((0..width).flat_map(|c| {
+        (props.iter()).map(move |&p| Atom::indexed(p, REPRESENTATIVE_INDEX + c as Index))
+    }));
+    let prop = |p: &String| props.iter().position(|q| q == p).expect("a template prop") as u32;
+    let indexed: Vec<Vec<u32>> = (0..width)
+        .flat_map(|c| (0..num_locals as u32).map(move |l| (c, l)))
+        .map(|(c, l)| {
+            let props = template.labels(l).iter();
+            props.map(|p| base + c * num_props + prop(p)).collect()
+        })
+        .collect();
 
-    let mut b = KripkeBuilder::new();
-    let mut ids: HashMap<(Vec<u32>, PackedCounter), StateId> = HashMap::new();
-    // The BFS queue carries each state's id so the expansion loop never
-    // re-derives it (cloning the locals and re-packing the counter per
-    // pop would be pure overhead on the hot path).
-    let mut queue: Vec<(RepState, StateId)> = Vec::new();
+    let mut initial = vec![template.initial(); num_locals + w];
+    initial[..num_locals].fill(0);
+    initial[template.initial() as usize] = n - width;
+    let (mut label_total, mut total, mut next) = (Vec::new(), Vec::new(), Vec::new());
+    let (rows, table, _) = build::explore(
+        CounterPacking::new(num_locals + w, n.max(num_locals as u32)),
+        universe,
+        &initial,
+        |v, label| {
+            let (others, locals) = v.split_at(num_locals);
+            for (c, &l) in locals.iter().enumerate() {
+                label.extend_from_slice(&indexed[c * num_locals + l as usize]);
+            }
+            total_counts(v, num_locals, &mut label_total);
+            labels.push_labels(&label_total, label);
+            let mut name = String::from("rep=");
+            for (c, &l) in locals.iter().enumerate() {
+                if c > 0 {
+                    name.push(',');
+                }
+                name.push_str(template.state_name(l));
+            }
+            name.push('|');
+            sys.write_name(others, &mut name);
+            name
+        },
+        |cur, emit| each_rep_move(sys, cur, &mut total, &mut next, |succ, _| emit(succ)),
+    );
+    let indices = (0..width).map(|c| REPRESENTATIVE_INDEX + c as Index);
+    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), table))
+}
 
-    let add = |state: RepState,
-               b: &mut KripkeBuilder,
-               ids: &mut HashMap<(Vec<u32>, PackedCounter), StateId>,
-               queue: &mut Vec<(RepState, StateId)>|
-     -> StateId {
-        let key = (state.locals.clone(), sys.packing().pack(&state.others));
-        if let Some(&id) = ids.get(&key) {
-            return id;
-        }
-        let total = state.total_counts(num_locals);
-        let mut atoms: Vec<Atom> = Vec::new();
-        for (c, &l) in state.locals.iter().enumerate() {
-            atoms.extend(
-                template
-                    .base()
-                    .labels(l)
-                    .iter()
-                    .map(|p| Atom::indexed(p.clone(), REPRESENTATIVE_INDEX + c as Index)),
-            );
-        }
-        atoms.extend(spec.atoms_for(|p| template.prop_count(&total, p)));
-        let mut name = String::from("rep=");
-        for (c, &l) in state.locals.iter().enumerate() {
-            if c > 0 {
-                name.push(',');
-            }
-            name.push_str(template.base().state_name(l));
-        }
-        let _ = write!(name, "|{}", sys.state_name(&state.others));
-        let id = b.state_labeled(name, atoms);
-        ids.insert(key, id);
-        queue.push((state, id));
-        id
-    };
+/// The occupancy of all copies of the flat representative state `v`,
+/// written into `total`.
+fn total_counts(v: &[u32], num_locals: usize, total: &mut Vec<u32>) {
+    let (others, locals) = v.split_at(num_locals);
+    total.clear();
+    total.extend_from_slice(others);
+    for &l in locals {
+        total[l as usize] += 1;
+    }
+}
 
-    let init = add(initial, &mut b, &mut ids, &mut queue);
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, from) = queue[head].clone();
-        head += 1;
-        let total = state.total_counts(num_locals);
-        let mut succs: Vec<RepState> = Vec::new();
-        // One tracked copy moves...
-        for (t, &q) in state.locals.iter().enumerate() {
-            for (k, &q2) in template.base().successors(q).iter().enumerate() {
-                if template.enabled(&total, q, k) {
-                    let mut locals = state.locals.clone();
-                    locals[t] = q2;
-                    let next = RepState {
-                        locals,
-                        others: state.others.clone(),
-                    };
-                    if !succs.contains(&next) {
-                        succs.push(next);
-                    }
-                }
+/// The representative move semantics: calls `emit(next, (src, tgt))` for
+/// every move of the flat state `cur`, in canonical order — one tracked
+/// copy takes an enabled `src → tgt`, or one abstracted copy does, or a
+/// broadcast whose initiator takes `src → tgt` fires, initiated by a
+/// tracked copy (its tracked peers and every abstracted copy respond) or
+/// by an abstracted one (all tracked copies respond). Guards read the
+/// occupancy of all copies. Several moves may lead to the same state;
+/// callers keep the first. `total` and `next` are scratch space.
+pub(crate) fn each_rep_move(
+    sys: &CounterSystem,
+    cur: &[u32],
+    total: &mut Vec<u32>,
+    next: &mut Vec<u32>,
+    mut emit: impl FnMut(&[u32], (u32, u32)),
+) {
+    let template = sys.template();
+    let num_locals = template.num_states();
+    total_counts(cur, num_locals, total);
+    let (others, locals) = cur.split_at(num_locals);
+    for (t, &q) in locals.iter().enumerate() {
+        for (k, &q2) in template.successors(q).iter().enumerate() {
+            if template.enabled_at(total, q, k) {
+                next.clear();
+                next.extend_from_slice(cur);
+                next[num_locals + t] = q2;
+                emit(next, (q, q2));
             }
-        }
-        // ...or one of the abstracted copies moves.
-        for q in 0..num_locals as u32 {
-            if state.others.count(q) == 0 {
-                continue;
-            }
-            for (k, &q2) in template.base().successors(q).iter().enumerate() {
-                if template.enabled(&total, q, k) {
-                    let next = RepState {
-                        locals: state.locals.clone(),
-                        others: state.others.move_one(q, q2),
-                    };
-                    if !succs.contains(&next) {
-                        succs.push(next);
-                    }
-                }
-            }
-        }
-        // ...or a broadcast fires. Either some tracked copy initiates
-        // (its tracked peers and every abstracted copy respond), or an
-        // abstracted copy does (all tracked copies respond).
-        for bc in template.broadcasts() {
-            if !template.broadcast_enabled(&total, bc) {
-                continue;
-            }
-            for (t, &q) in state.locals.iter().enumerate() {
-                if q != bc.source() {
-                    continue;
-                }
-                let mut locals: Vec<u32> =
-                    state.locals.iter().map(|&l| bc.response_of(l)).collect();
-                locals[t] = bc.target();
-                let next = RepState {
-                    locals,
-                    others: state.others.respond(bc.response()),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
-            if state.others.count(bc.source()) > 0 {
-                let next = RepState {
-                    locals: state.locals.iter().map(|&l| bc.response_of(l)).collect(),
-                    others: state
-                        .others
-                        .broadcast(bc.source(), bc.target(), bc.response()),
-                };
-                if !succs.contains(&next) {
-                    succs.push(next);
-                }
-            }
-        }
-        if succs.is_empty() {
-            succs.push(state.clone());
-        }
-        for next in succs {
-            let to = add(next, &mut b, &mut ids, &mut queue);
-            b.edge(from, to);
         }
     }
-    let kripke = b
-        .build(init)
-        .expect("representative exploration is stutter-completed, hence total");
-    let indexed = IndexedKripke::new(
-        kripke,
-        (0..width)
-            .map(|c| REPRESENTATIVE_INDEX + c as Index)
-            .collect(),
-    );
-    let states = queue.into_iter().map(|(state, _)| state).collect();
-    Ok((indexed, states))
+    for q in 0..num_locals as u32 {
+        if others[q as usize] == 0 {
+            continue;
+        }
+        for (k, &q2) in template.successors(q).iter().enumerate() {
+            if template.enabled_at(total, q, k) {
+                next.clear();
+                next.extend_from_slice(cur);
+                next[q as usize] -= 1;
+                next[q2 as usize] += 1;
+                emit(next, (q, q2));
+            }
+        }
+    }
+    for bc in template.broadcasts() {
+        if !bc.enabled_at(total) {
+            continue;
+        }
+        let mv = (bc.source(), bc.target());
+        // Everyone but the initiator follows the response map.
+        let respond = |next: &mut Vec<u32>, initiator| {
+            respond_into(others, bc.response(), initiator, next);
+            next.extend(locals.iter().map(|&l| bc.response_of(l)));
+        };
+        for (t, &q) in locals.iter().enumerate() {
+            if q == bc.source() {
+                respond(next, None);
+                next[num_locals + t] = bc.target();
+                emit(next, mv);
+            }
+        }
+        if others[bc.source() as usize] > 0 {
+            respond(next, Some(mv));
+            emit(next, mv);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -148,6 +148,47 @@ impl Guard {
     }
 }
 
+/// An occupancy test resolved against a template's labeling: holds iff
+/// the summed occupancy of `states` lies in `lo..=hi`. Guards compile to
+/// one at template build (a state guard sums one state), as do counting
+/// atoms per build, so the exploration loops do no proposition lookups.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Check {
+    states: Box<[u32]>,
+    lo: u32,
+    hi: u32,
+}
+
+impl Check {
+    pub(crate) fn new(states: &[u32], lo: u32, hi: u32) -> Self {
+        Check {
+            states: states.into(),
+            lo,
+            hi,
+        }
+    }
+
+    fn resolve(g: &Guard, props: &[(String, Vec<u32>)]) -> Check {
+        let prop = |p: &str, lo, hi| Check::new(states_with(props, p), lo, hi);
+        match g {
+            Guard::AtMost(p, b) => prop(p, 0, *b),
+            Guard::AtLeast(p, b) => prop(p, *b, u32::MAX),
+            Guard::Equals(p, b) => prop(p, *b, *b),
+            Guard::InRange(p, lo, hi) => prop(p, *lo, *hi),
+            Guard::StateAtMost(q, b) => Check::new(&[*q], 0, *b),
+            Guard::StateAtLeast(q, b) => Check::new(&[*q], *b, u32::MAX),
+            Guard::StateEquals(q, b) => Check::new(&[*q], *b, *b),
+            Guard::StateInRange(q, lo, hi) => Check::new(&[*q], *lo, *hi),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn holds(&self, counts: &[u32]) -> bool {
+        let c: u32 = self.states.iter().map(|&q| counts[q as usize]).sum();
+        self.lo <= c && c <= self.hi
+    }
+}
+
 /// A broadcast move: one initiating copy takes the `source → target`
 /// local transition (subject to the guards, evaluated on the occupancy
 /// vector *before* the move, initiator included), and **every other copy
@@ -173,6 +214,8 @@ pub struct Broadcast {
     /// Always total (length = number of local states); identity entries
     /// mean "unaffected".
     response: Vec<u32>,
+    /// `guards`, resolved against the template's labeling.
+    checks: Vec<Check>,
 }
 
 impl Broadcast {
@@ -201,6 +244,12 @@ impl Broadcast {
     /// Where a non-initiating copy in local state `q` lands.
     pub fn response_of(&self, q: u32) -> u32 {
         self.response[q as usize]
+    }
+
+    /// Whether every guard holds on the occupancy slice `counts`.
+    #[inline]
+    pub(crate) fn enabled_at(&self, counts: &[u32]) -> bool {
+        self.checks.iter().all(|c| c.holds(counts))
     }
 
     /// Whether the response map moves nobody (the broadcast degenerates
@@ -285,6 +334,8 @@ pub struct GuardedTemplate {
     fairness: Vec<FairnessDecl>,
     /// For each distinct local proposition, the local states carrying it.
     props: Vec<(String, Vec<u32>)>,
+    /// `guards`, resolved against `props` (parallel to `guards`).
+    checks: Vec<Vec<Vec<Check>>>,
 }
 
 impl GuardedTemplate {
@@ -293,12 +344,30 @@ impl GuardedTemplate {
         let guards = (0..base.num_states())
             .map(|q| vec![Vec::new(); base.successors(q as u32).len()])
             .collect();
+        GuardedTemplate::assemble(base, guards, Vec::new(), Vec::new())
+    }
+
+    /// Indexes the props and resolves every guard against them.
+    fn assemble(
+        base: ProcessTemplate,
+        guards: Vec<Vec<Vec<Guard>>>,
+        mut broadcasts: Vec<Broadcast>,
+        fairness: Vec<FairnessDecl>,
+    ) -> Self {
         let props = index_props(&base);
+        let resolve = |gs: &[Guard]| gs.iter().map(|g| Check::resolve(g, &props)).collect();
+        for b in &mut broadcasts {
+            b.checks = resolve(&b.guards);
+        }
+        let checks = guards
+            .iter()
+            .map(|per| per.iter().map(|gs| resolve(gs)).collect());
         GuardedTemplate {
+            checks: checks.collect(),
             base,
             guards,
-            broadcasts: Vec::new(),
-            fairness: Vec::new(),
+            broadcasts,
+            fairness,
             props,
         }
     }
@@ -422,11 +491,7 @@ impl GuardedTemplate {
 
     /// The local states whose label carries `prop`.
     pub fn states_with(&self, prop: &str) -> &[u32] {
-        self.props
-            .iter()
-            .find(|(p, _)| p == prop)
-            .map(|(_, qs)| qs.as_slice())
-            .unwrap_or(&[])
+        states_with(&self.props, prop)
     }
 
     /// How many copies satisfy `prop` in the occupancy vector `counts`.
@@ -439,30 +504,19 @@ impl GuardedTemplate {
 
     /// Whether one guard holds on the occupancy vector `counts`.
     pub fn guard_holds(&self, counts: &CounterState, g: &Guard) -> bool {
-        match g {
-            Guard::AtMost(p, bound) => self.prop_count(counts, p) <= *bound,
-            Guard::AtLeast(p, bound) => self.prop_count(counts, p) >= *bound,
-            Guard::Equals(p, bound) => self.prop_count(counts, p) == *bound,
-            Guard::InRange(p, lo, hi) => {
-                let c = self.prop_count(counts, p);
-                *lo <= c && c <= *hi
-            }
-            Guard::StateAtMost(s, bound) => counts.count(*s) <= *bound,
-            Guard::StateAtLeast(s, bound) => counts.count(*s) >= *bound,
-            Guard::StateEquals(s, bound) => counts.count(*s) == *bound,
-            Guard::StateInRange(s, lo, hi) => {
-                let c = counts.count(*s);
-                *lo <= c && c <= *hi
-            }
-        }
+        Check::resolve(g, &self.props).holds(counts.counts())
     }
 
     /// Whether every guard of transition `(q, k)` is satisfied by the
     /// occupancy vector `counts` (taken *before* the move).
     pub fn enabled(&self, counts: &CounterState, q: u32, k: usize) -> bool {
-        self.guards(q, k)
-            .iter()
-            .all(|g| self.guard_holds(counts, g))
+        self.enabled_at(counts.counts(), q, k)
+    }
+
+    /// [`GuardedTemplate::enabled`] on a bare occupancy slice.
+    #[inline]
+    pub(crate) fn enabled_at(&self, counts: &[u32], q: u32, k: usize) -> bool {
+        self.checks[q as usize][k].iter().all(|c| c.holds(counts))
     }
 
     /// Whether every guard of broadcast `b` is satisfied by the occupancy
@@ -470,7 +524,7 @@ impl GuardedTemplate {
     /// Callers must additionally check that some copy sits in
     /// [`Broadcast::source`].
     pub fn broadcast_enabled(&self, counts: &CounterState, b: &Broadcast) -> bool {
-        b.guards().iter().all(|g| self.guard_holds(counts, g))
+        b.enabled_at(counts.counts())
     }
 
     /// A stable 64-bit structural fingerprint: equal for structurally
@@ -530,6 +584,11 @@ impl GuardedTemplate {
         }
         h.finish()
     }
+}
+
+fn states_with<'a>(props: &'a [(String, Vec<u32>)], prop: &str) -> &'a [u32] {
+    let entry = props.iter().find(|(p, _)| p == prop);
+    entry.map_or(&[], |(_, qs)| qs.as_slice())
 }
 
 fn index_props(base: &ProcessTemplate) -> Vec<(String, Vec<u32>)> {
@@ -706,6 +765,7 @@ impl GuardedBuilder {
                 Broadcast {
                     source,
                     target,
+                    checks: Vec::new(),
                     guards,
                     response,
                 }
@@ -732,14 +792,7 @@ impl GuardedBuilder {
                 );
             }
         }
-        let props = index_props(&base);
-        GuardedTemplate {
-            base,
-            guards: self.guards,
-            broadcasts,
-            fairness: self.fairness,
-            props,
-        }
+        GuardedTemplate::assemble(base, self.guards, broadcasts, self.fairness)
     }
 }
 

@@ -112,14 +112,14 @@ pub struct SpanEvent {
     pub id: SpanId,
     /// The enclosing span, if any (`None` for a trace's root).
     pub parent: Option<SpanId>,
-    /// Span name — `job`, `queue_wait`, `build`, `shard[3]`, ...
+    /// Span name — `job`, `queue_wait`, `build`, `explore`, ...
     pub name: String,
     /// Start offset in nanoseconds since the recorder's epoch.
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Worker index, surfaced as the Chrome `tid` so per-shard lanes
-    /// separate visually in Perfetto. Zero for single-threaded spans.
+    /// Worker index, surfaced as the Chrome `tid` so per-worker lanes
+    /// separate visually in Perfetto. Zero unless set.
     pub tid: u32,
     /// Ordered `key=value` attributes (e.g. `outcome=hit`).
     pub attrs: Vec<(String, String)>,
@@ -331,8 +331,8 @@ impl FlightRecorder {
     }
 
     /// Opens a span under an explicit parent context — the cross-thread
-    /// form: shard workers attach their spans under the `build` span of
-    /// the submitting worker.
+    /// form, also used wherever a callee is handed its parent (a
+    /// build's phases attach under the `build` span this way).
     pub fn scope_under(&self, parent: SpanContext, name: impl Into<String>) -> TraceScope {
         self.open(parent.trace, Some(parent.span), name)
     }
@@ -711,7 +711,7 @@ impl<'a> ChromeCursor<'a> {
 ///   queue_wait 2345ns
 ///   cache_lookup 4100ns outcome=miss
 ///   build 901234ns
-///     shard[0] 450000ns
+///     explore 450000ns
 /// ```
 ///
 /// Siblings sort by start time (ties by span id). Spans whose parent

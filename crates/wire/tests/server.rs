@@ -15,8 +15,6 @@ fn test_service() -> VerifyService {
     VerifyService::start(ServeConfig {
         workers: 2,
         cache_shards: 4,
-        exploration_shards: 2,
-        sharded_threshold: 1_000_000,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })
@@ -670,8 +668,6 @@ fn trace_transcript_is_byte_exact() {
     let config = ServeConfig {
         workers: 1,
         cache_shards: 4,
-        exploration_shards: 2,
-        sharded_threshold: 1_000_000,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     };
@@ -763,20 +759,18 @@ fn trace_transcript_is_byte_exact() {
 }
 
 /// The PR's acceptance workload: a forall-mutex job at n = 100,000 over
-/// TCP, large enough to cross the sharded-exploration threshold, with
-/// the full metric trail inspected over the METRICS command. Ignored by
+/// TCP, with the full metric trail inspected over the METRICS command
+/// and the build's phases over TRACE. Ignored by
 /// default (release-sized); CI runs it with
 /// `cargo test --release -p icstar-wire --test server -- --include-ignored`.
 #[test]
 #[ignore = "release-sized acceptance workload"]
-fn large_sharded_job_leaves_a_full_metric_trail() {
+fn large_job_leaves_a_full_metric_trail() {
     let server = WireServer::bind(
         "127.0.0.1:0",
         VerifyService::start(ServeConfig {
             workers: 2,
             cache_shards: 4,
-            exploration_shards: 2,
-            sharded_threshold: 20_000, // n = 100,000 goes sharded
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),
@@ -793,19 +787,13 @@ fn large_sharded_job_leaves_a_full_metric_trail() {
 
     let snap = client.metrics().unwrap();
     // Exploration throughput: the counter graph at n = 100,000 has
-    // 2n + 1 abstract states, discovered by the sharded sweep.
+    // 2n + 1 abstract states, discovered by the BFS.
     let states = snap.counter("icstar_sym_explore_states").unwrap();
     assert!(states >= 200_001, "states {states}");
     let build = snap.histogram("icstar_sym_explore_build_ns").unwrap();
     assert!(build.count >= 1 && build.sum > 0, "exploration was timed");
     let throughput = states as f64 / (build.sum as f64 / 1e9);
     assert!(throughput > 0.0, "states/sec is computable and nonzero");
-    assert!(snap.counter("icstar_serve_explore_sharded").unwrap() >= 1);
-    assert_eq!(
-        snap.histogram("icstar_sym_explore_shard_ns").unwrap().count,
-        2,
-        "one timing per exploration shard"
-    );
     // Per-phase job latency: one sample per job, queue ≤ total.
     for name in [
         "icstar_serve_job_queue_wait_ns",
@@ -840,9 +828,9 @@ fn large_sharded_job_leaves_a_full_metric_trail() {
     assert!(miss.sum > hit.sum, "misses dominate hit latency");
 
     // The acceptance trace: fetched over the socket in Chrome Trace
-    // Event Format, the first job shows queue_wait, the sharded build
-    // with one span per exploration shard, and the check, all under a
-    // single job root.
+    // Event Format, the first job shows queue_wait, the build with its
+    // explore and freeze phases, and the check, all under a single job
+    // root.
     let spans = client.trace_chrome(first).unwrap();
     let root = spans
         .iter()
@@ -858,14 +846,16 @@ fn large_sharded_job_leaves_a_full_metric_trail() {
     }
     let build = spans
         .iter()
-        .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "mode" && v == "sharded"))
-        .expect("sharded build span");
-    let shards: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name.starts_with("shard["))
-        .collect();
-    assert_eq!(shards.len(), 2, "one span per exploration shard");
-    assert!(shards.iter().all(|s| s.parent == Some(build.id)));
+        .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "kind" && v == "counter"))
+        .expect("counter build span");
+    for phase in ["explore", "freeze"] {
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == phase && s.parent == Some(build.id)),
+            "{phase} under the counter build"
+        );
+    }
 
     // And the HEALTH probe reads sane after the workload.
     let health = client.health().unwrap();

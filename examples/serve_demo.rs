@@ -1,5 +1,5 @@
 //! The verification service end to end: concurrent jobs, a shared
-//! structure cache, and a sharded million-process exploration.
+//! structure cache, and a million-process build.
 //!
 //! Two phases:
 //!
@@ -9,8 +9,8 @@
 //!    overlap deliberately: the service stats afterwards show materialized
 //!    structures being shared (cache hits).
 //! 2. **Scale** — the mutex family at `n = 1,000,000` is materialized
-//!    with the sharded parallel exploration (~2 million abstract states)
-//!    and mutual exclusion is verified on it directly.
+//!    (~2 million abstract states) and mutual exclusion is verified on
+//!    it directly.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
@@ -26,11 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Phase 1: a batch of overlapping jobs through the service ----
     let service = VerifyService::start(ServeConfig::default());
-    println!(
-        "service up: {} workers, sharded exploration from n = {}\n",
-        service.workers(),
-        ServeConfig::default().sharded_threshold
-    );
+    println!("service up: {} workers\n", service.workers());
 
     let mutex = mutex_template();
     let ring = ring_station_template(4, 1);
@@ -116,7 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.hit_rate() * 100.0,
         stats.cached_structures
     );
-    println!("  sharded    {} exploration(s)", stats.sharded_explorations);
 
     assert!(all_hold, "a property failed");
     assert!(
@@ -126,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stats.jobs_completed, submitted as u64);
     service.shutdown();
 
-    // ---- Phase 2: sharded exploration at n = 10^6 ----
+    // ---- Phase 2: a counter build at n = 10^6 ----
     // (A smaller size under `cargo run` without --release, so the demo
     // stays interactive in debug builds; CI runs release.)
     let n: u32 = if cfg!(debug_assertions) {
@@ -134,16 +129,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         1_000_000
     };
-    println!("\n== sharded exploration: mutex at n = {n} ==\n");
-    let shards = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
+    println!("\n== counter build: mutex at n = {n} ==\n");
     let engine = SymEngine::new(mutex_template());
 
     let t = Instant::now();
-    let graph = engine.counter_graph_sharded(n, shards);
+    let graph = engine.counter_graph(n);
     let built = t.elapsed();
     assert_eq!(graph.kripke.num_states() as u32, 2 * n + 1);
     println!(
-        "materialized {} abstract states / {} transitions with {shards} shards in {built:?}",
+        "materialized {} abstract states / {} transitions in {built:?}",
         graph.kripke.num_states(),
         graph.kripke.num_transitions()
     );

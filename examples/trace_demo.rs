@@ -1,4 +1,4 @@
-//! Per-job causal tracing end to end: a sharded mutex workload at
+//! Per-job causal tracing end to end: a mutex workload at
 //! `n = 100,000` submitted over a real TCP socket, its span tree pulled
 //! back with the `TRACE` command, and the Chrome Trace Event Format
 //! export written to disk for Perfetto.
@@ -7,9 +7,9 @@
 //!
 //! 1. **One causal tree per job** — a single `job` root span, with
 //!    `queue_wait`, `cache_lookup`, `build`, and `check` as children.
-//! 2. **Cross-thread attachment** — the sharded exploration's workers
-//!    run on their own threads, yet their `shard[i]` spans hang under
-//!    the `build` span that triggered them, one per exploration shard.
+//! 2. **Build phases** — the counter build's `explore` (BFS plus labels)
+//!    and `freeze` (atom interning plus CSR) spans hang under the
+//!    `build` span, on the lane of the worker that paid for it.
 //! 3. **Wire round-trip** — `WireClient::trace_chrome` parses the
 //!    server's JSON back into the exact typed [`SpanEvent`]s, and the
 //!    `HEALTH` probe agrees with the trace on what happened.
@@ -30,17 +30,11 @@ use icstar_telemetry::{to_chrome_trace, SpanEvent};
 use icstar_wire::{WireClient, WireServer};
 
 const BIG: u32 = 100_000;
-const SHARDS: usize = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== per-job causal tracing at n = {BIG} ==\n");
 
-    let config = ServeConfig {
-        sharded_threshold: 20_000, // n = 100,000 goes sharded
-        exploration_shards: SHARDS,
-        ..ServeConfig::default()
-    };
-    let server = WireServer::bind("127.0.0.1:0", VerifyService::start(config))?;
+    let server = WireServer::bind("127.0.0.1:0", VerifyService::start(ServeConfig::default()))?;
     let mut client = WireClient::connect(server.local_addr())?;
 
     let job = VerifyJob::new(mutex_template())
@@ -75,22 +69,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let build = spans
         .iter()
-        .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "mode" && v == "sharded"))
-        .expect("the counter build went sharded");
-    let shards: Vec<&SpanEvent> = spans
+        .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "kind" && v == "counter"))
+        .expect("the counter build span");
+    let phases: Vec<&SpanEvent> = spans
         .iter()
-        .filter(|s| s.name.starts_with("shard["))
+        .filter(|s| s.parent == Some(build.id))
         .collect();
-    assert_eq!(shards.len(), SHARDS, "one span per exploration shard");
-    assert!(
-        shards.iter().all(|s| s.parent == Some(build.id)),
-        "shard spans attach across threads to the build that spawned them"
-    );
+    for phase in ["explore", "freeze"] {
+        assert!(
+            phases.iter().any(|s| s.name == phase && s.tid == build.tid),
+            "{phase} must hang off the build, on its worker's lane"
+        );
+    }
+    let phase_ms = |name: &str| {
+        phases
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0.0, |s| s.dur_ns as f64 / 1e6)
+    };
     println!(
-        "trace: {} spans, build {:.1}ms, {} shard lanes",
+        "trace: {} spans, build {:.1}ms (explore {:.1}ms, freeze {:.1}ms)",
         spans.len(),
         build.dur_ns as f64 / 1e6,
-        shards.len()
+        phase_ms("explore"),
+        phase_ms("freeze")
     );
 
     // ---- HEALTH agrees with the evidence ----
@@ -114,6 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     client.quit()?;
     server.shutdown();
-    println!("\ndone: one causal tree per job, from socket to shard and back.");
+    println!("\ndone: one causal tree per job, from socket to build phase and back.");
     Ok(())
 }

@@ -300,8 +300,6 @@ fn warm_restart_answers_first_submit_from_disk() {
     let config = |dir: &PathBuf| ServeConfig {
         workers: 1,
         cache_shards: 1,
-        exploration_shards: 1,
-        sharded_threshold: u32::MAX,
         cache_budget_states: u64::MAX,
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()

@@ -1,5 +1,4 @@
-//! Integration tests for the verification service (`icstar-serve`) and
-//! the sharded counter exploration behind it.
+//! Integration tests for the verification service (`icstar-serve`).
 //!
 //! Three claims under test:
 //!
@@ -10,17 +9,12 @@
 //! 2. **Service liveness under load** — a small pool drains ≥ 64
 //!    concurrent jobs over shared templates, every report arrives, and
 //!    overlapping jobs actually share structures (hit-rate > 0).
-//! 3. **Sharded = sequential** — the parallel exploration produces a
-//!    structure isomorphic to the single-threaded BFS (same states by
-//!    name, same labels, same edge set), and scales to `n = 10^6`
-//!    (release-mode smoke test, `--ignored` in the default profile).
+//! 3. **Scale** — the counter graph of the mutex family builds and
+//!    checks at `n = 10^6` (release-mode smoke test, `--ignored` in the
+//!    default profile).
 
-use std::collections::BTreeSet;
-
-use icstar::icstar_sym::{
-    mutex_template, ring_station_template, CounterSystem, CountingSpec, GuardedTemplate, SymEngine,
-};
-use icstar::{Kripke, ServeConfig, VerifyJob, VerifyService};
+use icstar::icstar_sym::{mutex_template, ring_station_template, GuardedTemplate, SymEngine};
+use icstar::{ServeConfig, VerifyJob, VerifyService};
 use icstar_logic::parse_state;
 use icstar_nets::{random_template, RandomTemplateConfig};
 use rand::rngs::StdRng;
@@ -30,8 +24,6 @@ fn small_service(workers: usize) -> VerifyService {
     VerifyService::start(ServeConfig {
         workers,
         cache_shards: 8,
-        exploration_shards: 2,
-        sharded_threshold: 500, // exercise the sharded path at test sizes
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })
@@ -147,73 +139,16 @@ fn stress_sixty_four_concurrent_jobs() {
     assert_eq!(stats.cache_misses, 12);
 }
 
-/// A structure as comparable data: states by name (with their sorted
-/// atom labels), edges by name pair, and the initial state's name.
-#[allow(clippy::type_complexity)]
-fn canonical(
-    k: &Kripke,
-) -> (
-    BTreeSet<(String, Vec<icstar::Atom>)>,
-    BTreeSet<(String, String)>,
-    String,
-) {
-    let mut states = BTreeSet::new();
-    let mut edges = BTreeSet::new();
-    for s in k.states() {
-        // Atom interning order differs between explorations; sort so the
-        // comparison sees label *sets*.
-        let mut atoms = k.label_atoms(s);
-        atoms.sort();
-        states.insert((k.state_name(s).to_string(), atoms));
-        for &d in k.successors(s) {
-            edges.insert((k.state_name(s).to_string(), k.state_name(d).to_string()));
-        }
-    }
-    (states, edges, k.state_name(k.initial()).to_string())
-}
-
-#[test]
-fn sharded_and_sequential_explorations_are_isomorphic() {
-    for template in template_pool() {
-        let spec = CountingSpec::standard(&template);
-        for n in [0u32, 1, 13, 60] {
-            let sys = CounterSystem::new(template.clone(), n);
-            let seq = sys.kripke(&spec);
-            for shards in [2usize, 5] {
-                let par = sys.kripke_sharded(&spec, shards);
-                par.validate().unwrap();
-                assert_eq!(canonical(&par), canonical(&seq), "n = {n}, {shards} shards");
-            }
-        }
-    }
-}
-
-#[test]
-fn service_uses_sharded_exploration_above_threshold() {
-    let service = small_service(2);
-    let report = service
-        .submit(
-            VerifyJob::new(mutex_template())
-                .at_sizes([100, 800]) // one below, one above the threshold
-                .formula("mutex", parse_state("AG !crit_ge2").unwrap()),
-        )
-        .wait()
-        .unwrap();
-    assert!(report.all_hold());
-    assert_eq!(service.stats().sharded_explorations, 1);
-}
-
 /// Release-mode smoke test for the acceptance bar: materialize and check
-/// the mutex family at `n = 10^6` through the sharded exploration. Run
+/// the mutex family at `n = 10^6`. Run
 /// with `cargo test --release --test serve -- --ignored` (CI does); too
 /// slow for the default debug profile.
 #[test]
 #[ignore = "release-mode smoke test (run with --ignored)"]
-fn sharded_exploration_verifies_mutex_at_one_million() {
+fn counter_graph_verifies_mutex_at_one_million() {
     let n: u32 = 1_000_000;
     let engine = SymEngine::new(mutex_template());
-    let shards = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-    let graph = engine.counter_graph_sharded(n, shards);
+    let graph = engine.counter_graph(n);
     // Reachable mutex counter states: (#try, #crit ≤ 1) — 2n + 1.
     assert_eq!(graph.kripke.num_states() as u32, 2 * n + 1);
     graph.kripke.validate().unwrap();

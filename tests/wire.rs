@@ -14,8 +14,6 @@ fn test_service() -> VerifyService {
     VerifyService::start(ServeConfig {
         workers: 2,
         cache_shards: 4,
-        exploration_shards: 2,
-        sharded_threshold: 1_000_000,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })

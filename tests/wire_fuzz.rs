@@ -24,8 +24,6 @@ fn test_server() -> WireServer {
         VerifyService::start(ServeConfig {
             workers: 1,
             cache_shards: 1,
-            exploration_shards: 1,
-            sharded_threshold: u32::MAX,
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),
