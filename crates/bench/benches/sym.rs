@@ -133,7 +133,7 @@ fn bench_representative_width(c: &mut Criterion) {
 
 fn bench_fair_check(c: &mut Criterion) {
     // The fair-fragment route: weak-fairness groups compiled onto the
-    // occupancy structures and discharged by the counter-fair checker.
+    // occupancy structures and discharged by the checker under them.
     // Uses the barrier's fair variant (two groups over broadcasts) on a
     // recurrence property that *fails* unfair, so the fairness machinery
     // is genuinely load-bearing here, not a pass-through.
@@ -152,6 +152,22 @@ fn bench_fair_check(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, &n| {
             b.iter(|| assert!(engine.check(n, &indexed).unwrap()))
+        });
+    }
+    group.finish();
+}
+
+fn bench_unfair_liveness(c: &mut Criterion) {
+    // Plain liveness on a template without fairness: the unconstrained
+    // checker routes `AF` to the plain `EG` fixpoint, whose round count
+    // grows with n on the mutex (one idle -> try step peeled per round).
+    let mut group = c.benchmark_group("sym/unfair-liveness");
+    group.sample_size(10);
+    let engine = SymEngine::new(mutex_template());
+    let liveness = parse_state("AG AF crit_ge1").unwrap();
+    for n in [1_000u32, 10_000] {
+        group.bench_with_input(BenchmarkId::new("counting", n), &n, |b, &n| {
+            b.iter(|| assert!(engine.check(n, &liveness).unwrap()))
         });
     }
     group.finish();
@@ -240,6 +256,7 @@ criterion_group!(
     bench_mutex_verification,
     bench_representative_width,
     bench_fair_check,
+    bench_unfair_liveness,
     bench_cross_check,
     bench_cutoff_detect,
     bench_cutoff_answer

@@ -270,7 +270,8 @@ impl<'a> FamilyVerifier<'a> {
             // their atoms at verify time. Quantified ones must sit in
             // the k-restricted fragment the representative construction
             // is sound for. Fair templates additionally confine every
-            // formula to the CTL fragment the fair checker evaluates.
+            // formula to the CTL fragment the checker supports under
+            // fairness.
             Backend::Counter { engine } => {
                 if engine.template().is_fair() {
                     icstar_logic::fair_fragment_depth(&f)
@@ -737,8 +738,8 @@ mod tests {
         let verdicts = plain.verify_at(5).unwrap();
         assert!(!verdicts[0].holds);
         assert!(!verdicts[0].fair);
-        // Fair templates confine formulas to the CTL fragment the fair
-        // checker evaluates, rejected at registration time.
+        // Fair templates confine formulas to the CTL fragment the
+        // checker supports under fairness, rejected at registration time.
         let err = v
             .add_formula("nonctl", parse_state("A(F idle_eq0 & F done_ge1)").unwrap())
             .unwrap_err();

@@ -12,6 +12,10 @@
 //!
 //! All run in time linear in `|S| + |R|` per fixpoint round with worklist
 //! acceleration for [`eu`].
+//!
+//! The crate's one strongly-connected-component routine lives here too:
+//! an iterative Tarjan over a successor closure, shared by fair `EG`
+//! ([`crate::fair::eg_fair`]) and the Büchi product ([`crate::product`]).
 
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Kripke, StateId};
@@ -69,105 +73,6 @@ pub fn eg(m: &Kripke, f: &BitSet) -> BitSet {
     }
 }
 
-/// `EG f` by the SCC method of Clarke–Emerson–Sistla: restrict the graph
-/// to `f`-states, find the non-trivial SCCs, and take backward
-/// reachability within `f`. Produces the same set as [`eg`] — the two are
-/// cross-checked in the tests as independent implementations.
-pub fn eg_scc(m: &Kripke, f: &BitSet) -> BitSet {
-    let n = m.num_states();
-    // Tarjan over the f-restricted subgraph.
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![u32::MAX; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    for root in 0..n as u32 {
-        if !f.contains(root as usize) || index[root as usize] != u32::MAX {
-            continue;
-        }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        call.push((root, 0));
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            let succs = m.successors(StateId(u));
-            let mut advanced = false;
-            while *cursor < succs.len() {
-                let v = succs[*cursor].0;
-                *cursor += 1;
-                if !f.contains(v as usize) {
-                    continue;
-                }
-                if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
-                    advanced = true;
-                    break;
-                } else if on_stack[v as usize] {
-                    low[u as usize] = low[u as usize].min(index[v as usize]);
-                }
-            }
-            if advanced {
-                continue;
-            }
-            call.pop();
-            if let Some(&(parent, _)) = call.last() {
-                low[parent as usize] = low[parent as usize].min(low[u as usize]);
-            }
-            if low[u as usize] == index[u as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack");
-                    on_stack[w as usize] = false;
-                    comp[w as usize] = next_comp;
-                    if w == u {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-        }
-    }
-    // Non-trivial SCCs (internal edge within f).
-    let mut fair = vec![false; next_comp as usize];
-    for u in 0..n {
-        if !f.contains(u) {
-            continue;
-        }
-        for &v in m.successors(StateId(u as u32)) {
-            if f.contains(v.idx()) && comp[u] == comp[v.idx()] {
-                fair[comp[u] as usize] = true;
-            }
-        }
-    }
-    // Backward reachability through f from fair-SCC members.
-    let mut out = BitSet::new(n);
-    let mut work: Vec<StateId> = Vec::new();
-    for u in 0..n {
-        if f.contains(u) && comp[u] != u32::MAX && fair[comp[u] as usize] {
-            out.insert(u);
-            work.push(StateId(u as u32));
-        }
-    }
-    while let Some(s) = work.pop() {
-        for &p in m.predecessors(s) {
-            if f.contains(p.idx()) && !out.contains(p.idx()) {
-                out.insert(p.idx());
-                work.push(p);
-            }
-        }
-    }
-    out
-}
-
 /// `E[f R g]`: some path satisfies `f R g` (i.e. `g` holds up to and
 /// including the first `f`-state, or forever). Greatest fixpoint
 /// `νZ. g ∧ (f ∨ EX Z)`.
@@ -196,10 +101,82 @@ pub fn empty_set(m: &Kripke) -> BitSet {
     BitSet::new(m.num_states())
 }
 
+/// Strongly connected components of the graph on nodes `0..n` whose
+/// successors are `succs(u)`, by an iterative Tarjan that explores from
+/// each of `roots` in turn. Returns each node's component id (ids come
+/// out in reverse topological order), or `u32::MAX` for nodes no root
+/// reaches.
+pub(crate) fn tarjan<I>(
+    n: usize,
+    roots: impl IntoIterator<Item = u32>,
+    succs: impl Fn(u32) -> I,
+) -> Vec<u32>
+where
+    I: Iterator<Item = u32>,
+{
+    let mut comp = vec![u32::MAX; n];
+    let mut index = vec![u32::MAX; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    // Explicit DFS: (node, remaining successors).
+    let mut call: Vec<(u32, I)> = Vec::new();
+    let (mut next_index, mut next_comp) = (0u32, 0u32);
+    for root in roots {
+        if index[root as usize] != u32::MAX {
+            continue;
+        }
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v as usize] = true;
+                call.push((v, succs(v)));
+            }
+            let Some((u, rest)) = call.last_mut() else {
+                break;
+            };
+            let u = *u;
+            match rest.next() {
+                Some(v) if index[v as usize] == u32::MAX => enter = Some(v),
+                Some(v) => {
+                    if on_stack[v as usize] {
+                        low[u as usize] = low[u as usize].min(index[v as usize]);
+                    }
+                }
+                None => {
+                    call.pop();
+                    if let Some(&(parent, _)) = call.last() {
+                        low[parent as usize] = low[parent as usize].min(low[u as usize]);
+                    }
+                    if low[u as usize] == index[u as usize] {
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w as usize] = false;
+                            comp[w as usize] = next_comp;
+                            if w == u {
+                                break;
+                            }
+                        }
+                        next_comp += 1;
+                    }
+                }
+            }
+        }
+    }
+    comp
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fair::{eg_fair, FairReq, TransFairness};
+    use crate::Checker;
     use icstar_kripke::{Atom, KripkeBuilder};
+    use icstar_logic::parse_state;
 
     /// s0(p) -> s1(p) -> s2(q) -> s2 ; s1 -> s0, s0 -> s3(r) -> s3
     fn diamond() -> (Kripke, BitSet, BitSet, BitSet) {
@@ -296,16 +273,44 @@ mod tests {
         assert!(empty_set(&m).is_empty());
     }
 
+    /// A requirement released in every state: every path is fair, but
+    /// fair `EG` still takes the SCC route instead of the fixpoint.
+    fn all_released(m: &Kripke) -> TransFairness {
+        TransFairness::new([FairReq::new(full_set(m), [])])
+    }
+
+    /// Plain and trivially-fair checking agree on `formulas`.
+    fn assert_routes_agree(m: &Kripke, formulas: &[&str], context: &str) {
+        let fair = all_released(m);
+        let mut plain = Checker::new(m);
+        let mut scc = Checker::with_fairness(m, &fair);
+        for src in formulas {
+            let f = parse_state(src).unwrap();
+            assert_eq!(
+                *plain.sat(&f).unwrap(),
+                *scc.sat(&f).unwrap(),
+                "{src} ({context})"
+            );
+        }
+    }
+
     #[test]
     fn eg_scc_agrees_with_fixpoint() {
-        let (m, p, q, r) = diamond();
-        for set in [&p, &q, &r, &full_set(&m), &empty_set(&m)] {
-            assert_eq!(eg(&m, set), eg_scc(&m, set));
-        }
-        // Union sets too.
-        let mut pq = p.clone();
-        pq.union_with(&q);
-        assert_eq!(eg(&m, &pq), eg_scc(&m, &pq));
+        let (m, ..) = diamond();
+        assert_routes_agree(
+            &m,
+            &[
+                "EG p",
+                "EG q",
+                "EG r",
+                "EG true",
+                "EG false",
+                "EG (p | q)",
+                "AF q",
+                "AG AF (q | r)",
+            ],
+            "diamond",
+        );
     }
 
     #[test]
@@ -322,14 +327,49 @@ mod tests {
                     ..RandomConfig::default()
                 },
             );
-            // Random subset as f.
+            // Random subset as f, straight through the set-level SCC route.
             let mut f = BitSet::new(m.num_states());
             for s in m.states() {
                 if !(s.0 as usize + trial).is_multiple_of(3) {
                     f.insert(s.idx());
                 }
             }
-            assert_eq!(eg(&m, &f), eg_scc(&m, &f), "trial {trial}");
+            assert_eq!(
+                eg(&m, &f),
+                eg_fair(&m, &f, &all_released(&m)),
+                "trial {trial}"
+            );
+            assert_routes_agree(
+                &m,
+                &["EG p", "EG !q", "EG (p | q)", "AF (p & q)", "AG AF p"],
+                &format!("trial {trial}"),
+            );
         }
+    }
+
+    #[test]
+    fn tarjan_on_simple_graph() {
+        // 0 -> 1 -> 2 -> 0 (one SCC), 3 -> 0 (own SCC)
+        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![0], vec![0]];
+        let comp = tarjan(adj.len(), 0..4, |u| adj[u as usize].iter().copied());
+        assert_eq!(comp[0], comp[1]);
+        assert_eq!(comp[1], comp[2]);
+        assert_ne!(comp[3], comp[0]);
+    }
+
+    #[test]
+    fn tarjan_self_loop_and_isolated() {
+        let adj: Vec<Vec<u32>> = vec![vec![0], vec![]];
+        let comp = tarjan(adj.len(), 0..2, |u| adj[u as usize].iter().copied());
+        assert_ne!(comp[0], comp[1]);
+    }
+
+    #[test]
+    fn tarjan_leaves_unreached_nodes_unassigned() {
+        // Rooted at 1 only: 1 -> 2 -> 1 is reached, 0 is not.
+        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1]];
+        let comp = tarjan(adj.len(), [1], |u| adj[u as usize].iter().copied());
+        assert_eq!(comp[0], u32::MAX);
+        assert_eq!(comp[1], comp[2]);
     }
 }

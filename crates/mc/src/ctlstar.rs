@@ -5,12 +5,15 @@
 //!
 //! * boolean structure and atoms are evaluated directly on the labels;
 //! * path quantifications in **CTL shape** (`E[f U g]`, `AG f`, `EX f`, …)
-//!   go through the linear-time fixpoint primitives of [`crate::ctl`] —
-//!   this is the algorithm the paper invokes (Clarke–Emerson–Sistla);
+//!   go through the operators of [`crate::fair`], which are the
+//!   linear-time fixpoint primitives of [`crate::ctl`] when no fairness
+//!   constraint is given — this is the algorithm the paper invokes
+//!   (Clarke–Emerson–Sistla);
 //! * arbitrary path formulas go through the automata route: maximal state
 //!   subformulas are checked recursively and become literals, the rest is
 //!   LTL translated to a generalized Büchi automaton ([`crate::buchi`])
-//!   and decided on the product ([`crate::product`]).
+//!   and decided on the product ([`crate::product`]). This route ignores
+//!   fairness, so under a constraint such formulas are refused.
 //!
 //! Index quantifiers are *not* handled here — see
 //! [`IndexedChecker`](crate::IndexedChecker), which expands them over a
@@ -27,10 +30,15 @@ use icstar_logic::{collapse_states, nnf_path, IndexTerm, Nnf, PathFormula, State
 use crate::buchi::{ltl_to_gba, LitId};
 use crate::ctl;
 use crate::error::McError;
+use crate::fair::{self, TransFairness};
 use crate::product::Product;
 
-/// A CTL* model checker for one structure, with a satisfaction cache
-/// shared across formulas (state subformulas are checked once).
+/// The empty constraint [`Checker::new`] checks under.
+static UNCONSTRAINED: TransFairness = TransFairness::unconstrained();
+
+/// A CTL* model checker for one structure under one fairness constraint
+/// (none for [`Checker::new`]), with a satisfaction cache shared across
+/// formulas (state subformulas are checked once).
 ///
 /// # Examples
 ///
@@ -56,14 +64,64 @@ use crate::product::Product;
 /// ```
 pub struct Checker<'a> {
     m: &'a Kripke,
+    fair: &'a TransFairness,
     cache: HashMap<StateFormula, Rc<BitSet>>,
 }
 
 impl<'a> Checker<'a> {
-    /// Creates a checker for `m`.
+    /// Creates a checker for `m` with no fairness constraint: path
+    /// quantifiers range over all paths.
     pub fn new(m: &'a Kripke) -> Self {
+        Checker::with_fairness(m, &UNCONSTRAINED)
+    }
+
+    /// Creates a checker for `m` whose path quantifiers range over the
+    /// paths that are fair under `fair` only.
+    ///
+    /// Under a non-empty constraint only the CTL fragment is supported:
+    /// every path quantifier must wrap a single temporal operator over
+    /// state operands (after [`collapse_states`] normalization), since
+    /// the fair-SCC labeling does not extend to arbitrary CTL* path
+    /// nesting. Other shapes are rejected with [`McError::NotCtl`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use icstar_kripke::{Atom, KripkeBuilder};
+    /// use icstar_kripke::bits::BitSet;
+    /// use icstar_logic::parse_state;
+    /// use icstar_mc::fair::{FairReq, TransFairness};
+    /// use icstar_mc::Checker;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// // idle -> idle (stutter), idle -> done -> done.
+    /// let mut b = KripkeBuilder::new();
+    /// let idle = b.state_labeled("idle", [Atom::plain("idle")]);
+    /// let done = b.state_labeled("done", [Atom::plain("done")]);
+    /// b.edge(idle, idle);
+    /// b.edge(idle, done);
+    /// b.edge(done, done);
+    /// let m = b.build(idle)?;
+    ///
+    /// // Weak fairness of the idle -> done move: released at `done` (the
+    /// // move is disabled there), taken on the idle -> done edge.
+    /// let req = FairReq::new(
+    ///     BitSet::from_iter_with_capacity(2, [done.idx()]),
+    ///     [(idle.0, done.0)],
+    /// );
+    /// let fair = TransFairness::new([req]);
+    ///
+    /// // Plain AF done fails (the idle stutter loop); fair AF done holds.
+    /// let af_done = parse_state("AF done")?;
+    /// assert!(Checker::with_fairness(&m, &fair).holds(&af_done)?);
+    /// assert!(!Checker::new(&m).holds(&af_done)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn with_fairness(m: &'a Kripke, fair: &'a TransFairness) -> Self {
         Checker {
             m,
+            fair,
             cache: HashMap::new(),
         }
     }
@@ -78,7 +136,7 @@ impl<'a> Checker<'a> {
     /// # Errors
     ///
     /// Returns [`McError`] if `f` contains free index variables or index
-    /// quantifiers.
+    /// quantifiers, or, under fairness, leaves the CTL fragment.
     pub fn holds(&mut self, f: &StateFormula) -> Result<bool, McError> {
         Ok(self.sat(f)?.contains(self.m.initial().idx()))
     }
@@ -200,47 +258,67 @@ impl<'a> Checker<'a> {
     fn sat_quantified(&mut self, exists: bool, p: &PathFormula) -> Result<BitSet, McError> {
         use PathFormula::*;
         let p = collapse_states(p);
-        // CTL fast paths.
+        let (m, fair) = (self.m, self.fair);
+        // CTL shapes: the fair operators, which are the plain primitives
+        // when unconstrained.
         if exists {
             match &p {
-                State(f) => return Ok((*self.sat(f)?).clone()),
+                // A state formula holds on some fair path iff it holds
+                // here and a fair path starts here.
+                State(f) => {
+                    let mut s = (*self.sat(f)?).clone();
+                    if !fair.is_empty() {
+                        s.intersect_with(&fair::fair_states(m, fair));
+                    }
+                    return Ok(s);
+                }
                 Until(a, b) => {
                     if let (State(f), State(g)) = (&**a, &**b) {
                         let sf = self.sat(f)?;
                         let sg = self.sat(g)?;
-                        return Ok(ctl::eu(self.m, &sf, &sg));
+                        return Ok(fair::eu_fair(m, &sf, &sg, fair));
                     }
                 }
                 Release(a, b) => {
                     if let (State(f), State(g)) = (&**a, &**b) {
                         let sf = self.sat(f)?;
                         let sg = self.sat(g)?;
-                        return Ok(ctl::er(self.m, &sf, &sg));
+                        return Ok(fair::er_fair(m, &sf, &sg, fair));
                     }
                 }
                 Eventually(g) => {
                     if let State(f) = &**g {
                         let sf = self.sat(f)?;
-                        return Ok(ctl::eu(self.m, &ctl::full_set(self.m), &sf));
+                        return Ok(fair::eu_fair(m, &ctl::full_set(m), &sf, fair));
                     }
                 }
                 Globally(g) => {
                     if let State(f) = &**g {
                         let sf = self.sat(f)?;
-                        return Ok(ctl::eg(self.m, &sf));
+                        return Ok(fair::eg_fair(m, &sf, fair));
                     }
                 }
                 Next(g) => {
                     if let State(f) = &**g {
                         let sf = self.sat(f)?;
-                        return Ok(ctl::pre_exists(self.m, &sf));
+                        return Ok(fair::ex_fair(m, &sf, fair));
                     }
                 }
                 _ => {}
             }
         } else {
             match &p {
-                State(f) => return Ok((*self.sat(f)?).clone()),
+                // Vacuously true where no fair path starts.
+                State(f) => {
+                    let sf = self.sat(f)?;
+                    if fair.is_empty() {
+                        return Ok((*sf).clone());
+                    }
+                    let mut s = fair::fair_states(m, fair);
+                    s.complement();
+                    s.union_with(&sf);
+                    return Ok(s);
+                }
                 // A[f U g] = ¬E[¬g U ¬f∧¬g] ∧ ¬EG ¬g
                 Until(a, b) => {
                     if let (State(f), State(g)) = (&**a, &**b) {
@@ -248,8 +326,8 @@ impl<'a> Checker<'a> {
                         let ng = self.sat(&(**g).clone().not())?;
                         let mut nfng = (*nf).clone();
                         nfng.intersect_with(&ng);
-                        let mut bad = ctl::eu(self.m, &ng, &nfng);
-                        bad.union_with(&ctl::eg(self.m, &ng));
+                        let mut bad = fair::eu_fair(m, &ng, &nfng, fair);
+                        bad.union_with(&fair::eg_fair(m, &ng, fair));
                         bad.complement();
                         return Ok(bad);
                     }
@@ -259,37 +337,36 @@ impl<'a> Checker<'a> {
                     if let (State(f), State(g)) = (&**a, &**b) {
                         let nf = self.sat(&(**f).clone().not())?;
                         let ng = self.sat(&(**g).clone().not())?;
-                        let mut bad = ctl::eu(self.m, &nf, &ng);
+                        let mut bad = fair::eu_fair(m, &nf, &ng, fair);
                         bad.complement();
                         return Ok(bad);
                     }
                 }
-                // AF f = ¬EG ¬f
                 Eventually(g) => {
                     if let State(f) = &**g {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let mut bad = ctl::eg(self.m, &nf);
-                        bad.complement();
-                        return Ok(bad);
+                        let sf = self.sat(f)?;
+                        return Ok(fair::af_fair(m, &sf, fair));
                     }
                 }
-                // AG f = ¬EF ¬f
                 Globally(g) => {
                     if let State(f) = &**g {
-                        let nf = self.sat(&(**f).clone().not())?;
-                        let mut bad = ctl::eu(self.m, &ctl::full_set(self.m), &nf);
-                        bad.complement();
-                        return Ok(bad);
+                        let sf = self.sat(f)?;
+                        return Ok(fair::ag_fair(m, &sf, fair));
                     }
                 }
                 Next(g) => {
                     if let State(f) = &**g {
                         let sf = self.sat(f)?;
-                        return Ok(ctl::pre_all(self.m, &sf));
+                        return Ok(fair::ax_fair(m, &sf, fair));
                     }
                 }
                 _ => {}
             }
+        }
+        // The fair-SCC labeling does not extend to arbitrary path
+        // nesting, and the automata route below ignores fairness.
+        if !fair.is_empty() {
+            return Err(McError::NotCtl(p.to_string()));
         }
         // General CTL* route: A p = ¬E ¬p; E p via the Büchi product.
         let query = if exists { p } else { Not(Box::new(p)) };
@@ -313,12 +390,16 @@ impl<'a> Checker<'a> {
     ///
     /// # Errors
     ///
-    /// See [`Checker::holds`].
+    /// See [`Checker::holds`]; [`McError::FairWitness`] under a non-empty
+    /// fairness constraint, since the lasso would ignore it.
     pub fn exists_witness(
         &mut self,
         s: StateId,
         p: &PathFormula,
     ) -> Result<Option<Lasso>, McError> {
+        if !self.fair.is_empty() {
+            return Err(McError::FairWitness);
+        }
         let p = collapse_states(p);
         let (nnf, lits) = self.literalize(&p)?;
         let gba = ltl_to_gba(&nnf);

@@ -12,10 +12,13 @@ pub enum McError {
     /// The formula contains an index quantifier but the checker has no
     /// index set to expand it over; use the indexed checker.
     QuantifierWithoutIndexSet(String),
-    /// The fair checker supports only CTL-shaped formulas (each path
-    /// quantifier wrapping one temporal operator over state operands);
-    /// the payload is the offending path formula.
+    /// Under a fairness constraint the checker supports only CTL-shaped
+    /// formulas (each path quantifier wrapping one temporal operator over
+    /// state operands); the payload is the offending path formula.
     NotCtl(String),
+    /// Witness extraction was asked of a checker under a fairness
+    /// constraint; its lassos would ignore the constraint.
+    FairWitness,
 }
 
 impl fmt::Display for McError {
@@ -30,8 +33,14 @@ impl fmt::Display for McError {
             ),
             McError::NotCtl(p) => write!(
                 f,
-                "path formula {p:?} is outside the CTL fragment the fair checker supports"
+                "path formula {p:?} is outside the CTL fragment supported under fairness"
             ),
+            McError::FairWitness => {
+                write!(
+                    f,
+                    "witness extraction does not support fairness constraints"
+                )
+            }
         }
     }
 }
@@ -53,5 +62,6 @@ mod tests {
         assert!(McError::NotCtl("F G p".into())
             .to_string()
             .contains("CTL fragment"));
+        assert!(McError::FairWitness.to_string().contains("fairness"));
     }
 }

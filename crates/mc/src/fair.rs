@@ -4,86 +4,45 @@
 //! The paper's token ring needs no fairness (token transfers are forced),
 //! but most request/grant protocols do: without it, `AF served` fails on
 //! the path where the scheduler ignores a client forever. This module
-//! restricts path quantifiers to *fair* paths — those visiting every
-//! fairness set infinitely often — via the standard fair-SCC
-//! construction:
+//! restricts path quantifiers to *fair* paths via the standard fair-SCC
+//! construction.
 //!
+//! A [`TransFairness`] constraint is a conjunction of [`FairReq`]
+//! requirements. A path meets a requirement iff infinitely often it is
+//! in one of the requirement's *states* or traverses one of its *edges*.
+//! The edges express **weak (action) fairness** — "while a move group
+//! stays enabled, some move of the group is eventually taken" — which no
+//! state set can, because "taken" is a property of a *transition*: the
+//! states are where no move of the group is enabled (the requirement is
+//! *released* there) and the edges are the group's moves. Classic
+//! state-set fairness ("visit this set infinitely often") is the
+//! requirement with no edges, `FairReq::new(set, [])`.
+//!
+//! The operators:
+//!
+//! * [`eg_fair`] — `E_fair G f`: the backward `f`-closure of the
+//!   non-trivial SCCs of the `f`-restricted graph that, for every
+//!   requirement, contain a released state or an internal requirement
+//!   edge;
 //! * [`fair_states`] — states from which some fair path starts
-//!   (`E_fair G true`): backward closure of non-trivial SCCs intersecting
-//!   every fairness set;
-//! * [`eg_fair`] — `E_fair G f`: the same computation inside `f`;
-//! * [`eu_fair`], [`ex_fair`] — reduce to the plain operators against
-//!   `fair ∧ goal`;
-//! * universal operators by duality (`AF_fair f = ¬E_fair G ¬f`).
+//!   (`E_fair G true`);
+//! * [`eu_fair`], [`ex_fair`] — the plain operators against
+//!   `fair ∧ goal`, and [`er_fair`] from `eu_fair` and `eg_fair`;
+//! * [`af_fair`], [`ag_fair`], [`ax_fair`] — by duality
+//!   (`AF_fair f = ¬E_fair G ¬f`).
 //!
-//! State-set fairness cannot express **weak (action) fairness** — "while
-//! a move group stays enabled, some move of the group is eventually
-//! taken" — because "taken" is a property of a *transition*, not of a
-//! state. [`TransFairness`] generalizes each constraint to a
-//! [`FairReq`]: a path meets it iff infinitely often it is in one of the
-//! requirement's *states* (the constraint is released there, e.g. no
-//! move of the group is enabled) **or** traverses one of its *edges* (a
-//! move of the group is taken). The fair-SCC computation carries over
-//! verbatim: an SCC qualifies for a requirement iff it contains a
-//! released state or an internal requirement edge. State-set
-//! [`Fairness`] is the `edges = ∅` special case, and the state-set
-//! entry points delegate to the transition-based ones.
-//!
-//! [`FairChecker`] closes the loop for formula-level checking: a cached
-//! recursive evaluator for CTL-shaped formulas whose path quantifiers
-//! range over fair paths only — the fair counterpart of
-//! [`crate::Checker`] (which the counter-abstraction engine routes
-//! liveness queries through when a template declares fairness).
+//! Under the empty constraint every operator *is* the plain primitive of
+//! [`crate::ctl`] and no fair-state set is computed. The model checker
+//! evaluates formulas through these operators
+//! ([`Checker::with_fairness`](crate::Checker::with_fairness)), so plain
+//! checking is fair checking with no constraints.
 
-use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeSet;
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Atom, Kripke, StateId};
-use icstar_logic::{collapse_states, IndexTerm, PathFormula, StateFormula};
+use icstar_kripke::{Kripke, StateId};
 
 use crate::ctl;
-use crate::error::McError;
-
-/// A set of fairness constraints: a path is fair iff it visits **every**
-/// constraint set infinitely often (unconditional/impartial fairness).
-#[derive(Clone, Debug, Default)]
-pub struct Fairness {
-    sets: Vec<BitSet>,
-}
-
-impl Fairness {
-    /// No constraints: every path is fair.
-    pub fn unconstrained() -> Self {
-        Fairness::default()
-    }
-
-    /// Builds constraints from state sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a set's capacity does not match between constraints.
-    pub fn new(sets: impl IntoIterator<Item = BitSet>) -> Self {
-        let sets: Vec<BitSet> = sets.into_iter().collect();
-        if let Some(first) = sets.first() {
-            assert!(
-                sets.iter().all(|s| s.capacity() == first.capacity()),
-                "fairness sets must share a capacity"
-            );
-        }
-        Fairness { sets }
-    }
-
-    /// The constraint sets.
-    pub fn sets(&self) -> &[BitSet] {
-        &self.sets
-    }
-
-    /// Whether there are no constraints.
-    pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-}
 
 /// One transition-based fairness requirement: a path meets it iff
 /// infinitely often it visits one of `states` **or** traverses one of
@@ -91,7 +50,8 @@ impl Fairness {
 ///
 /// For weak (action) fairness of a move group, `states` is the set where
 /// no move of the group is enabled (the requirement is *released* there)
-/// and `edges` are the transitions realizing a move of the group.
+/// and `edges` are the transitions realizing a move of the group. For
+/// state-set fairness, `edges` is empty.
 ///
 /// `edges` must be edges of the structure the requirement is checked
 /// against; pairs outside the transition relation would let the fair-SCC
@@ -124,10 +84,9 @@ impl FairReq {
     }
 }
 
-/// A conjunction of transition-based fairness requirements
-/// ([`FairReq`]): a path is fair iff it meets **every** requirement.
-/// [`Fairness`] embeds as the `edges = ∅` case
-/// ([`TransFairness::from_state_sets`]).
+/// A conjunction of fairness requirements ([`FairReq`]): a path is fair
+/// iff it meets **every** requirement. The empty conjunction makes every
+/// path fair.
 #[derive(Clone, Debug, Default)]
 pub struct TransFairness {
     reqs: Vec<FairReq>,
@@ -135,8 +94,8 @@ pub struct TransFairness {
 
 impl TransFairness {
     /// No requirements: every path is fair.
-    pub fn unconstrained() -> Self {
-        TransFairness::default()
+    pub const fn unconstrained() -> Self {
+        TransFairness { reqs: Vec::new() }
     }
 
     /// Builds a constraint from requirements.
@@ -156,18 +115,6 @@ impl TransFairness {
         TransFairness { reqs }
     }
 
-    /// The state-set constraint as a transition constraint (each set
-    /// becomes a requirement with no edges).
-    pub fn from_state_sets(fair: &Fairness) -> Self {
-        TransFairness {
-            reqs: fair
-                .sets()
-                .iter()
-                .map(|set| FairReq::new(set.clone(), []))
-                .collect(),
-        }
-    }
-
     /// The requirements.
     pub fn reqs(&self) -> &[FairReq] {
         &self.reqs
@@ -179,568 +126,134 @@ impl TransFairness {
     }
 }
 
-/// `E_fair G f`: states with a fair path staying in `f` forever.
+/// `E_fair G f`: states with a path staying in `f` forever that meets
+/// every [`FairReq`] infinitely often.
 ///
-/// Computation: restrict to `f`; a fair cycle exists through the states of
-/// a non-trivial SCC of the restriction that intersects every fairness
-/// set; take backward `f`-closure.
-pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
+/// Computation: restrict to `f`; an SCC of the restriction hosts a fair
+/// cycle iff it is non-trivial and, for every requirement, contains a
+/// released state or an internal requirement edge; take the backward
+/// `f`-closure of those SCCs. Unconstrained, this is [`ctl::eg`].
+pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     if fair.is_empty() {
         return ctl::eg(m, f);
     }
-    eg_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `E_fair G f` under transition-based fairness: states with a path
-/// staying in `f` forever that meets every [`FairReq`] infinitely often.
-///
-/// Computation mirrors [`eg_fair`]: restrict to `f`; an SCC of the
-/// restriction hosts a fair cycle iff it is non-trivial and, for every
-/// requirement, contains a released state or an internal requirement
-/// edge; take backward `f`-closure; iterate to stability.
-pub fn eg_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
-    if fair.is_empty() {
-        return ctl::eg(m, f);
-    }
-    // Iterate: within the candidate set, keep states whose SCC (within the
-    // candidate set) is non-trivial and satisfies every requirement;
-    // repeat until stable (removing states can break SCCs).
-    let mut candidate = f.clone();
-    loop {
-        let comp = scc_within(m, &candidate);
-        let num_comps = comp
+    let comp = ctl::tarjan(m.num_states(), f.iter().map(|s| s as u32), |u| {
+        m.successors(StateId(u))
             .iter()
-            .filter_map(|&c| c)
-            .max()
-            .map_or(0usize, |c| c as usize + 1);
-        if num_comps == 0 {
-            return BitSet::new(m.num_states());
+            .map(|t| t.0)
+            .filter(move |&t| f.contains(t as usize))
+    });
+    let num_comps = f.iter().map(|s| comp[s] as usize + 1).max().unwrap_or(0);
+    // Non-trivial: some edge stays inside the component (a self-loop
+    // counts).
+    let mut fair_comp = vec![false; num_comps];
+    for s in f.iter() {
+        let c = comp[s];
+        if m.successors(StateId(s as u32))
+            .iter()
+            .any(|t| comp[t.idx()] == c)
+        {
+            fair_comp[c as usize] = true;
         }
-        let mut nontrivial = vec![false; num_comps];
-        for s in m.states() {
-            if comp[s.idx()].is_none() {
-                continue;
-            }
-            for &t in m.successors(s) {
-                if comp[t.idx()] == comp[s.idx()] && (t != s || m.has_edge(s, s)) {
-                    nontrivial[comp[s.idx()].expect("checked") as usize] = true;
-                }
-            }
-        }
-        let mut fair_comp = nontrivial;
-        for req in fair.reqs() {
-            let mut hit = vec![false; num_comps];
-            for s in m.states() {
-                if let Some(c) = comp[s.idx()] {
-                    if req.states().contains(s.idx()) {
-                        hit[c as usize] = true;
-                    }
-                }
-            }
-            // An SCC-internal requirement edge can be traversed
-            // infinitely often by a path cycling through the component.
-            for &(u, v) in req.edges() {
-                if let (Some(cu), Some(cv)) = (comp[u as usize], comp[v as usize]) {
-                    if cu == cv {
-                        hit[cu as usize] = true;
-                    }
-                }
-            }
-            for (fc, h) in fair_comp.iter_mut().zip(hit) {
-                *fc &= h;
-            }
-        }
-        // Seeds: members of fair SCCs.
-        let mut seeds = BitSet::new(m.num_states());
-        for s in m.states() {
-            if let Some(c) = comp[s.idx()] {
-                if fair_comp[c as usize] {
-                    seeds.insert(s.idx());
-                }
-            }
-        }
-        // Backward closure through the candidate set.
-        let mut result = seeds.clone();
-        let mut work: Vec<StateId> = seeds.iter().map(|b| StateId(b as u32)).collect();
-        while let Some(s) = work.pop() {
-            for &p in m.predecessors(s) {
-                if candidate.contains(p.idx()) && !result.contains(p.idx()) {
-                    result.insert(p.idx());
-                    work.push(p);
-                }
-            }
-        }
-        if result == candidate {
-            return result;
-        }
-        candidate = result;
     }
+    for req in fair.reqs() {
+        let mut hit = vec![false; num_comps];
+        for s in f.iter() {
+            if req.states().contains(s) {
+                hit[comp[s] as usize] = true;
+            }
+        }
+        // An SCC-internal requirement edge can be traversed infinitely
+        // often by a path cycling through the component.
+        for &(u, v) in req.edges() {
+            let c = comp[u as usize];
+            if c != u32::MAX && c == comp[v as usize] {
+                hit[c as usize] = true;
+            }
+        }
+        for (fc, h) in fair_comp.iter_mut().zip(hit) {
+            *fc &= h;
+        }
+    }
+    // One pass suffices: each seed is a whole fair SCC of the candidate
+    // set, and it stays a fair SCC inside the backward closure. A second
+    // pass therefore finds the same seeds and the same closure.
+    let seeds = BitSet::from_iter_with_capacity(
+        m.num_states(),
+        f.iter().filter(|&s| fair_comp[comp[s] as usize]),
+    );
+    ctl::eu(m, f, &seeds)
 }
 
 /// The states from which some fair path starts (`E_fair G true`).
-pub fn fair_states(m: &Kripke, fair: &Fairness) -> BitSet {
+pub fn fair_states(m: &Kripke, fair: &TransFairness) -> BitSet {
     eg_fair(m, &ctl::full_set(m), fair)
 }
 
-/// The states from which some transition-fair path starts.
-pub fn fair_states_trans(m: &Kripke, fair: &TransFairness) -> BitSet {
-    eg_fair_trans(m, &ctl::full_set(m), fair)
-}
-
 /// `E_fair[f U g]`: a fair path satisfying the until. Equals
-/// `E[f U (g ∧ fair)]` where `fair` marks fair-path starts.
-pub fn eu_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &Fairness) -> BitSet {
-    eu_fair_trans(m, f, g, &TransFairness::from_state_sets(fair))
-}
-
-/// `E_fair[f U g]` under transition-based fairness.
-pub fn eu_fair_trans(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitSet {
+/// `E[f U (g ∧ fair)]` where `fair` marks fair-path starts;
+/// unconstrained, this is [`ctl::eu`].
+pub fn eu_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitSet {
+    if fair.is_empty() {
+        return ctl::eu(m, f, g);
+    }
     let mut target = g.clone();
-    target.intersect_with(&fair_states_trans(m, fair));
+    target.intersect_with(&fair_states(m, fair));
     ctl::eu(m, f, &target)
 }
 
-/// `EX_fair f`: some successor starting a fair path satisfies `f`.
-pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    ex_fair_trans(m, f, &TransFairness::from_state_sets(fair))
+/// `E_fair[f R g] = E_fair[g U (f ∧ g)] ∨ E_fair G g`; unconstrained,
+/// this is [`ctl::er`].
+pub fn er_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitSet {
+    if fair.is_empty() {
+        return ctl::er(m, f, g);
+    }
+    let mut fg = f.clone();
+    fg.intersect_with(g);
+    let mut out = eu_fair(m, g, &fg, fair);
+    out.union_with(&eg_fair(m, g, fair));
+    out
 }
 
-/// `EX_fair f` under transition-based fairness.
-pub fn ex_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+/// `EX_fair f`: some successor starting a fair path satisfies `f`;
+/// unconstrained, this is [`ctl::pre_exists`].
+pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+    if fair.is_empty() {
+        return ctl::pre_exists(m, f);
+    }
     let mut target = f.clone();
-    target.intersect_with(&fair_states_trans(m, fair));
+    target.intersect_with(&fair_states(m, fair));
     ctl::pre_exists(m, &target)
 }
 
-/// `AF_fair f = ¬E_fair G ¬f`: on every fair path, eventually `f`.
-pub fn af_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    af_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `AF_fair f` under transition-based fairness.
-pub fn af_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+/// `AX_fair f = ¬EX_fair ¬f`; unconstrained, this is [`ctl::pre_all`].
+pub fn ax_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+    if fair.is_empty() {
+        return ctl::pre_all(m, f);
+    }
     let mut nf = f.clone();
     nf.complement();
-    let mut bad = eg_fair_trans(m, &nf, fair);
+    let mut bad = ex_fair(m, &nf, fair);
+    bad.complement();
+    bad
+}
+
+/// `AF_fair f = ¬E_fair G ¬f`: on every fair path, eventually `f`.
+pub fn af_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+    let mut nf = f.clone();
+    nf.complement();
+    let mut bad = eg_fair(m, &nf, fair);
     bad.complement();
     bad
 }
 
 /// `AG_fair f = ¬E_fair[true U ¬f]`: along every fair path, globally `f`.
-pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &Fairness) -> BitSet {
-    ag_fair_trans(m, f, &TransFairness::from_state_sets(fair))
-}
-
-/// `AG_fair f` under transition-based fairness.
-pub fn ag_fair_trans(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     let mut nf = f.clone();
     nf.complement();
-    let mut bad = eu_fair_trans(m, &ctl::full_set(m), &nf, fair);
+    let mut bad = eu_fair(m, &ctl::full_set(m), &nf, fair);
     bad.complement();
     bad
-}
-
-/// A fair-CTL model checker for one structure under one
-/// [`TransFairness`] constraint: path quantifiers range over **fair
-/// paths only**. Satisfaction sets are cached across formulas, like
-/// [`crate::Checker`]'s.
-///
-/// Only the CTL fragment is supported (every path quantifier must wrap a
-/// single temporal operator over state operands, after
-/// [`collapse_states`] normalization): the fair-SCC labeling underlying
-/// the operators does not extend to arbitrary CTL* path nesting. Other
-/// shapes are rejected with [`McError::NotCtl`].
-///
-/// # Examples
-///
-/// ```
-/// use icstar_kripke::{Atom, KripkeBuilder};
-/// use icstar_kripke::bits::BitSet;
-/// use icstar_logic::parse_state;
-/// use icstar_mc::fair::{FairChecker, FairReq, TransFairness};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // idle -> idle (stutter), idle -> done -> done.
-/// let mut b = KripkeBuilder::new();
-/// let idle = b.state_labeled("idle", [Atom::plain("idle")]);
-/// let done = b.state_labeled("done", [Atom::plain("done")]);
-/// b.edge(idle, idle);
-/// b.edge(idle, done);
-/// b.edge(done, done);
-/// let m = b.build(idle)?;
-///
-/// // Weak fairness of the idle -> done move: released at `done` (the
-/// // move is disabled there), taken on the idle -> done edge.
-/// let req = FairReq::new(
-///     BitSet::from_iter_with_capacity(2, [done.idx()]),
-///     [(idle.0, done.0)],
-/// );
-/// let fair = TransFairness::new([req]);
-///
-/// // Plain AF done fails (the idle stutter loop); fair AF done holds.
-/// let mut fair_chk = FairChecker::new(&m, &fair);
-/// assert!(fair_chk.holds(&parse_state("AF done")?)?);
-/// let unconstrained = TransFairness::unconstrained();
-/// let mut plain_chk = FairChecker::new(&m, &unconstrained);
-/// assert!(!plain_chk.holds(&parse_state("AF done")?)?);
-/// # Ok(())
-/// # }
-/// ```
-pub struct FairChecker<'a> {
-    m: &'a Kripke,
-    fair: &'a TransFairness,
-    /// `E_fair G true`, computed once on first use.
-    fair_start: Option<BitSet>,
-    cache: HashMap<StateFormula, Rc<BitSet>>,
-}
-
-impl<'a> FairChecker<'a> {
-    /// Creates a fair checker for `m` under `fair`.
-    pub fn new(m: &'a Kripke, fair: &'a TransFairness) -> Self {
-        FairChecker {
-            m,
-            fair,
-            fair_start: None,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The structure under analysis.
-    pub fn structure(&self) -> &'a Kripke {
-        self.m
-    }
-
-    /// Whether `f` holds in the initial state over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// [`McError::NotCtl`] outside the CTL fragment; [`McError`] as
-    /// [`crate::Checker::holds`] for free variables and quantifiers.
-    pub fn holds(&mut self, f: &StateFormula) -> Result<bool, McError> {
-        Ok(self.sat(f)?.contains(self.m.initial().idx()))
-    }
-
-    /// Whether `f` holds at state `s` over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`FairChecker::holds`].
-    pub fn holds_at(&mut self, s: StateId, f: &StateFormula) -> Result<bool, McError> {
-        Ok(self.sat(f)?.contains(s.idx()))
-    }
-
-    /// The set of states satisfying `f` over fair paths.
-    ///
-    /// # Errors
-    ///
-    /// See [`FairChecker::holds`].
-    pub fn sat(&mut self, f: &StateFormula) -> Result<Rc<BitSet>, McError> {
-        if let Some(hit) = self.cache.get(f) {
-            return Ok(Rc::clone(hit));
-        }
-        let result = self.compute(f)?;
-        let rc = Rc::new(result);
-        self.cache.insert(f.clone(), Rc::clone(&rc));
-        Ok(rc)
-    }
-
-    /// `E_fair G true`, cached.
-    fn fair_start(&mut self) -> BitSet {
-        if self.fair_start.is_none() {
-            self.fair_start = Some(fair_states_trans(self.m, self.fair));
-        }
-        self.fair_start.clone().expect("just computed")
-    }
-
-    fn compute(&mut self, f: &StateFormula) -> Result<BitSet, McError> {
-        use StateFormula::*;
-        Ok(match f {
-            True => ctl::full_set(self.m),
-            False => ctl::empty_set(self.m),
-            Prop(n) => self.sat_atom(&Atom::plain(n.clone())),
-            Indexed(n, IndexTerm::Const(c)) => self.sat_atom(&Atom::indexed(n.clone(), *c)),
-            Indexed(_, IndexTerm::Var(v)) => return Err(McError::FreeIndexVariable(v.clone())),
-            ExactlyOne(n) => self.sat_exactly_one(n),
-            Not(g) => {
-                let mut s = (*self.sat(g)?).clone();
-                s.complement();
-                s
-            }
-            And(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                let sb = self.sat(b)?;
-                s.intersect_with(&sb);
-                s
-            }
-            Or(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                let sb = self.sat(b)?;
-                s.union_with(&sb);
-                s
-            }
-            Implies(a, b) => {
-                let mut s = (*self.sat(a)?).clone();
-                s.complement();
-                let sb = self.sat(b)?;
-                s.union_with(&sb);
-                s
-            }
-            Iff(a, b) => {
-                let sa = self.sat(a)?;
-                let sb = self.sat(b)?;
-                let mut s = BitSet::new(self.m.num_states());
-                for st in self.m.states() {
-                    if sa.contains(st.idx()) == sb.contains(st.idx()) {
-                        s.insert(st.idx());
-                    }
-                }
-                s
-            }
-            ForallIdx(v, _) | ExistsIdx(v, _) => {
-                return Err(McError::QuantifierWithoutIndexSet(v.clone()))
-            }
-            Exists(p) => self.sat_exists(p)?,
-            All(p) => self.sat_all(p)?,
-        })
-    }
-
-    fn sat_atom(&self, atom: &Atom) -> BitSet {
-        let mut out = BitSet::new(self.m.num_states());
-        if self.m.atoms().id(atom).is_some() {
-            for s in self.m.states() {
-                if self.m.satisfies_atom(s, atom) {
-                    out.insert(s.idx());
-                }
-            }
-        }
-        out
-    }
-
-    /// `Θ P` as in [`crate::Checker`]: a baked-in `one(P)` atom if
-    /// present, otherwise a count over the indexed instances of `P`.
-    fn sat_exactly_one(&self, name: &str) -> BitSet {
-        let theta = Atom::exactly_one(name.to_string());
-        if self.m.atoms().id(&theta).is_some() {
-            return self.sat_atom(&theta);
-        }
-        let ids: Vec<usize> = self
-            .m
-            .atoms()
-            .iter()
-            .filter(|(_, a)| a.is_indexed() && a.name() == name)
-            .map(|(id, _)| id.idx())
-            .collect();
-        let mut out = BitSet::new(self.m.num_states());
-        for s in self.m.states() {
-            let count = ids.iter().filter(|&&b| self.m.label(s).contains(b)).count();
-            if count == 1 {
-                out.insert(s.idx());
-            }
-        }
-        out
-    }
-
-    /// `E_fair p` for a CTL-shaped path formula.
-    fn sat_exists(&mut self, p: &PathFormula) -> Result<BitSet, McError> {
-        use PathFormula::*;
-        let p = collapse_states(p);
-        match &p {
-            // A state formula holds on some fair path iff it holds here
-            // and a fair path exists at all.
-            State(f) => {
-                let mut s = (*self.sat(f)?).clone();
-                s.intersect_with(&self.fair_start());
-                Ok(s)
-            }
-            Until(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let sf = (*self.sat(f)?).clone();
-                    let sg = (*self.sat(g)?).clone();
-                    return Ok(eu_fair_trans(self.m, &sf, &sg, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            // E_fair[f R g] = E_fair[g U (f ∧ g)] ∨ E_fair G g.
-            Release(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let sf = self.sat(f)?;
-                    let sg = (*self.sat(g)?).clone();
-                    let mut fg = (*sf).clone();
-                    fg.intersect_with(&sg);
-                    let mut out = eu_fair_trans(self.m, &sg, &fg, self.fair);
-                    out.union_with(&eg_fair_trans(self.m, &sg, self.fair));
-                    return Ok(out);
-                }
-                Err(self.not_ctl(&p))
-            }
-            Eventually(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(eu_fair_trans(
-                        self.m,
-                        &ctl::full_set(self.m),
-                        &sf,
-                        self.fair,
-                    ));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Globally(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(eg_fair_trans(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Next(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(ex_fair_trans(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            _ => Err(self.not_ctl(&p)),
-        }
-    }
-
-    /// `A_fair p` by duality against the existential operators.
-    fn sat_all(&mut self, p: &PathFormula) -> Result<BitSet, McError> {
-        use PathFormula::*;
-        let p = collapse_states(p);
-        match &p {
-            // Vacuously true where no fair path starts.
-            State(f) => {
-                let mut s = self.fair_start();
-                s.complement();
-                let sf = self.sat(f)?;
-                s.union_with(&sf);
-                Ok(s)
-            }
-            // A_fair[f U g] = ¬(E_fair[¬g U ¬f∧¬g] ∨ E_fair G ¬g).
-            Until(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let ng = (*self.sat(&(**g).clone().not())?).clone();
-                    let mut nfng = nf.clone();
-                    nfng.intersect_with(&ng);
-                    let mut bad = eu_fair_trans(self.m, &ng, &nfng, self.fair);
-                    bad.union_with(&eg_fair_trans(self.m, &ng, self.fair));
-                    bad.complement();
-                    return Ok(bad);
-                }
-                Err(self.not_ctl(&p))
-            }
-            // A_fair[f R g] = ¬E_fair[¬f U ¬g].
-            Release(a, b) => {
-                if let (State(f), State(g)) = (&**a, &**b) {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let ng = (*self.sat(&(**g).clone().not())?).clone();
-                    return Ok({
-                        let mut bad = eu_fair_trans(self.m, &nf, &ng, self.fair);
-                        bad.complement();
-                        bad
-                    });
-                }
-                Err(self.not_ctl(&p))
-            }
-            Eventually(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(af_fair_trans(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            Globally(g) => {
-                if let State(f) = &**g {
-                    let sf = (*self.sat(f)?).clone();
-                    return Ok(ag_fair_trans(self.m, &sf, self.fair));
-                }
-                Err(self.not_ctl(&p))
-            }
-            // AX_fair f = ¬EX_fair ¬f.
-            Next(g) => {
-                if let State(f) = &**g {
-                    let nf = (*self.sat(&(**f).clone().not())?).clone();
-                    let mut bad = ex_fair_trans(self.m, &nf, self.fair);
-                    bad.complement();
-                    return Ok(bad);
-                }
-                Err(self.not_ctl(&p))
-            }
-            _ => Err(self.not_ctl(&p)),
-        }
-    }
-
-    fn not_ctl(&self, p: &PathFormula) -> McError {
-        McError::NotCtl(p.to_string())
-    }
-}
-
-/// Tarjan restricted to a candidate set: returns `Some(component)` for
-/// members, `None` outside.
-fn scc_within(m: &Kripke, within: &BitSet) -> Vec<Option<u32>> {
-    let n = m.num_states();
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp: Vec<Option<u32>> = vec![None; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    for root in 0..n as u32 {
-        if !within.contains(root as usize) || index[root as usize] != u32::MAX {
-            continue;
-        }
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        call.push((root, 0));
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            let succs = m.successors(StateId(u));
-            let mut advanced = false;
-            while *cursor < succs.len() {
-                let v = succs[*cursor].0;
-                *cursor += 1;
-                if !within.contains(v as usize) {
-                    continue;
-                }
-                if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
-                    advanced = true;
-                    break;
-                } else if on_stack[v as usize] {
-                    low[u as usize] = low[u as usize].min(index[v as usize]);
-                }
-            }
-            if advanced {
-                continue;
-            }
-            call.pop();
-            if let Some(&(parent, _)) = call.last() {
-                low[parent as usize] = low[parent as usize].min(low[u as usize]);
-            }
-            if low[u as usize] == index[u as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack");
-                    on_stack[w as usize] = false;
-                    comp[w as usize] = Some(next_comp);
-                    if w == u {
-                        break;
-                    }
-                }
-                next_comp += 1;
-            }
-        }
-    }
-    comp
 }
 
 #[cfg(test)]
@@ -765,10 +278,15 @@ mod tests {
         (m, g1, g2)
     }
 
+    /// State-set fairness: visit every set infinitely often.
+    fn visit_each(sets: impl IntoIterator<Item = BitSet>) -> TransFairness {
+        TransFairness::new(sets.into_iter().map(|set| FairReq::new(set, [])))
+    }
+
     #[test]
     fn unconstrained_fairness_is_plain_ctl() {
         let (m, g1, _) = scheduler();
-        let fair = Fairness::unconstrained();
+        let fair = TransFairness::unconstrained();
         assert_eq!(af_fair(&m, &g1, &fair), {
             let mut n = ctl::eg(&m, &{
                 let mut c = g1.clone();
@@ -795,7 +313,7 @@ mod tests {
         assert!(!plain_af_g2.contains(0));
         // Under the fairness constraint "serve 2 infinitely often", AF g2
         // holds everywhere.
-        let fair = Fairness::new([g2.clone()]);
+        let fair = visit_each([g2.clone()]);
         let fair_af = af_fair(&m, &g2, &fair);
         assert!(fair_af.contains(0));
         assert!(fair_af.contains(1));
@@ -813,7 +331,7 @@ mod tests {
     fn multiple_constraints_intersect() {
         let (m, g1, g2) = scheduler();
         // Fair = serve 1 AND serve 2 infinitely often: both livenesses.
-        let fair = Fairness::new([g1.clone(), g2.clone()]);
+        let fair = visit_each([g1.clone(), g2.clone()]);
         assert!(af_fair(&m, &g1, &fair).contains(0));
         assert!(af_fair(&m, &g2, &fair).contains(0));
         // Fair states: the whole (strongly connected) graph.
@@ -824,7 +342,7 @@ mod tests {
     fn unsatisfiable_fairness_empties_everything() {
         let (m, _, _) = scheduler();
         // Constraint set empty: no path can visit it infinitely often.
-        let fair = Fairness::new([BitSet::new(3)]);
+        let fair = visit_each([BitSet::new(3)]);
         assert!(fair_states(&m, &fair).is_empty());
         let goal = BitSet::from_iter_with_capacity(3, [0usize]);
         // E_fair[true U goal] is empty too (no fair continuation).
@@ -840,7 +358,7 @@ mod tests {
         // serves 2 infinitely often.
         let mut ng1 = g1.clone();
         ng1.complement();
-        let fair = Fairness::new([g2]);
+        let fair = visit_each([g2]);
         let r = eg_fair(&m, &ng1, &fair);
         assert!(r.contains(0));
         assert!(r.contains(2));
@@ -851,17 +369,11 @@ mod tests {
     fn ex_fair_filters_successors() {
         let (m, _, g2) = scheduler();
         // Make only s2's lineage fair.
-        let fair = Fairness::new([g2.clone()]);
+        let fair = visit_each([g2.clone()]);
         // EX_fair g2: a successor in g2 that starts a fair path: s0 -> s2.
         let r = ex_fair(&m, &g2, &fair);
         assert!(r.contains(0));
         assert!(!r.contains(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "share a capacity")]
-    fn mismatched_capacities_rejected() {
-        Fairness::new([BitSet::new(3), BitSet::new(4)]);
     }
 
     #[test]
@@ -897,23 +409,35 @@ mod tests {
         assert!(ctl::eg(&m, &ndone).contains(0));
         // ... but no fair path stutters forever: the idle self-loop SCC has
         // neither a released state nor the idle -> done edge internal.
-        assert!(eg_fair_trans(&m, &ndone, &fair).is_empty());
-        let af = af_fair_trans(&m, &done, &fair);
+        assert!(eg_fair(&m, &ndone, &fair).is_empty());
+        let af = af_fair(&m, &done, &fair);
         assert!(af.contains(0) && af.contains(1));
         // Every state still starts a fair path.
-        assert_eq!(fair_states_trans(&m, &fair).len(), 2);
+        assert_eq!(fair_states(&m, &fair).len(), 2);
     }
 
     #[test]
     fn state_set_fairness_is_the_edge_free_case() {
+        // Visiting a set infinitely often is entering it infinitely often:
+        // the edge-free requirement on g agrees with the state-free
+        // requirement on the edges into g.
         let (m, g1, g2) = scheduler();
-        let sets = Fairness::new([g1.clone(), g2.clone()]);
-        let trans = TransFairness::from_state_sets(&sets);
+        let into = |set: &BitSet| -> Vec<(u32, u32)> {
+            m.states()
+                .flat_map(|s| m.successors(s).iter().map(move |&t| (s.0, t.0)))
+                .filter(|&(_, t)| set.contains(t as usize))
+                .collect()
+        };
+        let sets = visit_each([g1.clone(), g2.clone()]);
+        let edges = TransFairness::new([
+            FairReq::new(BitSet::new(3), into(&g1)),
+            FairReq::new(BitSet::new(3), into(&g2)),
+        ]);
         for goal in [&g1, &g2] {
-            assert_eq!(af_fair(&m, goal, &sets), af_fair_trans(&m, goal, &trans));
-            assert_eq!(eg_fair(&m, goal, &sets), eg_fair_trans(&m, goal, &trans));
+            assert_eq!(af_fair(&m, goal, &sets), af_fair(&m, goal, &edges));
+            assert_eq!(eg_fair(&m, goal, &sets), eg_fair(&m, goal, &edges));
         }
-        assert_eq!(fair_states(&m, &sets), fair_states_trans(&m, &trans));
+        assert_eq!(fair_states(&m, &sets), fair_states(&m, &edges));
     }
 
     #[test]
@@ -922,27 +446,31 @@ mod tests {
         // Require the s1 -> s0 edge infinitely often: forces serving 1.
         let fair = TransFairness::new([FairReq::new(BitSet::new(3), [(1u32, 0u32)])]);
         let g1 = BitSet::from_iter_with_capacity(3, [1usize]);
-        assert!(af_fair_trans(&m, &g1, &fair).contains(0));
+        assert!(af_fair(&m, &g1, &fair).contains(0));
         // Restricted to ¬g1, the edge is not internal to any SCC: no fair
         // path avoids g1 forever.
         let mut ng1 = g1.clone();
         ng1.complement();
-        assert!(eg_fair_trans(&m, &ng1, &fair).is_empty());
+        assert!(eg_fair(&m, &ng1, &fair).is_empty());
     }
 
     mod checker {
         use super::*;
-        use icstar_logic::parse_state;
+        use crate::{Checker, McError};
+        use icstar_logic::{parse_path, parse_state};
+        use std::rc::Rc;
 
         fn check(m: &Kripke, fair: &TransFairness, f: &str) -> bool {
             let parsed = parse_state(f).unwrap();
-            FairChecker::new(m, fair).holds(&parsed).unwrap()
+            Checker::with_fairness(m, fair).holds(&parsed).unwrap()
         }
 
         #[test]
         fn unconstrained_matches_plain_checker() {
+            // Released everywhere: every path is fair, yet every EG takes
+            // the fair-SCC route.
             let (m, _, _) = scheduler();
-            let fair = TransFairness::unconstrained();
+            let fair = visit_each([ctl::full_set(&m)]);
             for f in [
                 "AF g1",
                 "AF g2",
@@ -959,7 +487,7 @@ mod tests {
                 "EF (g1 & EX idle)",
             ] {
                 let parsed = parse_state(f).unwrap();
-                let plain = crate::Checker::new(&m).holds(&parsed).unwrap();
+                let plain = Checker::new(&m).holds(&parsed).unwrap();
                 assert_eq!(check(&m, &fair, f), plain, "formula {f}");
             }
         }
@@ -967,13 +495,13 @@ mod tests {
         #[test]
         fn fair_liveness_through_formulas() {
             let (m, _, g2) = scheduler();
-            let fair = TransFairness::new([FairReq::new(BitSet::new(3), [])]);
+            let fair = visit_each([BitSet::new(3)]);
             // Unsatisfiable fairness (empty set, no edges): AF holds
             // vacuously, EF fails.
             assert!(check(&m, &fair, "AF g2"));
             assert!(!check(&m, &fair, "EF g2"));
             // Serve-2 fairness: AF g2 and AG AF g2 hold; EG !g2 fails.
-            let fair = TransFairness::new([FairReq::new(g2, [])]);
+            let fair = visit_each([g2]);
             assert!(check(&m, &fair, "AF g2"));
             assert!(check(&m, &fair, "AG AF g2"));
             assert!(!check(&m, &fair, "EG !g2"));
@@ -1000,11 +528,13 @@ mod tests {
 
         #[test]
         fn non_ctl_rejected() {
-            let (m, _, _) = scheduler();
-            let fair = TransFairness::unconstrained();
+            let (m, _, g2) = scheduler();
+            let fair = visit_each([g2]);
             for f in ["E(F G g1)", "A(F g1 & F g2)", "E(g1 U (g2 U idle))"] {
                 let parsed = parse_state(f).unwrap();
-                let err = FairChecker::new(&m, &fair).holds(&parsed).unwrap_err();
+                let err = Checker::with_fairness(&m, &fair)
+                    .holds(&parsed)
+                    .unwrap_err();
                 assert!(
                     matches!(err, McError::NotCtl(_)),
                     "formula {f} gave {err:?}"
@@ -1013,17 +543,46 @@ mod tests {
         }
 
         #[test]
+        fn recurrence_is_not_ctl_under_fairness() {
+            // E(G F p) needs the Büchi route, which ignores fairness: under
+            // a constraint it is refused, unconstrained it is answered.
+            let (m, _, g2) = scheduler();
+            let f = parse_state("E(G F g2)").unwrap();
+            let fair = visit_each([g2]);
+            assert!(matches!(
+                Checker::with_fairness(&m, &fair).holds(&f),
+                Err(McError::NotCtl(_))
+            ));
+            assert!(Checker::new(&m).holds(&f).unwrap());
+        }
+
+        #[test]
+        fn witness_refused_under_fairness() {
+            let (m, _, fair) = stutter_escape();
+            let p = parse_path("G idle").unwrap();
+            assert!(matches!(
+                Checker::with_fairness(&m, &fair).exists_witness(StateId(0), &p),
+                Err(McError::FairWitness)
+            ));
+            // The unconstrained lasso is the stutter loop no fair path takes.
+            assert!(Checker::new(&m)
+                .exists_witness(StateId(0), &p)
+                .unwrap()
+                .is_some());
+        }
+
+        #[test]
         fn free_variables_and_quantifiers_rejected() {
             let (m, _, _) = scheduler();
             let fair = TransFairness::unconstrained();
             let free = parse_state("AF crit[i]").unwrap();
             assert!(matches!(
-                FairChecker::new(&m, &fair).holds(&free),
+                Checker::with_fairness(&m, &fair).holds(&free),
                 Err(McError::FreeIndexVariable(_))
             ));
             let quant = parse_state("forall i. AF crit[i]").unwrap();
             assert!(matches!(
-                FairChecker::new(&m, &fair).holds(&quant),
+                Checker::with_fairness(&m, &fair).holds(&quant),
                 Err(McError::QuantifierWithoutIndexSet(_))
             ));
         }
@@ -1031,8 +590,8 @@ mod tests {
         #[test]
         fn cache_is_shared_across_queries() {
             let (m, _, g2) = scheduler();
-            let fair = TransFairness::new([FairReq::new(g2, [])]);
-            let mut chk = FairChecker::new(&m, &fair);
+            let fair = visit_each([g2]);
+            let mut chk = Checker::with_fairness(&m, &fair);
             let f = parse_state("AF g2").unwrap();
             let a = chk.sat(&f).unwrap();
             let b = chk.sat(&f).unwrap();

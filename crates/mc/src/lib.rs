@@ -10,6 +10,11 @@
 //! * an **LTL → generalized Büchi** tableau ([`buchi`], GPVW-style) and a
 //!   **product emptiness** check ([`product`]) that together lift the
 //!   checker to full CTL* ([`Checker`]);
+//! * **fair CTL**: the same operators restricted to the paths that meet
+//!   a [`fair::TransFairness`] constraint (weak fairness of move groups,
+//!   or state-set fairness). There is one checker: [`Checker::new`] is
+//!   [`Checker::with_fairness`] under the empty constraint, and then
+//!   every operator is the plain primitive;
 //! * **indexed CTL\*** checking by quantifier expansion over an index set
 //!   ([`IndexedChecker`]);
 //! * an independent **naive lasso oracle** ([`naive`]) and

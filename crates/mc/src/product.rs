@@ -3,9 +3,10 @@
 //! `E φ` holds at state `s` iff the product of the structure with the
 //! automaton for `φ` has, from some compatible initial pair `(s, q₀)`, a
 //! path reaching a *non-trivial* strongly connected component that
-//! intersects every acceptance set. SCCs are found with an iterative
-//! Tarjan; the satisfying-state set falls out of a reverse reachability
-//! pass, so the whole labeling is computed in one product exploration.
+//! intersects every acceptance set. SCCs are found with the crate's
+//! shared iterative Tarjan; the satisfying-state set falls out of a
+//! reverse reachability pass, so the whole labeling is computed in one
+//! product exploration.
 
 use std::collections::HashMap;
 
@@ -14,6 +15,7 @@ use icstar_kripke::path::Lasso;
 use icstar_kripke::{Kripke, StateId};
 
 use crate::buchi::Gba;
+use crate::ctl;
 
 /// The explored product automaton, retaining enough structure to label
 /// states and extract witnesses.
@@ -96,7 +98,9 @@ impl<'a> Product<'a> {
             }
         }
 
-        let comp = tarjan(&adj);
+        let comp = ctl::tarjan(adj.len(), 0..adj.len() as u32, |u| {
+            adj[u as usize].iter().copied()
+        });
         let n = nodes.len();
         // Which SCCs are accepting?
         let num_comps = comp.iter().copied().max().map_or(0, |c| c as usize + 1);
@@ -317,64 +321,6 @@ fn backtrack(prev: &[u32], start: u32, end: u32) -> Vec<u32> {
     path
 }
 
-/// Iterative Tarjan SCC; returns the component id of each node.
-fn tarjan(adj: &[Vec<u32>]) -> Vec<u32> {
-    let n = adj.len();
-    let mut comp = vec![u32::MAX; n];
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut next_comp = 0u32;
-    // Explicit DFS: (node, child cursor).
-    let mut call: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-        while let Some(&mut (u, ref mut cursor)) = call.last_mut() {
-            if *cursor < adj[u as usize].len() {
-                let v = adj[u as usize][*cursor];
-                *cursor += 1;
-                if index[v as usize] == u32::MAX {
-                    index[v as usize] = next_index;
-                    low[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    call.push((v, 0));
-                } else if on_stack[v as usize] {
-                    low[u as usize] = low[u as usize].min(index[v as usize]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent as usize] = low[parent as usize].min(low[u as usize]);
-                }
-                if low[u as usize] == index[u as usize] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp[w as usize] = next_comp;
-                        if w == u {
-                            break;
-                        }
-                    }
-                    next_comp += 1;
-                }
-            }
-        }
-    }
-    comp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,22 +423,5 @@ mod tests {
         let prod = Product::explore(&m, &gba, &lits);
         assert!(prod.e_states().is_empty());
         assert!(prod.witness(StateId(0)).is_none());
-    }
-
-    #[test]
-    fn tarjan_on_simple_graph() {
-        // 0 -> 1 -> 2 -> 0 (one SCC), 3 -> 0 (own SCC)
-        let adj = vec![vec![1], vec![2], vec![0], vec![0]];
-        let comp = tarjan(&adj);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[1], comp[2]);
-        assert_ne!(comp[3], comp[0]);
-    }
-
-    #[test]
-    fn tarjan_self_loop_and_isolated() {
-        let adj = vec![vec![0], vec![]];
-        let comp = tarjan(&adj);
-        assert_ne!(comp[0], comp[1]);
     }
 }

@@ -832,8 +832,8 @@ mod tests {
 
     #[test]
     fn fair_jobs_check_fair_paths_and_report_it() {
-        // A template with a weak-fairness declaration routes its checks
-        // through the fair checker: stuttered liveness that fails on the
+        // A template with a weak-fairness declaration checks over fair
+        // paths only: stuttered liveness that fails on the
         // unconstrained twin holds, and every verdict carries fair: true.
         use icstar_sym::GuardedBuilder;
         let stutter = |fair: bool| {

@@ -375,12 +375,18 @@ fn encode_fairness(out: &mut Vec<u8>, f: &TransFairness) {
     }
 }
 
-fn decode_fairness(c: &mut Cursor, num_states: u32) -> Option<TransFairness> {
+/// Mirrors the invariants the checker relies on as rejections: every
+/// requirement's state set spans exactly the structure's states (so
+/// `TransFairness::new` cannot panic on mixed capacities), and every
+/// requirement edge is a transition of the structure (a non-edge could
+/// make the fair-SCC test accept a component no path satisfies).
+fn decode_fairness(c: &mut Cursor, kripke: &Kripke) -> Option<TransFairness> {
+    let num_states = kripke.num_states() as u32;
     let nreqs = c.count()?;
     let mut reqs = Vec::with_capacity(nreqs as usize);
     for _ in 0..nreqs {
         let capacity = c.count()?;
-        if capacity > num_states {
+        if capacity != num_states {
             return None;
         }
         let mut states = BitSet::new(capacity as usize);
@@ -397,7 +403,7 @@ fn decode_fairness(c: &mut Cursor, num_states: u32) -> Option<TransFairness> {
         for _ in 0..nedges {
             let a = c.u32()?;
             let b = c.u32()?;
-            if a >= num_states || b >= num_states {
+            if a >= num_states || b >= num_states || !kripke.has_edge(StateId(a), StateId(b)) {
                 return None;
             }
             edges.push((a, b));
@@ -717,7 +723,7 @@ impl SpillStore {
         let graph = (|| {
             let mut c = self.verified_graph_cursor(&payload, template, spec)?;
             let kripke = decode_kripke(&mut c)?;
-            let fairness = decode_fairness(&mut c, kripke.num_states() as u32)?;
+            let fairness = decode_fairness(&mut c, &kripke)?;
             if !c.at_end() {
                 return None;
             }
@@ -753,7 +759,7 @@ impl SpillStore {
             if !indices_cover_labels(&kripke, &indices) {
                 return None;
             }
-            let fairness = decode_fairness(&mut c, kripke.num_states() as u32)?;
+            let fairness = decode_fairness(&mut c, &kripke)?;
             if !c.at_end() {
                 return None;
             }
@@ -883,6 +889,71 @@ mod tests {
         let path = store.counter_path(&t, &s, 4);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
+        assert!(store.restore_counter(&t, &s, 4).is_none());
+        assert_eq!(store.rejects(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a checksummed counter spill of `t` at `n` whose graph is
+    /// `k` and whose fairness section is the raw `fairness` bytes.
+    fn write_counter_spill(
+        store: &SpillStore,
+        t: &GuardedTemplate,
+        s: &CountingSpec,
+        n: u32,
+        k: &Kripke,
+        fairness: &[u8],
+    ) {
+        let mut payload = Vec::new();
+        let workload = workload_bytes(t, s);
+        put_u32(&mut payload, workload.len() as u32);
+        payload.extend_from_slice(&workload);
+        encode_kripke(&mut payload, k);
+        payload.extend_from_slice(fairness);
+        let bytes = assemble(&SpillStore::counter_key(t, s, n), &payload);
+        fs::write(store.counter_path(t, s, n), bytes).unwrap();
+    }
+
+    #[test]
+    fn mismatched_fairness_capacities_are_rejected() {
+        let dir = temp_dir("fair-capacity");
+        let store = SpillStore::open(&dir).unwrap();
+        let t = mutex_template();
+        let s = CountingSpec::standard(&t);
+        let k = SymEngine::new(t.clone()).counter_graph(4).kripke;
+        let states = k.num_states() as u32;
+        // Two edge-free requirements, one a state short.
+        let mut fairness = Vec::new();
+        put_u32(&mut fairness, 2);
+        for capacity in [states, states - 1] {
+            put_u32(&mut fairness, capacity);
+            put_u32(&mut fairness, 0);
+            put_u32(&mut fairness, 0);
+        }
+        write_counter_spill(&store, &t, &s, 4, &k, &fairness);
+        assert!(store.restore_counter(&t, &s, 4).is_none());
+        assert_eq!(store.rejects(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fairness_edges_outside_the_structure_are_rejected() {
+        let dir = temp_dir("fair-edge");
+        let store = SpillStore::open(&dir).unwrap();
+        let t = mutex_template();
+        let s = CountingSpec::standard(&t);
+        let k = SymEngine::new(t.clone()).counter_graph(4).kripke;
+        let (a, b) = k
+            .states()
+            .flat_map(|a| k.states().map(move |b| (a, b)))
+            .find(|&(a, b)| !k.has_edge(a, b))
+            .expect("the mutex counter structure is not complete");
+        // One requirement whose only edge is in range but not a transition.
+        let mut fairness = Vec::new();
+        for word in [1, k.num_states() as u32, 0, 1, a.0, b.0] {
+            put_u32(&mut fairness, word);
+        }
+        write_counter_spill(&store, &t, &s, 4, &k, &fairness);
         assert!(store.restore_counter(&t, &s, 4).is_none());
         assert_eq!(store.rejects(), 1);
         fs::remove_dir_all(&dir).unwrap();

@@ -30,7 +30,6 @@ use icstar_logic::{
     expand_representatives, fair_fragment_depth, has_index_quantifier, restricted_depth,
     PathFormula, StateFormula,
 };
-use icstar_mc::fair::FairChecker;
 use icstar_mc::Checker;
 use icstar_telemetry::Registry;
 
@@ -53,9 +52,8 @@ pub struct CheckRun {
     pub rep_width: u32,
     /// Whether path quantifiers ranged over *fair* paths only — true
     /// exactly when the template declares weak-fairness constraints
-    /// ([`GuardedTemplate::is_fair`]), in which case the verdict came
-    /// from the fair checker over the compiled
-    /// [`icstar_mc::fair::TransFairness`].
+    /// ([`GuardedTemplate::is_fair`]), in which case the checker ran
+    /// under the compiled [`icstar_mc::fair::TransFairness`].
     pub fair: bool,
 }
 
@@ -429,14 +427,11 @@ impl SymSession<'_> {
         self.engine.validate_plain_atoms(&used)?;
         if self.engine.template.is_fair() {
             // Path quantifiers range over fair paths: gate to the CTL
-            // fragment the fair checker supports, then evaluate against
-            // the compiled requirements.
+            // fragment the checker supports under fairness.
             fair_fragment_depth(f)?;
-            let g = self.counter_arc();
-            return Ok(FairChecker::new(&g.kripke, &g.fairness).holds(f)?);
         }
-        let mut chk = Checker::new(&self.counter_ref().kripke);
-        Ok(chk.holds(f)?)
+        let g = self.counter_ref();
+        Ok(Checker::with_fairness(&g.kripke, &g.fairness).holds(f)?)
     }
 
     /// Checks a closed k-restricted ICTL* formula through the
@@ -470,11 +465,7 @@ impl SymSession<'_> {
         if self.n == 0 {
             let expanded = icstar_mc::expand(f, &[]);
             let g = self.counter_arc();
-            let holds = if fair {
-                FairChecker::new(&g.kripke, &g.fairness).holds(&expanded)?
-            } else {
-                Checker::new(&g.kripke).holds(&expanded)?
-            };
+            let holds = Checker::with_fairness(&g.kripke, &g.fairness).holds(&expanded)?;
             return Ok(CheckRun {
                 holds,
                 rep_width: 0,
@@ -492,11 +483,7 @@ impl SymSession<'_> {
         // (distinct-index case split), then model-check the closed
         // constant-indexed formula on the width-`width` structure.
         let expanded = expand_representatives(f, width);
-        let holds = if fair {
-            FairChecker::new(rep.kripke.kripke(), &rep.fairness).holds(&expanded)?
-        } else {
-            Checker::new(rep.kripke.kripke()).holds(&expanded)?
-        };
+        let holds = Checker::with_fairness(rep.kripke.kripke(), &rep.fairness).holds(&expanded)?;
         Ok(CheckRun {
             holds,
             rep_width: width,

@@ -13,7 +13,8 @@ use icstar::icstar_kripke::gen::{random_kripke, RandomConfig};
 use icstar::{parse_state, Checker};
 use icstar_logic::arb::{random_state_formula, FormulaConfig};
 use icstar_logic::{build, PathFormula, StateFormula};
-use icstar_mc::fair::{FairChecker, TransFairness};
+use icstar_mc::ctl::full_set;
+use icstar_mc::fair::{FairReq, TransFairness};
 use icstar_mc::naive::{eval_on_lasso, naive_e_check, simple_lit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,11 +156,12 @@ fn checker_witnesses_validate_on_the_naive_evaluator() {
 
 #[test]
 fn unconstrained_fair_checker_collapses_to_plain_ctl() {
-    // A fourth decision procedure joined the family: the fair CTL
-    // checker. With an *empty* fairness constraint every path is fair,
-    // so its sat sets must coincide with the plain labeling algorithm's
-    // on every CTL formula — this is the degenerate case that anchors
-    // the fair semantics to the unfair one.
+    // A fourth decision procedure joined the family: fair CTL, whose
+    // `EG` is the fair-SCC construction rather than the fixpoint. Under
+    // a requirement released in every state every path is fair, so its
+    // sat sets must coincide with the plain labeling algorithm's on every
+    // CTL formula — this is the degenerate case that anchors the fair
+    // semantics to the unfair one.
     let mut rng = StdRng::seed_from_u64(88);
     let fcfg = FormulaConfig {
         max_depth: 4,
@@ -167,12 +169,11 @@ fn unconstrained_fair_checker_collapses_to_plain_ctl() {
         ctl_only: true,
         ..FormulaConfig::default()
     };
-    let none = TransFairness::unconstrained();
-    assert!(none.is_empty());
     for trial in 0..20 {
         let m = random_kripke(&mut rng, &config(3 + trial % 5));
+        let all_fair = TransFairness::new([FairReq::new(full_set(&m), [])]);
         let mut plain = Checker::new(&m);
-        let mut fair = FairChecker::new(&m, &none);
+        let mut fair = Checker::with_fairness(&m, &all_fair);
         for fixed in ["EG p", "AF q", "AG AF p", "EG (p | EF q)", "A[p U q]"] {
             let f = parse_state(fixed).unwrap();
             assert_eq!(
