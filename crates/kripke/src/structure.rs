@@ -1,5 +1,6 @@
 //! The Kripke structure `M = (S, R, L, s₀)` of Section 2.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::atom::{Atom, AtomId, AtomTable};
@@ -61,7 +62,10 @@ impl std::error::Error for StructureError {}
 ///   (every state has at least one successor) so that every finite path
 ///   extends to an infinite one;
 /// * `L : S → 2^AP` — the proposition labeling, stored as bitsets over an
-///   interned [`AtomTable`];
+///   interned [`AtomTable`]. The bitsets are interned too: each distinct
+///   label is stored once and every state holds a `u32` index into that
+///   table, since counter and representative structures carry a few
+///   dozen distinct labels over up to millions of states;
 /// * `s₀` — the initial state.
 ///
 /// Construct via [`KripkeBuilder`](crate::KripkeBuilder).
@@ -84,7 +88,10 @@ impl std::error::Error for StructureError {}
 #[derive(Clone, Debug)]
 pub struct Kripke {
     atoms: AtomTable,
+    /// The distinct labels, in first-seen state order.
     labels: Vec<BitSet>,
+    /// `labels[label_of[s]]` is the label of state `s`.
+    label_of: Vec<u32>,
     succ_heads: Vec<u32>,
     succ_edges: Vec<StateId>,
     pred_heads: Vec<u32>,
@@ -99,7 +106,8 @@ impl Kripke {
     /// and label `labels[s]` over `atoms`. Every constructor (the
     /// [`KripkeBuilder`](crate::KripkeBuilder), restriction, relabeling,
     /// the BFS builders of `icstar-sym`) goes through here, so there is
-    /// one validator and one predecessor pass.
+    /// one validator, one predecessor pass and one place where equal
+    /// labels are interned into a shared table.
     ///
     /// # Errors
     ///
@@ -156,9 +164,11 @@ impl Kripke {
                 cursor[t.idx()] += 1;
             }
         }
+        let (labels, label_of) = intern_bitsets(labels);
         Ok(Kripke {
             atoms,
             labels,
+            label_of,
             succ_heads,
             succ_edges,
             pred_heads,
@@ -195,7 +205,7 @@ impl Kripke {
 
     /// Number of states `|S|`.
     pub fn num_states(&self) -> usize {
-        self.labels.len()
+        self.label_of.len()
     }
 
     /// Number of transitions `|R|`.
@@ -239,7 +249,7 @@ impl Kripke {
 
     /// The label `L(s)` as a bitset over this structure's atom ids.
     pub fn label(&self, s: StateId) -> &BitSet {
-        &self.labels[s.idx()]
+        &self.labels[self.label_of[s.idx()] as usize]
     }
 
     /// The label `L(s)` as a sorted list of atoms.
@@ -337,7 +347,7 @@ impl Kripke {
         let (mut labels, mut names) = (Vec::new(), Vec::new());
         let (mut heads, mut edges) = (vec![0], Vec::new());
         for s in self.states().filter(|s| remap[s.idx()].is_some()) {
-            labels.push(self.labels[s.idx()].clone());
+            labels.push(self.label(s).clone());
             names.push(self.names[s.idx()].clone());
             edges.extend(self.successors(s).iter().filter_map(|t| remap[t.idx()]));
             heads.push(edges.len() as u32);
@@ -346,6 +356,24 @@ impl Kripke {
         let m = Kripke::from_csr(self.atoms.clone(), labels, heads, edges, init, names)?;
         Ok((m, remap))
     }
+}
+
+/// Dedups per-state label bitsets into a table of distinct labels (in
+/// first-seen order) and each state's index into it.
+fn intern_bitsets(labels: Vec<BitSet>) -> (Vec<BitSet>, Vec<u32>) {
+    let mut index: HashMap<BitSet, u32> = HashMap::new();
+    let label_of = (labels.into_iter())
+        .map(|label| {
+            let next = index.len() as u32;
+            *index.entry(label).or_insert(next)
+        })
+        .collect();
+    let mut table: Vec<(BitSet, u32)> = index.into_iter().collect();
+    table.sort_unstable_by_key(|&(_, id)| id);
+    (
+        table.into_iter().map(|(label, _)| label).collect(),
+        label_of,
+    )
 }
 
 /// Interns one atom list per state into a fresh table, in first-seen
@@ -401,6 +429,44 @@ mod tests {
         assert!(!m.satisfies_atom(StateId(0), &Atom::plain("q")));
         assert!(!m.satisfies_atom(StateId(0), &Atom::plain("unknown")));
         assert_eq!(m.label_atoms(StateId(1)), vec![Atom::plain("q")]);
+    }
+
+    #[test]
+    fn equal_labels_share_one_table_entry() {
+        let mut b = KripkeBuilder::new();
+        let a = b.state_labeled("a", [Atom::plain("p"), Atom::plain("q")]);
+        let c = b.state_labeled("c", [Atom::plain("q")]);
+        let d = b.state_labeled("d", [Atom::plain("q"), Atom::plain("p")]);
+        let e = b.state("e");
+        b.edge(a, c);
+        b.edge(c, d);
+        b.edge(d, e);
+        b.edge(e, a);
+        let m = b.build(a).unwrap();
+        assert_eq!(m.labels.len(), 3, "{{p, q}}, {{q}} and {{}}");
+        assert!(std::ptr::eq(m.label(a), m.label(d)));
+        assert!(!std::ptr::eq(m.label(a), m.label(c)));
+        assert_eq!(m.label_atoms(a), [Atom::plain("p"), Atom::plain("q")]);
+        assert_eq!(m.label_atoms(d), m.label_atoms(a));
+        assert_eq!(m.label_atoms(c), [Atom::plain("q")]);
+        assert!(m.label(e).is_empty());
+        for (s, p, q) in [
+            (a, true, true),
+            (c, false, true),
+            (d, true, true),
+            (e, false, false),
+        ] {
+            assert_eq!(m.satisfies_atom(s, &Atom::plain("p")), p, "p at {s}");
+            assert_eq!(m.satisfies_atom(s, &Atom::plain("q")), q, "q at {s}");
+        }
+        // Restriction and relabeling re-intern through the same path.
+        let (r, _) = m.restrict_to_reachable().unwrap();
+        assert_eq!(r.labels.len(), 3);
+        let flat = m.relabel_with(|_| vec![Atom::plain("x")]);
+        assert_eq!(flat.labels.len(), 1);
+        assert!(flat
+            .states()
+            .all(|s| flat.satisfies_atom(s, &Atom::plain("x"))));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //!
 //! * [`pre_exists`] — `EX`: states with *some* successor in the set;
 //! * [`pre_all`] — `AX`: states with *all* successors in the set;
-//! * [`eu`] — `E[f U g]` as a least fixpoint;
-//! * [`eg`] — `EG f` as a greatest fixpoint;
-//! * [`er`] — `E[f R g]` as a greatest fixpoint.
+//! * [`eu`] — `E[f U g]` as a least fixpoint, by a backward worklist;
+//! * [`er`] — `E[f R g]` as a greatest fixpoint, by successor counting;
+//! * [`eg`] — `EG f`, which is `E[false R f]`.
 //!
-//! All run in time linear in `|S| + |R|` per fixpoint round with worklist
-//! acceleration for [`eu`].
+//! Every primitive runs in time linear in `|S| + |R|`: each state enters
+//! a worklist at most once and each transition is looked at a bounded
+//! number of times, however deep the fixpoint.
 //!
 //! The crate's one strongly-connected-component routine lives here too:
 //! an iterative Tarjan over a successor closure, shared by fair `EG`
@@ -60,33 +61,47 @@ pub fn eu(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
 }
 
 /// `EG f`: states with some path staying in `f` forever. Greatest
-/// fixpoint `νZ. f ∧ EX Z`.
+/// fixpoint `νZ. f ∧ EX Z`, which is [`er`] with an empty release set,
+/// so it is linear in `|S| + |R|`.
 pub fn eg(m: &Kripke, f: &BitSet) -> BitSet {
-    let mut z = f.clone();
-    loop {
-        let mut next = pre_exists(m, &z);
-        next.intersect_with(f);
-        if next == z {
-            return z;
-        }
-        z = next;
-    }
+    er(m, &empty_set(m), f)
 }
 
 /// `E[f R g]`: some path satisfies `f R g` (i.e. `g` holds up to and
 /// including the first `f`-state, or forever). Greatest fixpoint
 /// `νZ. g ∧ (f ∨ EX Z)`.
+///
+/// Computed in time linear in `|S| + |R|` by successor counting: `Z`
+/// starts as `g`, and every `g ∧ ¬f` state keeps the number of its
+/// successors still in `Z`. A state whose count drops to zero leaves `Z`
+/// and decrements the counts of its `g ∧ ¬f` predecessors in turn; the
+/// `g ∧ f` states never leave. Each state departs at most once, so each
+/// predecessor edge is walked at most once.
 pub fn er(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
     let mut z = g.clone();
-    loop {
-        let mut next = pre_exists(m, &z);
-        next.union_with(f);
-        next.intersect_with(g);
-        if next == z {
-            return z;
+    let mut count = vec![0u32; m.num_states()];
+    let mut gone: Vec<StateId> = Vec::new();
+    for s in g.iter().filter(|&s| !f.contains(s)) {
+        let s = StateId(s as u32);
+        let live = m.successors(s).iter().filter(|t| g.contains(t.idx()));
+        count[s.idx()] = live.count() as u32;
+        if count[s.idx()] == 0 {
+            z.remove(s.idx());
+            gone.push(s);
         }
-        z = next;
     }
+    while let Some(t) = gone.pop() {
+        for &p in m.predecessors(t) {
+            if z.contains(p.idx()) && !f.contains(p.idx()) {
+                count[p.idx()] -= 1;
+                if count[p.idx()] == 0 {
+                    z.remove(p.idx());
+                    gone.push(p);
+                }
+            }
+        }
+    }
+    z
 }
 
 /// All states, as a set (`true`).
@@ -175,8 +190,40 @@ mod tests {
     use super::*;
     use crate::fair::{eg_fair, FairReq, TransFairness};
     use crate::Checker;
+    use icstar_kripke::gen::{random_kripke, RandomConfig};
     use icstar_kripke::{Atom, KripkeBuilder};
     use icstar_logic::parse_state;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The textbook `EG`: iterate `Z := f ∧ EX Z` from `f` until stable.
+    /// Quadratic on chains; kept as the oracle for [`eg`].
+    fn eg_fixpoint(m: &Kripke, f: &BitSet) -> BitSet {
+        let mut z = f.clone();
+        loop {
+            let mut next = pre_exists(m, &z);
+            next.intersect_with(f);
+            if next == z {
+                return z;
+            }
+            z = next;
+        }
+    }
+
+    /// The textbook `ER`: iterate `Z := g ∧ (f ∨ EX Z)` from `g` until
+    /// stable. Kept as the oracle for [`er`].
+    fn er_fixpoint(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
+        let mut z = g.clone();
+        loop {
+            let mut next = pre_exists(m, &z);
+            next.union_with(f);
+            next.intersect_with(g);
+            if next == z {
+                return z;
+            }
+            z = next;
+        }
+    }
 
     /// s0(p) -> s1(p) -> s2(q) -> s2 ; s1 -> s0, s0 -> s3(r) -> s3
     fn diamond() -> (Kripke, BitSet, BitSet, BitSet) {
@@ -315,9 +362,6 @@ mod tests {
 
     #[test]
     fn eg_scc_agrees_on_random_structures() {
-        use icstar_kripke::gen::{random_kripke, RandomConfig};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..40 {
             let m = random_kripke(
@@ -344,6 +388,94 @@ mod tests {
                 &["EG p", "EG !q", "EG (p | q)", "AF (p & q)", "AG AF p"],
                 &format!("trial {trial}"),
             );
+        }
+    }
+
+    /// A uniformly random subset of `m`'s states.
+    fn random_subset(rng: &mut StdRng, m: &Kripke) -> BitSet {
+        let density = rng.random_range(0u32..5) as f64 / 4.0;
+        BitSet::from_iter_with_capacity(
+            m.num_states(),
+            m.states()
+                .map(|s| s.idx())
+                .filter(|_| rng.random_bool(density)),
+        )
+    }
+
+    #[test]
+    fn counting_eg_er_match_the_fixpoints_on_random_structures() {
+        let mut rng = StdRng::seed_from_u64(0x1f_eeed);
+        let mut self_loops = 0;
+        for trial in 0..400 {
+            let m = random_kripke(
+                &mut rng,
+                &RandomConfig {
+                    states: 1 + trial % 12,
+                    mean_out_degree: 1.0 + (trial % 4) as f64,
+                    ..RandomConfig::default()
+                },
+            );
+            self_loops += m.states().filter(|&s| m.has_edge(s, s)).count();
+            let (f, g) = (random_subset(&mut rng, &m), random_subset(&mut rng, &m));
+            assert_eq!(eg(&m, &g), eg_fixpoint(&m, &g), "EG, trial {trial}");
+            assert_eq!(er(&m, &f, &g), er_fixpoint(&m, &f, &g), "ER, trial {trial}");
+            for edge in [empty_set(&m), full_set(&m)] {
+                assert_eq!(er(&m, &edge, &g), er_fixpoint(&m, &edge, &g));
+                assert_eq!(er(&m, &f, &edge), er_fixpoint(&m, &f, &edge));
+            }
+        }
+        assert!(self_loops > 100, "only {self_loops} self-loops generated");
+    }
+
+    /// The counter structure of `n` copies of the mutex template
+    /// `idle -> try -[crit = 0]-> crit -> idle`: state `(t, c)` has `t`
+    /// copies trying and `c ≤ 1` in the critical section. Its long
+    /// idle-to-try chains are what make the iterated fixpoints quadratic.
+    fn mutex_counters(n: u32) -> Kripke {
+        let mut b = KripkeBuilder::new();
+        // (n, 1) would be the last id and is over-full, so it is skipped.
+        let id = |t: u32, c: u32| StateId(2 * t + c);
+        let legal = |t: u32, c: u32| t + c <= n;
+        for t in 0..=n {
+            for c in (0..2).filter(|&c| legal(t, c)) {
+                let crit = if c == 1 { "crit_ge1" } else { "crit_eq0" };
+                assert_eq!(
+                    b.state_labeled(format!("t{t}c{c}"), [Atom::plain(crit)]),
+                    id(t, c)
+                );
+            }
+        }
+        for t in 0..=n {
+            for c in (0..2).filter(|&c| legal(t, c)) {
+                if legal(t + 1, c) {
+                    b.edge(id(t, c), id(t + 1, c)); // idle -> try
+                }
+                if c == 0 && t > 0 {
+                    b.edge(id(t, 0), id(t - 1, 1)); // try -> crit
+                }
+                if c == 1 {
+                    b.edge(id(t, 1), id(t, 0)); // crit -> idle
+                }
+            }
+        }
+        b.build(id(0, 0)).unwrap()
+    }
+
+    #[test]
+    fn mutex_liveness_matches_the_fixpoint_oracle() {
+        let m = mutex_counters(1_000);
+        let mut chk = Checker::new(&m);
+        for atom in ["crit_ge1", "crit_eq0"] {
+            let f = parse_state(&format!("AG AF {atom}")).unwrap();
+            // AF a = ¬EG ¬a and AG b = ¬E[true U ¬b], through the oracle.
+            let mut not_a = (*chk.sat(&parse_state(atom).unwrap()).unwrap()).clone();
+            not_a.complement();
+            let not_af = eg_fixpoint(&m, &not_a);
+            assert_eq!(eg(&m, &not_a), not_af, "EG !{atom}");
+            let mut ag_af = eu(&m, &full_set(&m), &not_af);
+            ag_af.complement();
+            assert_eq!(*chk.sat(&f).unwrap(), ag_af, "AG AF {atom}");
+            assert!(chk.holds(&f).unwrap(), "AG AF {atom}");
         }
     }
 

@@ -217,11 +217,12 @@ impl<'a> Checker<'a> {
         })
     }
 
+    /// The states labeled `atom`, with the atom's id looked up once.
     fn sat_atom(&self, atom: &Atom) -> BitSet {
         let mut out = BitSet::new(self.m.num_states());
-        if self.m.atoms().id(atom).is_some() {
+        if let Some(id) = self.m.atoms().id(atom) {
             for s in self.m.states() {
-                if self.m.satisfies_atom(s, atom) {
+                if self.m.label(s).contains(id.idx()) {
                     out.insert(s.idx());
                 }
             }
@@ -268,7 +269,7 @@ impl<'a> Checker<'a> {
                 State(f) => {
                     let mut s = (*self.sat(f)?).clone();
                     if !fair.is_empty() {
-                        s.intersect_with(&fair::fair_states(m, fair));
+                        s.intersect_with(fair.fair_set(m));
                     }
                     return Ok(s);
                 }

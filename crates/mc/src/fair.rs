@@ -25,7 +25,7 @@
 //!   requirement, contain a released state or an internal requirement
 //!   edge;
 //! * [`fair_states`] — states from which some fair path starts
-//!   (`E_fair G true`);
+//!   (`E_fair G true`), computed once per constraint and memoized in it;
 //! * [`eu_fair`], [`ex_fair`] — the plain operators against
 //!   `fair ∧ goal`, and [`er_fair`] from `eu_fair` and `eg_fair`;
 //! * [`af_fair`], [`ag_fair`], [`ax_fair`] — by duality
@@ -38,6 +38,7 @@
 //! checking is fair checking with no constraints.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Kripke, StateId};
@@ -87,15 +88,30 @@ impl FairReq {
 /// A conjunction of fairness requirements ([`FairReq`]): a path is fair
 /// iff it meets **every** requirement. The empty conjunction makes every
 /// path fair.
+///
+/// A non-empty constraint is compiled for **one** structure: its state
+/// sets span exactly that structure's states and its edges are that
+/// structure's transitions. It is only ever checked against that
+/// structure, which is what lets it memoize the structure's fair-state
+/// set ([`fair_states`]) on first use and hand it to every later fair
+/// `EU`/`EX`/`AG` check. The empty constraint is structure-independent
+/// and memoizes nothing, so one unconstrained value serves every
+/// structure.
 #[derive(Clone, Debug, Default)]
 pub struct TransFairness {
     reqs: Vec<FairReq>,
+    /// `E_fair G true` over the structure the constraint is compiled
+    /// for, filled by the first fair check that needs it.
+    fair_states: OnceLock<BitSet>,
 }
 
 impl TransFairness {
     /// No requirements: every path is fair.
     pub const fn unconstrained() -> Self {
-        TransFairness { reqs: Vec::new() }
+        TransFairness {
+            reqs: Vec::new(),
+            fair_states: OnceLock::new(),
+        }
     }
 
     /// Builds a constraint from requirements.
@@ -112,7 +128,10 @@ impl TransFairness {
                 "fairness requirements must share a capacity"
             );
         }
-        TransFairness { reqs }
+        TransFairness {
+            reqs,
+            fair_states: OnceLock::new(),
+        }
     }
 
     /// The requirements.
@@ -123,6 +142,19 @@ impl TransFairness {
     /// Whether there are no requirements.
     pub fn is_empty(&self) -> bool {
         self.reqs.is_empty()
+    }
+
+    /// The memoized fair-state set of the non-empty constraint over `m`,
+    /// the structure it is compiled for.
+    pub(crate) fn fair_set(&self, m: &Kripke) -> &BitSet {
+        debug_assert!(!self.is_empty(), "the empty constraint memoizes nothing");
+        debug_assert_eq!(
+            self.reqs[0].states.capacity(),
+            m.num_states(),
+            "a fairness constraint is bound to the structure it is compiled for"
+        );
+        self.fair_states
+            .get_or_init(|| eg_fair(m, &ctl::full_set(m), self))
     }
 }
 
@@ -186,8 +218,17 @@ pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
 }
 
 /// The states from which some fair path starts (`E_fair G true`).
+///
+/// Computed once per non-empty constraint (a Tarjan pass plus a backward
+/// closure) and memoized inside `fair`, so repeated checks against the
+/// same cached structure pay for it once; `m` must be the structure
+/// `fair` is compiled for (see [`TransFairness`]). Unconstrained, every
+/// state starts a fair path, since the transition relation is total.
 pub fn fair_states(m: &Kripke, fair: &TransFairness) -> BitSet {
-    eg_fair(m, &ctl::full_set(m), fair)
+    if fair.is_empty() {
+        return ctl::full_set(m);
+    }
+    fair.fair_set(m).clone()
 }
 
 /// `E_fair[f U g]`: a fair path satisfying the until. Equals
@@ -198,7 +239,7 @@ pub fn eu_fair(m: &Kripke, f: &BitSet, g: &BitSet, fair: &TransFairness) -> BitS
         return ctl::eu(m, f, g);
     }
     let mut target = g.clone();
-    target.intersect_with(&fair_states(m, fair));
+    target.intersect_with(fair.fair_set(m));
     ctl::eu(m, f, &target)
 }
 
@@ -222,7 +263,7 @@ pub fn ex_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
         return ctl::pre_exists(m, f);
     }
     let mut target = f.clone();
-    target.intersect_with(&fair_states(m, fair));
+    target.intersect_with(fair.fair_set(m));
     ctl::pre_exists(m, &target)
 }
 
@@ -452,6 +493,68 @@ mod tests {
         let mut ng1 = g1.clone();
         ng1.complement();
         assert!(eg_fair(&m, &ng1, &fair).is_empty());
+    }
+
+    #[test]
+    fn fair_states_are_memoized_once_per_constraint() {
+        for (m, fair) in [
+            {
+                let (m, _, g2) = scheduler();
+                (m, visit_each([g2]))
+            },
+            {
+                let (m, _, fair) = stutter_escape();
+                (m, fair)
+            },
+            {
+                // Unsatisfiable: the memo is the empty set.
+                let (m, ..) = scheduler();
+                (m, visit_each([BitSet::new(3)]))
+            },
+        ] {
+            assert!(fair.fair_states.get().is_none());
+            let first = fair_states(&m, &fair);
+            let memo: *const BitSet = fair.fair_states.get().expect("memo filled");
+            assert_eq!(fair_states(&m, &fair), first);
+            assert!(std::ptr::eq(fair.fair_set(&m), memo), "computed twice");
+            assert_eq!(first, eg_fair(&m, &ctl::full_set(&m), &fair));
+            // A clone carries the memo, and agrees with a fresh constraint
+            // over the same requirements on every operator.
+            let (clone, fresh) = (fair.clone(), TransFairness::new(fair.reqs().to_vec()));
+            assert!(clone.fair_states.get().is_some() && fresh.fair_states.get().is_none());
+            assert_eq!(fair_states(&m, &clone), fair_states(&m, &fresh));
+            for goal in m
+                .states()
+                .map(|s| BitSet::from_iter_with_capacity(m.num_states(), [s.idx()]))
+            {
+                assert_eq!(
+                    eu_fair(&m, &ctl::full_set(&m), &goal, &clone),
+                    eu_fair(&m, &ctl::full_set(&m), &goal, &fresh)
+                );
+                assert_eq!(ex_fair(&m, &goal, &clone), ex_fair(&m, &goal, &fresh));
+                assert_eq!(ag_fair(&m, &goal, &clone), ag_fair(&m, &goal, &fresh));
+            }
+        }
+    }
+
+    #[test]
+    fn unconstrained_fair_states_memoize_nothing() {
+        // One empty constraint serves structures of every size.
+        let fair = TransFairness::unconstrained();
+        let (small, ..) = scheduler();
+        let (tiny, ..) = stutter_escape();
+        assert_eq!(fair_states(&small, &fair).len(), 3);
+        assert_eq!(fair_states(&tiny, &fair).len(), 2);
+        assert!(fair.fair_states.get().is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bound to the structure")]
+    fn constraint_checked_against_another_structure_is_caught() {
+        let (_, _, fair) = stutter_escape();
+        let (other, ..) = scheduler();
+        fair_states(&other, &fair);
     }
 
     mod checker {

@@ -6,7 +6,7 @@
 //! correspondence") needs a checker for its logic. This crate provides:
 //!
 //! * the **CTL labeling algorithm** of Clarke–Emerson–Sistla as fixpoint
-//!   primitives ([`ctl`]);
+//!   primitives ([`ctl`]), each linear in the size of the structure;
 //! * an **LTL → generalized Büchi** tableau ([`buchi`], GPVW-style) and a
 //!   **product emptiness** check ([`product`]) that together lift the
 //!   checker to full CTL* ([`Checker`]);

@@ -8,7 +8,9 @@
 
 use icstar::FamilyVerifier;
 use icstar_logic::parse_state;
+use icstar_mc::Checker;
 use icstar_nets::fig41_template;
+use icstar_serve::SpillStore;
 use icstar_sym::{
     barrier_template, check_fair_explicit, msi_template, mutex_template, ring_station_template,
     wakeup_template, GuardedTemplate, SymEngine,
@@ -265,6 +267,40 @@ fn liveness_column_cross_checks_against_the_explicit_fair_composition() {
             }
         }
     }
+}
+
+#[test]
+fn spill_restored_fair_counter_graphs_keep_the_liveness_verdicts() {
+    // A graph's compiled fairness memoizes its fair-state set, and the
+    // memo is not spilled: the restored graph recomputes it and must
+    // agree, state for state, with the original whose memo the first
+    // check filled.
+    let dir = std::env::temp_dir().join(format!("icstar-workloads-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = SpillStore::open(&dir).unwrap();
+    for (name, fair_t, _, live, _) in liveness_gallery() {
+        let engine = SymEngine::new(fair_t.clone());
+        let counting: Vec<_> = (live.iter())
+            .filter(|src| !src.contains('['))
+            .map(|src| (src, parse_state(src).unwrap()))
+            .collect();
+        for n in [2u32, 5, 50] {
+            let original = engine.counter_graph(n);
+            let mut chk = Checker::with_fairness(&original.kripke, &original.fairness);
+            let before: Vec<_> = (counting.iter())
+                .map(|(_, f)| chk.sat(f).unwrap())
+                .collect();
+            store.spill_counter(&fair_t, engine.spec(), n, &original);
+            let restored = (store.restore_counter(&fair_t, engine.spec(), n))
+                .unwrap_or_else(|| panic!("{name}: no restore at n = {n}"));
+            let mut chk = Checker::with_fairness(&restored.kripke, &restored.fairness);
+            for ((src, f), sat) in counting.iter().zip(&before) {
+                assert_eq!(chk.sat(f).unwrap(), *sat, "{name}: {src} at n = {n}");
+                assert!(chk.holds(f).unwrap(), "{name}: {src} fails at n = {n}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
