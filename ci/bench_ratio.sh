@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Superlinearity guard: fails when the median of one benchmark exceeds
-# the median of another by more than a given factor, both read from the
-# same BENCH_*.json artifact (so machine speed cancels out).
+# Ratio guard: fails when the median of one benchmark exceeds the median
+# of another by more than a given factor, both read from the same
+# BENCH_*.json artifact (so machine speed cancels out).
 #
 #   bash ci/bench_ratio.sh BENCH_sym.json \
 #     sym/unfair-liveness/counting/100000 sym/unfair-liveness/counting/10000 25
 #
-# With a 10x larger input, a linear-time benchmark reads about 10x and a
-# quadratic one about 100x; the bound sits between the two.
+# Two uses: a scaling guard (with a 10x larger input, a linear-time
+# benchmark reads about 10x and a quadratic one about 100x, so the bound
+# sits between the two), and a cost guard between two benchmarks at the
+# same size (a derived structure's build against the build it starts
+# from).
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -44,7 +47,7 @@ verdict=$(awk -v n="$num_ns" -v d="$den_ns" -v t="$max_ratio" \
   'BEGIN { r = (d > 0) ? n / d : 0; printf "%.1f %s", r, (d > 0 && r <= t) ? "ok" : "FAIL" }')
 ratio=${verdict% *}
 if [ "${verdict#* }" = "FAIL" ]; then
-  echo "bench-ratio: FAILED $numerator / $denominator = ${ratio}x > ${max_ratio}x (superlinear)"
+  echo "bench-ratio: FAILED $numerator / $denominator = ${ratio}x > ${max_ratio}x"
   exit 1
 fi
 echo "bench-ratio: ok $numerator / $denominator = ${ratio}x (bound ${max_ratio}x)"

@@ -110,7 +110,7 @@ fn bench_representative_width(c: &mut Criterion) {
     // The multi-representative construction: building the width-k
     // structure and answering a depth-k query. Width 2 pays |S|× more
     // states than width 1 — this group pins that factor so regressions
-    // in the locals-vector hot path are visible.
+    // in the lift's per-state hot path are visible.
     let mut group = c.benchmark_group("sym/representative-width");
     group.sample_size(10);
     let engine = SymEngine::new(mutex_template());
@@ -120,11 +120,14 @@ fn bench_representative_width(c: &mut Criterion) {
             b.iter(|| engine.representative_structure(n, width).unwrap())
         });
     }
+    // The checks run on a structure their session built once, outside
+    // the timed closure (which runs once per sample).
     let depth1 = parse_state("forall i. AG(try[i] -> EF crit[i])").unwrap();
     let depth2 = parse_state("forall i. exists j. AG(crit[i] -> !crit[j])").unwrap();
-    for (label, f) in [("depth1", &depth1), ("depth2", &depth2)] {
+    for (label, width, f) in [("depth1", 1, &depth1), ("depth2", 2, &depth2)] {
+        let mut session = engine.session(n);
+        session.representative_arc(width).unwrap();
         group.bench_with_input(BenchmarkId::new("check", label), &f, |b, f| {
-            let mut session = engine.session(n);
             b.iter(|| assert!(session.check(f).unwrap()))
         });
     }

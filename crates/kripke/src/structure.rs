@@ -105,7 +105,7 @@ impl Kripke {
     /// `s` has successors `succ_edges[succ_heads[s]..succ_heads[s + 1]]`
     /// and label `labels[s]` over `atoms`. Every constructor (the
     /// [`KripkeBuilder`](crate::KripkeBuilder), restriction, relabeling,
-    /// the BFS builders of `icstar-sym`) goes through here, so there is
+    /// the builders of `icstar-sym`) goes through here, so there is
     /// one validator, one predecessor pass and one place where equal
     /// labels are interned into a shared table.
     ///

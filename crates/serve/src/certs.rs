@@ -5,7 +5,10 @@
 //! stabilization point `c` is certified
 //! ([`SymEngine::certify_cutoff`]), **every** size `n ≥ c` — including
 //! the unbounded `all_from` form — is answered from the stored verdict
-//! without building or checking anything. Refusals are cached too:
+//! without building or checking anything. A certificate is sampled
+//! evidence, not a proof: the guard chain of the cutoff module docs
+//! certifies a verdict that is wrong from `n = 9` on, so these answers
+//! can be wrong. Refusals are cached too:
 //! re-deriving "this family does not stabilize" on every unbounded
 //! request would repeat the full scan.
 //!

@@ -1,15 +1,15 @@
-//! The sequential BFS builder behind both abstract structures.
+//! The sequential BFS builder behind the counter structure, and the rows
+//! both abstract structures are written into.
 //!
-//! The counter builder ([`CounterSystem::kripke`](crate::CounterSystem::kripke))
-//! and the representative builder
-//! ([`representative`](crate::representative)) explore flat `u32`
-//! vectors: an occupancy vector, or a representative state's occupancy
-//! of the abstracted copies followed by its tracked copies' local states.
-//! [`explore`] is the loop they share. Its [`StateTable`] is the BFS queue
-//! and the dedup table in one: a state's id is its queue position, and
-//! packed keys are deduplicated by open addressing over a flat arena, with
-//! no allocation per state. Rows of successors are written in CSR form as
-//! states are expanded, labels are interned in first-seen order exactly as
+//! [`explore`] explores flat `u32` vectors — occupancy vectors, for
+//! [`CounterSystem::kripke`](crate::CounterSystem::kripke) and as the
+//! reachability sweep the representative lift
+//! ([`representative`](crate::representative)) starts from. Its
+//! [`StateTable`] is the BFS queue and the dedup table in one: a state's
+//! id is its queue position, and packed keys are deduplicated by open
+//! addressing over a flat arena, with no allocation per state. Rows of
+//! successors are written in CSR form as states are expanded, labels are
+//! interned in first-seen order exactly as
 //! [`icstar_kripke::KripkeBuilder`] interns them, and [`Rows::freeze`]
 //! hands everything to [`Kripke::from_csr`].
 
@@ -98,6 +98,13 @@ impl StateTable {
         (id, true)
     }
 
+    /// The id of `v`, which must already be discovered.
+    pub(crate) fn id(&mut self, v: &[u32]) -> u32 {
+        let (id, new) = self.intern(v);
+        debug_assert!(!new, "moves stay among the reachable states");
+        id
+    }
+
     /// The id stored under `key`, or the empty slot where it belongs.
     fn probe(&self, key: &[u64]) -> Result<u32, usize> {
         let mut slot = (self.hasher.hash_one(key) >> self.shift) as usize;
@@ -128,25 +135,16 @@ pub(crate) fn explore(
     mut moves: impl FnMut(&[u32], &mut dyn FnMut(&[u32])),
 ) -> (Rows, StateTable, usize) {
     let mut table = StateTable::new(packing);
-    let mut rows = Rows {
-        atom_id: vec![NONE; universe.len()],
-        universe,
-        seen: Vec::new(),
-        label_heads: vec![0],
-        label_ids: Vec::new(),
-        names: Vec::new(),
-        succ_heads: vec![0],
-        succ_edges: Vec::new(),
-    };
+    let mut rows = Rows::new(universe);
     let mut label = Vec::new();
-    let mut discover = |v: &[u32], table: &mut StateTable, rows: &mut Rows| -> StateId {
+    let mut discover = |v: &[u32], table: &mut StateTable, rows: &mut Rows| -> u32 {
         let (id, new) = table.intern(v);
         if new {
             label.clear();
             let name = describe(v, &mut label);
             rows.add_state(name, &label);
         }
-        StateId(id)
+        id
     };
     discover(initial, &mut table, &mut rows);
     let (mut cur, mut frontier_peak, mut head) = (Vec::new(), 0, 0);
@@ -154,17 +152,11 @@ pub(crate) fn explore(
         frontier_peak = frontier_peak.max(table.len() - head);
         cur.clear();
         cur.extend_from_slice(table.state(head));
-        let row = rows.succ_edges.len();
         moves(&cur, &mut |succ| {
             let to = discover(succ, &mut table, &mut rows);
-            if !rows.succ_edges[row..].contains(&to) {
-                rows.succ_edges.push(to);
-            }
+            rows.add_edge(to);
         });
-        if rows.succ_edges.len() == row {
-            rows.succ_edges.push(StateId(head as u32));
-        }
-        rows.succ_heads.push(rows.succ_edges.len() as u32);
+        rows.close_row(head as u32);
         head += 1;
     }
     (rows, table, frontier_peak)
@@ -187,9 +179,23 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
-    /// Records the next discovered state's name and label (universe
-    /// positions, in label order).
-    fn add_state(&mut self, name: String, label: &[u32]) {
+    /// No states yet; labels will name atoms by position in `universe`.
+    pub(crate) fn new(universe: Vec<Atom>) -> Self {
+        Rows {
+            atom_id: vec![NONE; universe.len()],
+            universe,
+            seen: Vec::new(),
+            label_heads: vec![0],
+            label_ids: Vec::new(),
+            names: Vec::new(),
+            succ_heads: vec![0],
+            succ_edges: Vec::new(),
+        }
+    }
+
+    /// Records the next state's name and label (universe positions, in
+    /// label order).
+    pub(crate) fn add_state(&mut self, name: String, label: &[u32]) {
         for &u in label {
             if self.atom_id[u as usize] == NONE {
                 self.atom_id[u as usize] = self.seen.len() as u32;
@@ -199,6 +205,23 @@ impl Rows {
         }
         self.label_heads.push(self.label_ids.len() as u32);
         self.names.push(name);
+    }
+
+    /// Adds `to` to the open row unless it is already there.
+    pub(crate) fn add_edge(&mut self, to: u32) {
+        let row = *self.succ_heads.last().expect("one head per row, plus 0") as usize;
+        if !self.succ_edges[row..].contains(&StateId(to)) {
+            self.succ_edges.push(StateId(to));
+        }
+    }
+
+    /// Closes the open row, that of state `from`: a state with no edge
+    /// stutters.
+    pub(crate) fn close_row(&mut self, from: u32) {
+        if self.succ_heads.last() == Some(&(self.succ_edges.len() as u32)) {
+            self.succ_edges.push(StateId(from));
+        }
+        self.succ_heads.push(self.succ_edges.len() as u32);
     }
 
     /// Number of edges written so far.

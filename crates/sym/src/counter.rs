@@ -117,7 +117,7 @@ impl CounterState {
 /// except, given `initiator = Some((from, to))`, one copy in `from` that
 /// moves to `to` instead: the allocation-free rewrite behind
 /// [`CounterState::respond`], [`CounterState::broadcast`] and the
-/// explorers' broadcast moves.
+/// broadcast moves of `CounterSystem::each_move`.
 pub(crate) fn respond_into(
     counts: &[u32],
     response: &[u32],

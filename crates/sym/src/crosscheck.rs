@@ -195,7 +195,7 @@ fn relabel(
 /// construction; width 2 is what depth-2 nested quantifiers route
 /// through. Larger widths re-run the same code paths over bigger tuples,
 /// so auditing the first two keeps the oracle fast without losing
-/// coverage of the locals-vector logic.
+/// coverage of the lift's tuple logic.
 pub const CROSS_CHECK_MAX_WIDTH: u32 = 2;
 
 /// Verifies, for an explicitly buildable `n`, that the counter

@@ -13,10 +13,12 @@
 //! counting vocabulary successive sizes stay distinguishable forever
 //! (every size has a corner state where some count crosses `one(p)`),
 //! while the handful of atoms one formula mentions stabilizes within a
-//! few sizes. Because correspondence preserves every CTL*∖X formula
-//! over the retained atoms, the verdict at `c` is then the verdict at
-//! every `n ≥ c`: a service holding a [`CutoffCertificate`] answers
-//! `n = 10⁶` without building anything.
+//! few sizes. A service holding a [`CutoffCertificate`] answers
+//! `n = 10⁶` from it without building anything — but the certificate is
+//! **sampled evidence, not a proof**: adjacent sizes corresponding does
+//! not imply that all larger ones do. The guard chain (`tests/cutoff.rs`)
+//! is a known counterexample: `EF q8_ge1` is false up to `n = 8`, true
+//! from `n = 9`, and certifies at `c = 2` as false.
 //!
 //! The procedure is deliberately conservative:
 //!
@@ -196,11 +198,11 @@ pub struct CutoffEvidence {
     pub samples: Vec<u32>,
 }
 
-/// A certified stabilization point: for every `n ≥ c`, the formula's
-/// verdict equals [`holds`](CutoffCertificate::holds).
+/// A stabilization point found by scanning, applied to every `n ≥ c`:
+/// sampled evidence, not a proof (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CutoffCertificate {
-    /// The cutoff: the certificate covers every family size `n ≥ c`.
+    /// The cutoff: the certificate is applied to every size `n ≥ c`.
     pub c: u32,
     /// The stabilized verdict.
     pub holds: bool,
@@ -390,7 +392,7 @@ impl SymEngine {
     /// let engine = SymEngine::new(mutex_template());
     /// let cert = engine.certify_cutoff(&parse_state("AG !crit_ge2")?)?;
     /// assert!(cert.holds);
-    /// assert!(cert.covers(1_000_000)); // every n ≥ c, no build needed
+    /// assert!(cert.covers(1_000_000)); // applied to every n ≥ c, no build needed
     /// # Ok(())
     /// # }
     /// ```

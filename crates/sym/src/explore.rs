@@ -27,7 +27,7 @@ use icstar_telemetry::{FlightRecorder, Registry, SpanContext, TraceScope};
 use crate::build::{self, StateTable};
 use crate::counter::{respond_into, CounterPacking, CounterState};
 use crate::labels::{CountingSpec, LabelTable};
-use crate::template::GuardedTemplate;
+use crate::template::{Broadcast, GuardedTemplate};
 
 /// The counter abstraction of `n` identical copies of a template: an
 /// on-the-fly abstract transition system.
@@ -140,7 +140,7 @@ impl CounterSystem {
     /// at its first occurrence.
     pub fn successors(&self, state: &CounterState) -> Vec<CounterState> {
         let mut out: Vec<CounterState> = Vec::new();
-        self.each_move(state.counts(), &mut Vec::new(), |succ, _| {
+        self.each_move(state.counts(), &mut Vec::new(), |succ, _, _| {
             if !out.iter().any(|s| s.counts() == succ) {
                 out.push(CounterState::new(succ.to_vec()));
             }
@@ -151,19 +151,19 @@ impl CounterSystem {
         out
     }
 
-    /// The move semantics behind [`CounterSystem::successors`], the BFS
-    /// builder and the fairness compiler: calls `emit(next, (src, tgt))`
-    /// for every enabled move of the occupancy vector `cur`, in canonical
-    /// order — each enabled local transition `src → tgt` of an occupied
-    /// state, then each enabled broadcast whose initiator takes
-    /// `src → tgt`. Several moves may lead to the same vector; callers
-    /// keep the first. Emits nothing when no move is enabled, and the
-    /// caller then stutters. `next` is scratch space.
-    pub(crate) fn each_move(
-        &self,
+    /// The move semantics behind [`CounterSystem::successors`], both
+    /// builders and the fairness compiler: calls `emit(next, (src, tgt),
+    /// broadcast)` for every enabled move of the occupancy vector `cur`,
+    /// in canonical order — each enabled local transition `src → tgt` of
+    /// an occupied state, then each enabled broadcast, whose initiator
+    /// takes `src → tgt`. Several moves may lead to the same vector;
+    /// callers keep the first. Emits nothing when no move is enabled, and
+    /// the caller then stutters. `next` is scratch space.
+    pub(crate) fn each_move<'s>(
+        &'s self,
         cur: &[u32],
         next: &mut Vec<u32>,
-        mut emit: impl FnMut(&[u32], (u32, u32)),
+        mut emit: impl FnMut(&[u32], (u32, u32), Option<&'s Broadcast>),
     ) {
         let t = &self.template;
         for q in 0..cur.len() as u32 {
@@ -176,7 +176,7 @@ impl CounterSystem {
                     next.extend_from_slice(cur);
                     next[q as usize] -= 1;
                     next[q2 as usize] += 1;
-                    emit(next, (q, q2));
+                    emit(next, (q, q2), None);
                 }
             }
         }
@@ -186,7 +186,7 @@ impl CounterSystem {
             }
             let mv = (b.source(), b.target());
             respond_into(cur, b.response(), Some(mv), next);
-            emit(next, mv);
+            emit(next, mv, Some(b));
         }
     }
 
@@ -257,7 +257,7 @@ impl CounterSystem {
                 self.write_name(v, &mut name);
                 name
             },
-            |cur, emit| self.each_move(cur, &mut next, |succ, _| emit(succ)),
+            |cur, emit| self.each_move(cur, &mut next, |succ, _, _| emit(succ)),
         );
         // Exploration telemetry is flushed once after the sweep: the hot
         // loop itself touches no atomics. `states` vs `arrivals` (edges)

@@ -1,12 +1,11 @@
 //! Compiling template-level weak fairness to transition fairness on each
 //! structure.
 //!
-//! A [`FairnessDecl`](crate::template::FairnessDecl) names a *group* of
-//! local moves and asks for group-level weak fairness: on every
-//! considered path, infinitely often either no move of the group is
-//! enabled or some move of the group is taken. "Taken" is a property of
-//! a transition, so the declaration compiles to one
-//! [`icstar_mc::fair::FairReq`] per structure:
+//! A [`FairnessDecl`] names a *group* of local moves and asks for
+//! group-level weak fairness: on every considered path, infinitely often
+//! either no move of the group is enabled or some move of the group is
+//! taken. "Taken" is a property of a transition, so the declaration
+//! compiles to one [`icstar_mc::fair::FairReq`] per structure:
 //!
 //! * the requirement's **edges** are exactly the structure transitions
 //!   realized by a move of the group (a copy firing a selected plain
@@ -26,7 +25,8 @@
 //! against [`check_fair_explicit`].
 //!
 //! [`counter_graph`] / [`rep_graph`] bundle each structure with its
-//! compiled [`TransFairness`] — the unit the engine caches and checks.
+//! compiled [`TransFairness`] — the unit the engine caches and checks —
+//! filtered from the counter moves, or from the lifted edges' moves.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -43,8 +43,8 @@ use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy}
 use crate::error::SymError;
 use crate::explore::CounterSystem;
 use crate::labels::CountingSpec;
-use crate::rep::{build_rep, each_rep_move};
-use crate::template::GuardedTemplate;
+use crate::rep::build_rep;
+use crate::template::{FairnessDecl, GuardedTemplate};
 
 /// The counter structure of a system bundled with its compiled fairness
 /// requirements — everything a fair (or plain) check over counting atoms
@@ -82,7 +82,7 @@ pub fn counter_graph(sys: &CounterSystem, spec: &CountingSpec) -> CounterGraph {
 }
 
 /// Builds the width-`width` representative structure together with its
-/// fairness requirements.
+/// fairness requirements, filtered from the moves of its lifted edges.
 ///
 /// # Errors
 ///
@@ -92,11 +92,12 @@ pub fn rep_graph(
     spec: &CountingSpec,
     width: u32,
 ) -> Result<RepGraph, SymError> {
-    let (kripke, mut table) = build_rep(sys, spec, width)?;
-    let (mut total, mut next) = (Vec::new(), Vec::new());
-    let fairness = compile(sys.template(), &mut table, |cur, edge| {
-        each_rep_move(sys, cur, &mut total, &mut next, |succ, mv| edge(succ, mv))
-    });
+    let decls = sys.template().fairness();
+    let mut edges = vec![BTreeSet::new(); decls.len()];
+    let (kripke, _) = build_rep(sys, spec, width, |from, to, mv| {
+        take(decls, &mut edges, from, to, mv);
+    })?;
+    let fairness = requirements(edges, kripke.kripke().num_states());
     Ok(RepGraph { kripke, fairness })
 }
 
@@ -112,52 +113,52 @@ pub fn counter_fairness(sys: &CounterSystem, states: &[CounterState]) -> TransFa
 }
 
 fn counter_moves_fairness(sys: &CounterSystem, table: &mut StateTable) -> TransFairness {
-    let mut next = Vec::new();
-    compile(sys.template(), table, |cur, edge| {
-        sys.each_move(cur, &mut next, |succ, mv| edge(succ, mv))
-    })
-}
-
-/// Compiles the template's declarations as a filter over the moves of
-/// the states in `table`: `moves(cur, edge)` calls `edge(next, (src,
-/// tgt))` for every move of `cur` — a copy taking `src → tgt`, or
-/// initiating a broadcast that does — leading to `next`. A declaration's
-/// edges are the transitions realized by moves it selects; its released
-/// states are those where it selects none.
-fn compile(
-    t: &GuardedTemplate,
-    table: &mut StateTable,
-    mut moves: impl FnMut(&[u32], &mut dyn FnMut(&[u32], (u32, u32))),
-) -> TransFairness {
-    if !t.is_fair() {
+    if !sys.template().is_fair() {
         return TransFairness::unconstrained();
     }
-    let decls = t.fairness();
-    let mut released = vec![BitSet::new(table.len()); decls.len()];
+    let decls = sys.template().fairness();
     let mut edges = vec![BTreeSet::new(); decls.len()];
-    let (mut cur, mut taken) = (Vec::new(), vec![false; decls.len()]);
+    let (mut cur, mut next) = (Vec::new(), Vec::new());
     for i in 0..table.len() {
         cur.clear();
         cur.extend_from_slice(table.state(i));
-        taken.fill(false);
-        moves(&cur, &mut |next, (src, tgt)| {
-            for (d, decl) in decls.iter().enumerate() {
-                if decl.contains(src, tgt) {
-                    let (j, new) = table.intern(next);
-                    debug_assert!(!new, "moves stay among the reachable states");
-                    taken[d] = true;
-                    edges[d].insert((i as u32, j));
-                }
+        sys.each_move(&cur, &mut next, |succ, (src, tgt), _| {
+            if decls.iter().any(|d| d.contains(src, tgt)) {
+                take(decls, &mut edges, i as u32, table.id(succ), (src, tgt));
             }
         });
-        for (d, &taken) in taken.iter().enumerate() {
-            if !taken {
-                released[d].insert(i);
-            }
+    }
+    requirements(edges, table.len())
+}
+
+/// Records a move `(src, tgt)` — a copy taking it, or initiating a
+/// broadcast that does — realizing the transition `from → to`, as an
+/// edge of every declaration that selects it.
+fn take(
+    decls: &[FairnessDecl],
+    edges: &mut [BTreeSet<(u32, u32)>],
+    from: u32,
+    to: u32,
+    (src, tgt): (u32, u32),
+) {
+    for (decl, edges) in decls.iter().zip(edges) {
+        if decl.contains(src, tgt) {
+            edges.insert((from, to));
         }
     }
-    let reqs = released.into_iter().zip(edges);
-    TransFairness::new(reqs.map(|(r, e)| FairReq::new(r, e)))
+}
+
+/// Each declaration's requirement over a structure of `num_states`
+/// states: its edges, and as released states those where it selects no
+/// move — the states with no edge of its own, since a selected move
+/// always realizes one.
+fn requirements(edges: Vec<BTreeSet<(u32, u32)>>, num_states: usize) -> TransFairness {
+    TransFairness::new(edges.into_iter().map(|edges| {
+        let taken = edges.iter().map(|&(from, _)| from as usize);
+        let mut released = BitSet::from_iter_with_capacity(num_states, taken);
+        released.complement();
+        FairReq::new(released, edges)
+    }))
 }
 
 /// Compiles the template's fairness declarations onto the explicit

@@ -12,6 +12,13 @@
 //! width `k` is chosen per formula: the quantifier nesting depth
 //! ([`icstar_logic::restricted_depth`]), capped at `n`.
 //!
+//! **A lift of the counter reachability set.** Premise: full symmetry
+//! and one initial local state. So once occupancy `c` is reachable, so
+//! is every split `(c − t, t)` with a tuple `t` of tracked locals fitting
+//! inside `c` (permute the copies), and its moves are those of `c`,
+//! fired by a tracked or an untracked copy. No second exploration runs;
+//! this is German–Sistla's "one process plus environment" construction.
+//!
 //! **Soundness boundary.** Full symmetry makes all copies interchangeable
 //! *at the symmetric initial state*: a quantifier with `d` outer index
 //! values in scope only distinguishes its candidates up to the equality
@@ -27,8 +34,8 @@
 
 use icstar_kripke::{Atom, Index, IndexedKripke};
 
-use crate::build::{self, StateTable};
-use crate::counter::{respond_into, CounterPacking, CounterState};
+use crate::build::{self, Rows, StateTable};
+use crate::counter::CounterState;
 use crate::error::SymError;
 use crate::explore::CounterSystem;
 use crate::labels::{CountingSpec, LabelTable};
@@ -103,26 +110,107 @@ pub fn representative_with_states(
     spec: &CountingSpec,
     width: u32,
 ) -> Result<(IndexedKripke, Vec<RepState>), SymError> {
-    let (kripke, table) = build_rep(sys, spec, width)?;
-    let num_locals = sys.template().num_states();
-    let states = table
-        .states()
-        .map(|v| RepState {
-            locals: v[num_locals..].to_vec(),
-            others: CounterState::new(v[..num_locals].to_vec()),
+    let (kripke, lift) = build_rep(sys, spec, width, |_, _, _| {})?;
+    let states = (0..lift.counters.len())
+        .flat_map(|i| lift.range(i).map(move |s| (i, s)))
+        .map(|(i, s)| {
+            let locals = lift.tuple(s).to_vec();
+            let mut others = lift.counters.state(i).to_vec();
+            for &l in &locals {
+                others[l as usize] -= 1;
+            }
+            RepState {
+                locals,
+                others: CounterState::new(others),
+            }
         })
         .collect();
     Ok((kripke, states))
 }
 
-/// The BFS builder of the width-`width` structure; returns it with its
-/// discovered states as flat vectors `others ++ locals`: the occupancy of
-/// the abstracted copies, then each tracked copy's local state.
+/// The states `(c, t)` of a width-`k` structure, numbered by counter
+/// state `c` (BFS order), then by fitting tuple `t` (lexicographic): one
+/// offset per counter state plus one tuple per structure state.
+pub(crate) struct Lift {
+    /// The reachable counter states.
+    counters: StateTable,
+    /// The states over counter state `i` are `heads[i]..heads[i + 1]`.
+    heads: Vec<u32>,
+    /// The tracked locals of state `s`: `tuples[s * width..][..width]`.
+    tuples: Vec<u32>,
+    width: usize,
+}
+
+impl Lift {
+    /// Numbers the fitting tuples of every counter state in `counters`.
+    fn new(counters: StateTable, width: usize) -> Self {
+        let (mut heads, mut tuples) = (vec![0], Vec::new());
+        let (mut free, mut tuple) = (Vec::new(), Vec::with_capacity(width));
+        for c in counters.states() {
+            // Depth-first over positions, trying local states in order
+            // while copies are left in them.
+            free.clear();
+            free.extend_from_slice(c);
+            let mut from = 0;
+            loop {
+                if tuple.len() == width {
+                    tuples.extend_from_slice(&tuple);
+                } else if let Some(q) = (from..free.len()).find(|&q| free[q] > 0) {
+                    free[q] -= 1;
+                    tuple.push(q as u32);
+                    from = 0;
+                    continue;
+                }
+                let Some(q) = tuple.pop() else { break };
+                free[q as usize] += 1;
+                from = q as usize + 1;
+            }
+            heads.push((tuples.len() / width) as u32);
+        }
+        Lift {
+            counters,
+            heads,
+            tuples,
+            width,
+        }
+    }
+
+    /// The ids of the states over counter state `i`.
+    fn range(&self, i: usize) -> std::ops::Range<u32> {
+        self.heads[i]..self.heads[i + 1]
+    }
+
+    /// The tracked locals of state `s`.
+    fn tuple(&self, s: u32) -> &[u32] {
+        &self.tuples[s as usize * self.width..][..self.width]
+    }
+
+    /// The id of the state over counter state `i` tracking `tuple`.
+    fn id(&self, i: u32, tuple: &[u32]) -> u32 {
+        let (mut lo, mut hi) = (self.heads[i as usize], self.heads[i as usize + 1]);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.tuple(mid) < tuple {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        debug_assert_eq!(self.tuple(lo), tuple, "a fitting tuple");
+        lo
+    }
+}
+
+/// Builds the width-`width` structure as a lift of the counter
+/// reachability set (see the module docs), calling `on_edge(from, to,
+/// (src, tgt))` for every move of every state; returns it with its id
+/// map.
 pub(crate) fn build_rep(
     sys: &CounterSystem,
     spec: &CountingSpec,
     width: u32,
-) -> Result<(IndexedKripke, StateTable), SymError> {
+    mut on_edge: impl FnMut(u32, u32, (u32, u32)),
+) -> Result<(IndexedKripke, Lift), SymError> {
     let n = sys.size();
     if n == 0 {
         return Err(SymError::EmptyFamily);
@@ -153,114 +241,82 @@ pub(crate) fn build_rep(
         })
         .collect();
 
-    let mut initial = vec![template.initial(); num_locals + w];
-    initial[..num_locals].fill(0);
-    initial[template.initial() as usize] = n - width;
-    let (mut label_total, mut total, mut next) = (Vec::new(), Vec::new(), Vec::new());
-    let (rows, table, _) = build::explore(
-        CounterPacking::new(num_locals + w, n.max(num_locals as u32)),
-        universe,
-        &initial,
-        |v, label| {
-            let (others, locals) = v.split_at(num_locals);
-            for (c, &l) in locals.iter().enumerate() {
+    let mut next = Vec::new();
+    let (_, counters, _) = build::explore(
+        *sys.packing(),
+        Vec::new(),
+        sys.initial().counts(),
+        |_, _| String::new(),
+        |cur, emit| sys.each_move(cur, &mut next, |succ, _, _| emit(succ)),
+    );
+    let mut lift = Lift::new(counters, w);
+    let mut rows = Rows::new(universe);
+    let (mut cur, mut moves, mut counting) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut label, mut others, mut succ, mut name) =
+        (Vec::new(), Vec::new(), Vec::new(), String::new());
+    for i in 0..lift.counters.len() {
+        cur.clear();
+        cur.extend_from_slice(lift.counters.state(i));
+        moves.clear();
+        let counters = &mut lift.counters;
+        sys.each_move(&cur, &mut next, |c, mv, bc| {
+            moves.push((counters.id(c), mv, bc))
+        });
+        counting.clear();
+        labels.push_labels(&cur, &mut counting);
+        for s in lift.range(i) {
+            let t = lift.tuple(s);
+            label.clear();
+            for (c, &l) in t.iter().enumerate() {
                 label.extend_from_slice(&indexed[c * num_locals + l as usize]);
             }
-            total_counts(v, num_locals, &mut label_total);
-            labels.push_labels(&label_total, label);
-            let mut name = String::from("rep=");
-            for (c, &l) in locals.iter().enumerate() {
+            label.extend_from_slice(&counting);
+            others.clear();
+            others.extend_from_slice(&cur);
+            name.clear();
+            name.push_str("rep=");
+            for (c, &l) in t.iter().enumerate() {
+                others[l as usize] -= 1;
                 if c > 0 {
                     name.push(',');
                 }
                 name.push_str(template.state_name(l));
             }
             name.push('|');
-            sys.write_name(others, &mut name);
-            name
-        },
-        |cur, emit| each_rep_move(sys, cur, &mut total, &mut next, |succ, _| emit(succ)),
-    );
+            sys.write_name(&others, &mut name);
+            // A copy of the scratch name is allocated at its exact length.
+            rows.add_state(name.clone(), &label);
+
+            for &(j, mv, bc) in &moves {
+                let (src, tgt) = mv;
+                succ.clear();
+                match bc {
+                    None => succ.extend_from_slice(t),
+                    Some(b) => succ.extend(t.iter().map(|&l| b.response_of(l))),
+                }
+                let mut edge = |succ: &[u32]| {
+                    let to = lift.id(j, succ);
+                    rows.add_edge(to);
+                    on_edge(s, to, mv);
+                };
+                // A tracked copy in the move's source fires it, or an
+                // untracked one does.
+                for c in 0..w {
+                    if t[c] == src {
+                        let rest = std::mem::replace(&mut succ[c], tgt);
+                        edge(&succ);
+                        succ[c] = rest;
+                    }
+                }
+                if others[src as usize] > 0 {
+                    edge(&succ);
+                }
+            }
+            rows.close_row(s);
+        }
+    }
     let indices = (0..width).map(|c| REPRESENTATIVE_INDEX + c as Index);
-    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), table))
-}
-
-/// The occupancy of all copies of the flat representative state `v`,
-/// written into `total`.
-fn total_counts(v: &[u32], num_locals: usize, total: &mut Vec<u32>) {
-    let (others, locals) = v.split_at(num_locals);
-    total.clear();
-    total.extend_from_slice(others);
-    for &l in locals {
-        total[l as usize] += 1;
-    }
-}
-
-/// The representative move semantics: calls `emit(next, (src, tgt))` for
-/// every move of the flat state `cur`, in canonical order — one tracked
-/// copy takes an enabled `src → tgt`, or one abstracted copy does, or a
-/// broadcast whose initiator takes `src → tgt` fires, initiated by a
-/// tracked copy (its tracked peers and every abstracted copy respond) or
-/// by an abstracted one (all tracked copies respond). Guards read the
-/// occupancy of all copies. Several moves may lead to the same state;
-/// callers keep the first. `total` and `next` are scratch space.
-pub(crate) fn each_rep_move(
-    sys: &CounterSystem,
-    cur: &[u32],
-    total: &mut Vec<u32>,
-    next: &mut Vec<u32>,
-    mut emit: impl FnMut(&[u32], (u32, u32)),
-) {
-    let template = sys.template();
-    let num_locals = template.num_states();
-    total_counts(cur, num_locals, total);
-    let (others, locals) = cur.split_at(num_locals);
-    for (t, &q) in locals.iter().enumerate() {
-        for (k, &q2) in template.successors(q).iter().enumerate() {
-            if template.enabled_at(total, q, k) {
-                next.clear();
-                next.extend_from_slice(cur);
-                next[num_locals + t] = q2;
-                emit(next, (q, q2));
-            }
-        }
-    }
-    for q in 0..num_locals as u32 {
-        if others[q as usize] == 0 {
-            continue;
-        }
-        for (k, &q2) in template.successors(q).iter().enumerate() {
-            if template.enabled_at(total, q, k) {
-                next.clear();
-                next.extend_from_slice(cur);
-                next[q as usize] -= 1;
-                next[q2 as usize] += 1;
-                emit(next, (q, q2));
-            }
-        }
-    }
-    for bc in template.broadcasts() {
-        if !bc.enabled_at(total) {
-            continue;
-        }
-        let mv = (bc.source(), bc.target());
-        // Everyone but the initiator follows the response map.
-        let respond = |next: &mut Vec<u32>, initiator| {
-            respond_into(others, bc.response(), initiator, next);
-            next.extend(locals.iter().map(|&l| bc.response_of(l)));
-        };
-        for (t, &q) in locals.iter().enumerate() {
-            if q == bc.source() {
-                respond(next, None);
-                next[num_locals + t] = bc.target();
-                emit(next, mv);
-            }
-        }
-        if others[bc.source() as usize] > 0 {
-            respond(next, Some(mv));
-            emit(next, mv);
-        }
-    }
+    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), lift))
 }
 
 #[cfg(test)]

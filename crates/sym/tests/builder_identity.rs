@@ -1,20 +1,25 @@
-//! The BFS builder against a reference construction.
+//! Both builders against reference constructions.
 //!
-//! The reference explores the same BFS through the public pieces —
+//! The references explore a BFS through the public pieces —
 //! [`CounterSystem::successors`], [`CountingSpec::atoms_for_counter`] and
 //! the representative move rules written out over [`RepState`] — and
-//! freezes through [`KripkeBuilder`]. Counter abstraction is the exact
-//! quotient by full symmetry, so the builder must reproduce it *exactly*:
-//! the same atom table in the same order, the same names, label bitsets,
-//! successor and predecessor lists, initial state and state vectors. The
-//! fairness compiled onto both structures is checked the same way against
-//! a per-declaration, per-move-pair reference.
+//! freeze through [`KripkeBuilder`]. Counter abstraction is the exact
+//! quotient by full symmetry, so the counter builder must reproduce it
+//! *exactly*: the same atom table in the same order, the same names,
+//! label bitsets, successor and predecessor lists, initial state and
+//! state vectors. The representative builder lifts its states from the
+//! counter reachability set instead of exploring them, so it numbers them
+//! differently; under the id map given by its [`RepState`]s it must
+//! reproduce the reference's state set, initial state, names, label atom
+//! sets and successor sets. The fairness compiled onto both structures is
+//! checked the same way against a per-declaration, per-move-pair
+//! reference.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Atom, Index, Kripke, KripkeBuilder, StateId};
+use icstar_kripke::{Atom, AtomId, Index, Kripke, KripkeBuilder, StateId};
 use icstar_mc::fair::TransFairness;
 use icstar_nets::fig41_template;
 use icstar_sym::arb::{random_guarded_template, RandomGuardedConfig};
@@ -353,21 +358,100 @@ fn check_template(t: &GuardedTemplate, what: &str) {
             let graph = counter_graph(&sys, &spec);
             assert_eq!(reqs(&graph.fairness), ref_fair, "{ctx}: fairness");
             assert_eq!(reqs(&counter_fairness(&sys, &states)), ref_fair, "{ctx}");
-            for width in [1u32, 2] {
-                if width > n {
-                    continue;
-                }
+            for width in rep_widths(t, n) {
                 let (built, states) = representative_with_states(&sys, &spec, width).unwrap();
                 let (reference, ref_states) = reference_rep(&sys, &spec, width);
                 let ctx = format!("{what}, width {width}, n = {n}, spec {spec:?}");
-                assert_identical(built.kripke(), &reference, &ctx);
-                assert_eq!(states, ref_states, "{ctx}: state vectors");
+                let ids = id_map(&states, &ref_states, &ctx);
+                assert_isomorphic(built.kripke(), &reference, &ids, &ctx);
                 let ref_fair = reference_rep_fairness(&sys, &ref_states);
                 let graph = rep_graph(&sys, &spec, width).unwrap();
-                assert_eq!(reqs(&graph.fairness), ref_fair, "{ctx}: fairness");
+                assert_eq!(map_reqs(&graph.fairness, &ids), ref_fair, "{ctx}: fairness");
             }
         }
     }
+}
+
+/// Widths 1 and 2, and width `n` wherever the fully explicit structure
+/// stays small, all capped at `n`.
+fn rep_widths(t: &GuardedTemplate, n: u32) -> Vec<u32> {
+    let mut widths: Vec<u32> = [1, 2].into_iter().filter(|&w| w <= n).collect();
+    let explicit = (t.num_states() as u64).checked_pow(n);
+    if n > 2 && explicit.is_some_and(|size| size <= 5_000) {
+        widths.push(n);
+    }
+    widths
+}
+
+/// The reference id of each built state, checking that the two state
+/// sets are equal.
+fn id_map(built: &[RepState], reference: &[RepState], what: &str) -> Vec<u32> {
+    let ids: HashMap<&RepState, u32> = reference
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s, i as u32))
+        .collect();
+    assert_eq!(built.len(), reference.len(), "{what}: states");
+    let map: Vec<u32> = built
+        .iter()
+        .map(|s| {
+            *ids.get(s)
+                .unwrap_or_else(|| panic!("{what}: {s:?} unreached"))
+        })
+        .collect();
+    assert_eq!(
+        map.iter().collect::<BTreeSet<_>>().len(),
+        map.len(),
+        "{what}: distinct"
+    );
+    map
+}
+
+fn assert_isomorphic(built: &Kripke, reference: &Kripke, ids: &[u32], what: &str) {
+    let map = |s: StateId| StateId(ids[s.0 as usize]);
+    let atoms = |k: &Kripke, s: StateId| -> BTreeSet<String> {
+        k.label(s)
+            .iter()
+            .map(|a| k.atoms().atom(AtomId(a as u32)).to_string())
+            .collect()
+    };
+    assert_eq!(built.num_states(), reference.num_states(), "{what}: states");
+    assert_eq!(map(built.initial()), reference.initial(), "{what}: initial");
+    for s in built.states() {
+        let r = map(s);
+        assert_eq!(
+            built.state_name(s),
+            reference.state_name(r),
+            "{what}: name of {s}"
+        );
+        assert_eq!(atoms(built, s), atoms(reference, r), "{what}: label of {s}");
+        let succs: BTreeSet<StateId> = built.successors(s).iter().map(|&t| map(t)).collect();
+        let ref_succs: BTreeSet<StateId> = reference.successors(r).iter().copied().collect();
+        assert_eq!(
+            built.successors(s).len(),
+            succs.len(),
+            "{what}: succ of {s} repeats"
+        );
+        assert_eq!(succs, ref_succs, "{what}: succ of {s}");
+    }
+}
+
+/// `f`'s requirements with every state renamed by `ids`.
+fn map_reqs(f: &TransFairness, ids: &[u32]) -> Vec<(BitSet, BTreeSet<(u32, u32)>)> {
+    f.reqs()
+        .iter()
+        .map(|r| {
+            let released = r.states().iter().map(|s| ids[s] as usize);
+            let edges = r
+                .edges()
+                .iter()
+                .map(|&(a, b)| (ids[a as usize], ids[b as usize]));
+            (
+                BitSet::from_iter_with_capacity(ids.len(), released),
+                edges.collect(),
+            )
+        })
+        .collect()
 }
 
 #[test]

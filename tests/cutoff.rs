@@ -222,3 +222,38 @@ fn pinned_refusals_for_fragment_and_fairness() {
         Err(CutoffRefusal::Fair)
     ));
 }
+
+/// The guard chain: states `s0..s8`, `s_i` labeled `q_i`, every state
+/// with a self-loop, and `s_i → s_{i+1}` guarded by `@q_i >= 2`. A copy
+/// climbs one level only by leaving another behind, so reaching `s8`
+/// takes nine copies — a size no guard or atom constant reveals.
+fn guard_chain() -> GuardedTemplate {
+    let mut b = GuardedBuilder::new();
+    let states: Vec<u32> = (0..9)
+        .map(|i| b.state(format!("s{i}"), [format!("q{i}")]))
+        .collect();
+    for (i, &s) in states.iter().enumerate() {
+        b.edge(s, s);
+        if let Some(&up) = states.get(i + 1) {
+            b.edge_guarded(s, up, [Guard::at_least(format!("q{i}"), 2)]);
+        }
+    }
+    b.build(states[0])
+}
+
+#[test]
+fn guard_chain_direct_verdicts_are_pinned() {
+    // The known counterexample to the certificate's premise: the counter
+    // structures of adjacent small sizes correspond after projection to
+    // `q8_ge1`, yet the verdict flips at n = 9. A certificate scanned
+    // from small sizes (today `c = 2, holds = false`) is wrong from there
+    // on; these direct verdicts are what a sound route must reproduce.
+    let engine = SymEngine::new(guard_chain());
+    let f = parse_state("EF q8_ge1").unwrap();
+    for n in 1..=8 {
+        assert!(!engine.check(n, &f).unwrap(), "n = {n}");
+    }
+    for n in [9, 10, 20] {
+        assert!(engine.check(n, &f).unwrap(), "n = {n}");
+    }
+}
