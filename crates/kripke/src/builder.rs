@@ -2,15 +2,18 @@
 
 use std::collections::HashMap;
 
-use crate::atom::Atom;
-use crate::structure::{intern_labels, Kripke, StateId, StructureError};
+use crate::atom::{Atom, AtomTable};
+use crate::interner::LabelInterner;
+use crate::structure::{Kripke, StateId, StructureError};
 
 /// A builder for [`Kripke`] structures.
 ///
 /// States are added first (optionally with labels), then edges, then
-/// [`build`](KripkeBuilder::build) freezes the structure, interning labels
-/// into bitsets and checking the paper's structural requirements
-/// (non-empty, total transition relation).
+/// [`build`](KripkeBuilder::build) freezes the structure: it interns the
+/// atoms in first-seen order and each state's atom list straight into a
+/// [`LabelInterner`], and checks the paper's structural requirements
+/// (non-empty, total transition relation). Labels may be added to any
+/// state until then.
 ///
 /// # Examples
 ///
@@ -125,13 +128,17 @@ impl KripkeBuilder {
     /// Returns a [`StructureError`] if the structure is empty, `init` is
     /// unknown, or some state has no outgoing transition.
     pub fn build(self, init: StateId) -> Result<Kripke, StructureError> {
-        let (atoms, labels) = intern_labels(self.labels);
+        let (mut atoms, mut table) = (AtomTable::new(), LabelInterner::new());
+        let label_of = (self.labels.into_iter())
+            .map(|label| table.intern(label.into_iter().map(|a| atoms.intern(a))))
+            .collect();
         let (mut heads, mut edges) = (vec![0], Vec::new());
         for outs in &self.adjacency {
             edges.extend_from_slice(outs);
             heads.push(edges.len() as u32);
         }
-        Kripke::from_csr(atoms, labels, heads, edges, init, self.names)
+        let labels = table.finish(atoms.len());
+        Kripke::from_csr(atoms, labels, label_of, heads, edges, init, self.names)
     }
 }
 

@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use crate::atom::{Atom, AtomId, AtomTable, Index, CANONICAL_INDEX};
-use crate::bits::BitSet;
 use crate::structure::{Kripke, StructureError};
 
 /// A Kripke structure together with its index set `I`.
@@ -110,22 +109,10 @@ impl IndexedKripke {
             };
             remap.push(keep.map(|a| atoms.intern(a)));
         }
-        let nbits = atoms.len();
-        let labels: Vec<BitSet> = self
-            .kripke
-            .states()
-            .map(|s| {
-                let mut set = BitSet::new(nbits);
-                for bit in self.kripke.label(s).iter() {
-                    if let Some(new_id) = remap[bit] {
-                        set.insert(new_id.idx());
-                    }
-                }
-                set
-            })
-            .collect();
         self.kripke
-            .relabeled(atoms, labels)
+            .relabeled(atoms, |label| {
+                label.iter().filter_map(|a| remap[a]).collect()
+            })
             .expect("reduction preserves structural invariants")
     }
 
@@ -155,32 +142,17 @@ impl IndexedKripke {
             .iter()
             .map(|p| (p.clone(), atoms.intern(Atom::exactly_one(p.clone()))))
             .collect();
-        let nbits = atoms.len();
-        let labels: Vec<BitSet> = self
-            .kripke
-            .states()
-            .map(|s| {
-                let mut set = BitSet::new(nbits);
-                for bit in self.kripke.label(s).iter() {
-                    set.insert(bit);
+        let k = self.kripke.relabeled(atoms, |label| {
+            let mut ids: Vec<AtomId> = label.iter().map(|a| AtomId(a as u32)).collect();
+            let held = |id: &&AtomId| label.contains(id.idx());
+            for (p, theta) in &theta_ids {
+                let instances = per_prop.get(p.as_str()).map_or(&[][..], Vec::as_slice);
+                if instances.iter().filter(held).count() == 1 {
+                    ids.push(*theta);
                 }
-                for (p, theta) in &theta_ids {
-                    let count = per_prop
-                        .get(p.as_str())
-                        .map(|ids| {
-                            ids.iter()
-                                .filter(|id| self.kripke.label(s).contains(id.idx()))
-                                .count()
-                        })
-                        .unwrap_or(0);
-                    if count == 1 {
-                        set.insert(theta.idx());
-                    }
-                }
-                set
-            })
-            .collect();
-        let k = self.kripke.relabeled(atoms, labels)?;
+            }
+            ids
+        })?;
         Ok(IndexedKripke {
             kripke: k,
             indices: self.indices.clone(),

@@ -39,6 +39,7 @@
 mod atom;
 mod builder;
 mod indexed;
+mod interner;
 mod structure;
 
 pub mod bits;
@@ -50,4 +51,5 @@ pub mod path;
 pub use atom::{Atom, AtomId, AtomTable, Index, CANONICAL_INDEX};
 pub use builder::KripkeBuilder;
 pub use indexed::IndexedKripke;
+pub use interner::LabelInterner;
 pub use structure::{Kripke, StateId, StructureError};

@@ -1,10 +1,10 @@
 //! The Kripke structure `M = (S, R, L, s₀)` of Section 2.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::atom::{Atom, AtomId, AtomTable};
 use crate::bits::BitSet;
+use crate::interner::LabelInterner;
 
 /// A dense identifier for a state of a [`Kripke`] structure.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -36,6 +36,9 @@ pub enum StructureError {
     DanglingEdge(StateId, StateId),
     /// The designated initial state does not exist.
     BadInitial(StateId),
+    /// A state's label id names no label of the label table, or the
+    /// label under that id is not a bitset over the atom table.
+    BadLabel(u32),
 }
 
 impl fmt::Display for StructureError {
@@ -49,6 +52,9 @@ impl fmt::Display for StructureError {
                 write!(f, "edge {a} -> {b} references a missing state")
             }
             StructureError::BadInitial(s) => write!(f, "initial state {s} does not exist"),
+            StructureError::BadLabel(l) => {
+                write!(f, "label {l} is missing or not sized to the atom table")
+            }
         }
     }
 }
@@ -62,10 +68,10 @@ impl std::error::Error for StructureError {}
 ///   (every state has at least one successor) so that every finite path
 ///   extends to an infinite one;
 /// * `L : S → 2^AP` — the proposition labeling, stored as bitsets over an
-///   interned [`AtomTable`]. The bitsets are interned too: each distinct
-///   label is stored once and every state holds a `u32` index into that
-///   table, since counter and representative structures carry a few
-///   dozen distinct labels over up to millions of states;
+///   interned [`AtomTable`]. Each distinct label is stored once and every
+///   state holds a `u32` index into that table, since counter and
+///   representative structures carry a few dozen distinct labels over up
+///   to millions of states;
 /// * `s₀` — the initial state.
 ///
 /// Construct via [`KripkeBuilder`](crate::KripkeBuilder).
@@ -103,29 +109,33 @@ pub struct Kripke {
 impl Kripke {
     /// Assembles a structure from compressed-sparse-row parts: state
     /// `s` has successors `succ_edges[succ_heads[s]..succ_heads[s + 1]]`
-    /// and label `labels[s]` over `atoms`. Every constructor (the
-    /// [`KripkeBuilder`](crate::KripkeBuilder), restriction, relabeling,
-    /// the builders of `icstar-sym`) goes through here, so there is
-    /// one validator, one predecessor pass and one place where equal
-    /// labels are interned into a shared table.
+    /// and label `labels[label_of[s]]` over `atoms`. Every constructor
+    /// (the [`KripkeBuilder`](crate::KripkeBuilder), restriction,
+    /// relabeling, the builders of `icstar-sym`) interns each state's
+    /// label through a [`LabelInterner`] as it creates the state and
+    /// comes through here, so there is one validator and one predecessor
+    /// pass.
     ///
     /// # Errors
     ///
-    /// As [`Kripke::validate`], plus [`StructureError::DanglingEdge`].
+    /// As [`Kripke::validate`], plus [`StructureError::DanglingEdge`] and
+    /// [`StructureError::BadLabel`].
     ///
     /// # Panics
     ///
     /// Panics unless `succ_heads` has `|S| + 1` entries, from 0 to
-    /// `succ_edges.len()`, and there is one name per state.
+    /// `succ_edges.len()`, and there is one name per state, where `|S|`
+    /// is `label_of.len()`.
     pub fn from_csr(
         atoms: AtomTable,
         labels: Vec<BitSet>,
+        label_of: Vec<u32>,
         succ_heads: Vec<u32>,
         succ_edges: Vec<StateId>,
         init: StateId,
         names: Vec<String>,
     ) -> Result<Self, StructureError> {
-        let n = labels.len();
+        let n = label_of.len();
         assert!(
             succ_heads.len() == n + 1
                 && succ_heads[0] == 0
@@ -138,6 +148,12 @@ impl Kripke {
         }
         if init.idx() >= n {
             return Err(StructureError::BadInitial(init));
+        }
+        if let Some(l) = labels.iter().position(|l| l.capacity() != atoms.len()) {
+            return Err(StructureError::BadLabel(l as u32));
+        }
+        if let Some(&l) = label_of.iter().find(|&&l| l as usize >= labels.len()) {
+            return Err(StructureError::BadLabel(l));
         }
         // Check totality and edge sanity while counting in-degrees.
         let mut pred_heads = vec![0u32; n + 1];
@@ -164,7 +180,6 @@ impl Kripke {
                 cursor[t.idx()] += 1;
             }
         }
-        let (labels, label_of) = intern_bitsets(labels);
         Ok(Kripke {
             atoms,
             labels,
@@ -181,26 +196,64 @@ impl Kripke {
     /// The same states, names and transitions, with `label(s)` as the
     /// label of each state `s`. Atoms are interned in first-seen order, as
     /// [`KripkeBuilder`](crate::KripkeBuilder) interns them.
-    pub fn relabel_with(&self, label: impl FnMut(StateId) -> Vec<Atom>) -> Kripke {
-        let (atoms, labels) = intern_labels(self.states().map(label));
-        self.relabeled(atoms, labels)
+    pub fn relabel_with(&self, mut label: impl FnMut(StateId) -> Vec<Atom>) -> Kripke {
+        let (mut atoms, mut table) = (AtomTable::new(), LabelInterner::new());
+        let label_of = (self.states())
+            .map(|s| table.intern(label(s).into_iter().map(|a| atoms.intern(a))))
+            .collect();
+        self.with_labels(atoms, table, label_of)
             .expect("relabeling preserves a valid structure")
     }
 
-    /// The same states, names and transitions, relabeled over `atoms`.
+    /// The same states, names and transitions, relabeled over `atoms`:
+    /// each distinct label `l` becomes the label of atoms `map(l)`.
     pub(crate) fn relabeled(
         &self,
         atoms: AtomTable,
-        labels: Vec<BitSet>,
+        map: impl FnMut(&BitSet) -> Vec<AtomId>,
     ) -> Result<Kripke, StructureError> {
+        let (table, label_of) = self.map_labels(self.states(), map);
+        self.with_labels(atoms, table, label_of)
+    }
+
+    /// The same states, names and transitions, with the labels of `table`
+    /// over `atoms`.
+    fn with_labels(
+        &self,
+        atoms: AtomTable,
+        table: LabelInterner,
+        label_of: Vec<u32>,
+    ) -> Result<Kripke, StructureError> {
+        let labels = table.finish(atoms.len());
         Kripke::from_csr(
             atoms,
             labels,
+            label_of,
             self.succ_heads.clone(),
             self.succ_edges.clone(),
             self.init,
             self.names.clone(),
         )
+    }
+
+    /// Interns `map(l)` for each distinct label `l` of `states`, once, the
+    /// first time one of `states` carries it, so the new table is in
+    /// first-seen order too. Returns the table and the new label id of
+    /// each of `states`.
+    fn map_labels(
+        &self,
+        states: impl Iterator<Item = StateId>,
+        mut map: impl FnMut(&BitSet) -> Vec<AtomId>,
+    ) -> (LabelInterner, Vec<u32>) {
+        let mut table = LabelInterner::new();
+        let mut mapped: Vec<Option<u32>> = vec![None; self.labels.len()];
+        let label_of = states
+            .map(|s| {
+                let l = self.label_of[s.idx()] as usize;
+                *mapped[l].get_or_insert_with(|| table.intern(map(&self.labels[l])))
+            })
+            .collect();
+        (table, label_of)
     }
 
     /// Number of states `|S|`.
@@ -344,52 +397,21 @@ impl Kripke {
                 next += 1;
             }
         }
-        let (mut labels, mut names) = (Vec::new(), Vec::new());
-        let (mut heads, mut edges) = (vec![0], Vec::new());
-        for s in self.states().filter(|s| remap[s.idx()].is_some()) {
-            labels.push(self.label(s).clone());
+        let kept = || self.states().filter(|s| remap[s.idx()].is_some());
+        let atom_ids = |l: &BitSet| l.iter().map(|a| AtomId(a as u32)).collect();
+        let (table, label_of) = self.map_labels(kept(), atom_ids);
+        let (mut names, mut heads, mut edges) = (Vec::new(), vec![0], Vec::new());
+        for s in kept() {
             names.push(self.names[s.idx()].clone());
             edges.extend(self.successors(s).iter().filter_map(|t| remap[t.idx()]));
             heads.push(edges.len() as u32);
         }
         let init = remap[self.init.idx()].expect("initial state is reachable");
-        let m = Kripke::from_csr(self.atoms.clone(), labels, heads, edges, init, names)?;
+        let labels = table.finish(self.atoms.len());
+        let atoms = self.atoms.clone();
+        let m = Kripke::from_csr(atoms, labels, label_of, heads, edges, init, names)?;
         Ok((m, remap))
     }
-}
-
-/// Dedups per-state label bitsets into a table of distinct labels (in
-/// first-seen order) and each state's index into it.
-fn intern_bitsets(labels: Vec<BitSet>) -> (Vec<BitSet>, Vec<u32>) {
-    let mut index: HashMap<BitSet, u32> = HashMap::new();
-    let label_of = (labels.into_iter())
-        .map(|label| {
-            let next = index.len() as u32;
-            *index.entry(label).or_insert(next)
-        })
-        .collect();
-    let mut table: Vec<(BitSet, u32)> = index.into_iter().collect();
-    table.sort_unstable_by_key(|&(_, id)| id);
-    (
-        table.into_iter().map(|(label, _)| label).collect(),
-        label_of,
-    )
-}
-
-/// Interns one atom list per state into a fresh table, in first-seen
-/// order, and returns the table with the states' label bitsets.
-pub(crate) fn intern_labels<L: IntoIterator<Item = Atom>>(
-    labels: impl IntoIterator<Item = L>,
-) -> (AtomTable, Vec<BitSet>) {
-    let mut atoms = AtomTable::new();
-    let ids: Vec<Vec<usize>> = (labels.into_iter())
-        .map(|label| label.into_iter().map(|a| atoms.intern(a).idx()).collect())
-        .collect();
-    let nbits = atoms.len();
-    let sets = ids
-        .into_iter()
-        .map(|ids| BitSet::from_iter_with_capacity(nbits, ids));
-    (atoms, sets.collect())
 }
 
 #[cfg(test)]
@@ -467,6 +489,76 @@ mod tests {
         assert!(flat
             .states()
             .all(|s| flat.satisfies_atom(s, &Atom::plain("x"))));
+    }
+
+    /// The CSR parts of a one-state self-loop over atoms `p`, `q`.
+    fn one_state_parts() -> (AtomTable, Vec<u32>, Vec<StateId>, Vec<String>) {
+        let mut atoms = AtomTable::new();
+        atoms.intern(Atom::plain("p"));
+        atoms.intern(Atom::plain("q"));
+        (atoms, vec![0, 1], vec![StateId(0)], vec!["s0".into()])
+    }
+
+    #[test]
+    fn from_csr_rejects_a_label_id_outside_the_table() {
+        let (atoms, heads, edges, names) = one_state_parts();
+        let labels = vec![BitSet::new(2)];
+        let err = Kripke::from_csr(atoms, labels, vec![1], heads, edges, StateId(0), names);
+        assert_eq!(err.unwrap_err(), StructureError::BadLabel(1));
+    }
+
+    #[test]
+    fn from_csr_rejects_a_label_not_sized_to_the_atoms() {
+        let (atoms, heads, edges, names) = one_state_parts();
+        let labels = vec![BitSet::new(2), BitSet::new(3)];
+        let err = Kripke::from_csr(atoms, labels, vec![0], heads, edges, StateId(0), names);
+        assert_eq!(err.unwrap_err(), StructureError::BadLabel(1));
+    }
+
+    #[test]
+    fn restriction_drops_labels_only_unreachable_states_carry() {
+        let mut b = KripkeBuilder::new();
+        let a = b.state_labeled("a", [Atom::plain("p")]);
+        let dead = b.state_labeled("dead", [Atom::plain("q")]);
+        let c = b.state_labeled("c", [Atom::plain("r")]);
+        let d = b.state_labeled("d", [Atom::plain("p")]);
+        b.edges([(a, c), (c, d), (d, a), (dead, a)]);
+        let m = b.build(a).unwrap();
+        assert_eq!(m.labels.len(), 3);
+        let (r, _) = m.restrict_to_reachable().unwrap();
+        assert_eq!(r.labels.len(), 2, "{{q}} is carried by `dead` alone");
+        assert_eq!(
+            r.label_of,
+            [0, 1, 0],
+            "kept labels stay in first-seen order"
+        );
+        assert_eq!(r.label_atoms(StateId(1)), [Atom::plain("r")]);
+        assert_eq!(r.atoms().len(), 3, "the atom table is kept whole");
+    }
+
+    #[test]
+    fn builder_interns_equal_atom_sets_once_in_first_seen_order() {
+        let (p, q, r) = (Atom::plain("p"), Atom::plain("q"), Atom::plain("r"));
+        let mut b = KripkeBuilder::new();
+        let s0 = b.state_labeled("s0", [q.clone(), p.clone()]);
+        let s1 = b.state_labeled("s1", [r.clone()]);
+        let s2 = b.state_labeled("s2", [p.clone(), q.clone(), p.clone()]);
+        let s3 = b.state("s3");
+        b.add_label(s3, r.clone()).add_label(s3, r.clone());
+        // A label added after later states were created still counts.
+        b.add_label(s1, q.clone());
+        b.edges([(s0, s1), (s1, s2), (s2, s3), (s3, s0)]);
+        let m = b.build(s0).unwrap();
+        let order: Vec<_> = m.atoms().iter().map(|(_, a)| a.clone()).collect();
+        assert_eq!(order, [q, p, r.clone()]);
+        assert_eq!(m.label_of, [0, 1, 0, 2]);
+        let table: Vec<Vec<usize>> = m.labels.iter().map(|l| l.iter().collect()).collect();
+        assert_eq!(
+            table,
+            [vec![0, 1], vec![0, 2], vec![2]],
+            "{{q, p}}, {{r, q}}, {{r}}"
+        );
+        assert_eq!(m.label_atoms(s3), [r]);
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! [`StateTable`] is the BFS queue and the dedup table in one: a state's
 //! id is its queue position, and packed keys are deduplicated by open
 //! addressing over a flat arena, with no allocation per state. Rows of
-//! successors are written in CSR form as states are expanded, labels are
-//! interned in first-seen order exactly as
-//! [`icstar_kripke::KripkeBuilder`] interns them, and [`Rows::freeze`]
-//! hands everything to [`Kripke::from_csr`].
+//! successors are written in CSR form as states are expanded. Atoms are
+//! numbered in first-seen order and each state's label is interned into a
+//! [`LabelInterner`] as the state is discovered, exactly as
+//! [`icstar_kripke::KripkeBuilder`] interns them, so a state keeps one
+//! `u32` label id and no label list or bitset of its own;
+//! [`Rows::freeze`] hands everything to [`Kripke::from_csr`].
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
-use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Atom, AtomTable, Kripke, StateId};
+use icstar_kripke::{Atom, AtomId, AtomTable, Kripke, LabelInterner, StateId};
 
 use crate::counter::CounterPacking;
 
@@ -163,7 +164,7 @@ pub(crate) fn explore(
 }
 
 /// A structure under construction: one row of successors per expanded
-/// state, in id order, plus each discovered state's name and label.
+/// state, in id order, plus each discovered state's name and label id.
 pub(crate) struct Rows {
     /// Every atom a label may carry; labels name atoms by position here.
     universe: Vec<Atom>,
@@ -171,8 +172,10 @@ pub(crate) struct Rows {
     atom_id: Vec<u32>,
     /// Atom id → universe position: the atom table in first-seen order.
     seen: Vec<u32>,
-    label_heads: Vec<u32>,
-    label_ids: Vec<u32>,
+    /// The distinct labels, over atom ids.
+    labels: LabelInterner,
+    /// Each discovered state's id in `labels`.
+    label_of: Vec<u32>,
     names: Vec<String>,
     succ_heads: Vec<u32>,
     succ_edges: Vec<StateId>,
@@ -185,25 +188,27 @@ impl Rows {
             atom_id: vec![NONE; universe.len()],
             universe,
             seen: Vec::new(),
-            label_heads: vec![0],
-            label_ids: Vec::new(),
+            labels: LabelInterner::new(),
+            label_of: Vec::new(),
             names: Vec::new(),
             succ_heads: vec![0],
             succ_edges: Vec::new(),
         }
     }
 
-    /// Records the next state's name and label (universe positions, in
-    /// label order).
+    /// Records the next state's name and interns its label (universe
+    /// positions, in label order).
     pub(crate) fn add_state(&mut self, name: String, label: &[u32]) {
-        for &u in label {
-            if self.atom_id[u as usize] == NONE {
-                self.atom_id[u as usize] = self.seen.len() as u32;
-                self.seen.push(u);
+        let (atom_id, seen) = (&mut self.atom_id, &mut self.seen);
+        let ids = label.iter().map(|&u| {
+            let id = &mut atom_id[u as usize];
+            if *id == NONE {
+                *id = seen.len() as u32;
+                seen.push(u);
             }
-            self.label_ids.push(self.atom_id[u as usize]);
-        }
-        self.label_heads.push(self.label_ids.len() as u32);
+            AtomId(*id)
+        });
+        self.label_of.push(self.labels.intern(ids));
         self.names.push(name);
     }
 
@@ -229,20 +234,18 @@ impl Rows {
         self.succ_edges.len()
     }
 
-    /// Interns the atom table and label bitsets and freezes the CSR rows
-    /// into a [`Kripke`] whose initial state is the first one discovered.
+    /// Builds the atom table and the distinct label bitsets and freezes
+    /// the CSR rows into a [`Kripke`] whose initial state is the first one
+    /// discovered.
     pub(crate) fn freeze(self) -> Kripke {
         let mut atoms = AtomTable::new();
         for &u in &self.seen {
             atoms.intern(self.universe[u as usize].clone());
         }
-        let labels = self.label_heads.windows(2).map(|w| {
-            let ids = &self.label_ids[w[0] as usize..w[1] as usize];
-            BitSet::from_iter_with_capacity(self.seen.len(), ids.iter().map(|&id| id as usize))
-        });
-        let labels = labels.collect();
-        let (heads, edges, names) = (self.succ_heads, self.succ_edges, self.names);
-        Kripke::from_csr(atoms, labels, heads, edges, StateId(0), names)
+        let labels = self.labels.finish(atoms.len());
+        let (label_of, names) = (self.label_of, self.names);
+        let (heads, edges) = (self.succ_heads, self.succ_edges);
+        Kripke::from_csr(atoms, labels, label_of, heads, edges, StateId(0), names)
             .expect("abstract explorations are stutter-completed, hence total")
     }
 }

@@ -246,16 +246,17 @@ impl CounterSystem {
         let started = Instant::now();
         let explore = self.phase("explore");
         let (universe, labels) = LabelTable::compile(spec, &self.template);
-        let mut next = Vec::new();
+        let (mut next, mut name) = (Vec::new(), String::new());
         let (rows, table, frontier_peak) = build::explore(
             self.packing,
             universe,
             self.initial().counts(),
             |v, label| {
                 labels.push_labels(v, label);
-                let mut name = String::new();
+                name.clear();
                 self.write_name(v, &mut name);
-                name
+                // A copy of the scratch name is allocated at its exact length.
+                name.clone()
             },
             |cur, emit| self.each_move(cur, &mut next, |succ, _, _| emit(succ)),
         );
