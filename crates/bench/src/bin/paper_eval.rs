@@ -5,20 +5,20 @@
 //! `fig31 fig41 fig51 invariants properties correspondence thousand
 //! explosion conjecture mutants` (default: all).
 
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use icstar::icstar_bisim::spot::random_walk_simulation_check;
 use icstar::icstar_kripke::dot::to_dot;
-use icstar::icstar_logic::{check_restricted, parse_state, quantifier_depth};
+use icstar::icstar_logic::{check_restricted, parse_state, quantifier_depth, StateFormula};
 use icstar::{
     indexed_correspond, maximal_correspondence, verify_correspondence, Checker, IndexRelation,
     IndexedChecker,
 };
 use icstar_nets::ring::{ReducedRing, RingFamily};
-#[allow(deprecated)] // the deprecated sweep is timed here as the brute-force baseline
 use icstar_nets::{
-    buggy_ring, check_conjecture, counting_formula, fig31_left, fig31_right, fig41_template,
-    interleave, repaired_related, ring_invariants, ring_mutex, ring_properties, Mutation,
+    buggy_ring, counting_formula, fig31_left, fig31_right, fig41_template, interleave,
+    repaired_related, ring_invariants, ring_mutex, ring_properties, Mutation, ProcessTemplate,
 };
 
 fn main() {
@@ -287,19 +287,27 @@ fn explosion() {
     println!("  paper: the number of states grows exponentially in the number of processes\n");
 }
 
-/// E9 — the Section 6 nesting-depth conjecture, swept with the original
-/// brute-force oracle (kept deprecated; `SymEngine::certify_cutoff` is
-/// the decision procedure).
-#[allow(deprecated)]
+/// E9 — the Section 6 nesting-depth conjecture, swept by brute force:
+/// each formula checked on the free products above its depth
+/// (`SymEngine::certify_cutoff` is the decision procedure).
 fn conjecture() {
     println!("== E9: the Section 6 conjecture on free products ==");
+    let sweep = |t: &ProcessTemplate, f: &StateFormula, sizes: RangeInclusive<u32>| {
+        let values: Vec<bool> = sizes
+            .map(|n| IndexedChecker::new(&interleave(t, n)).holds(f).unwrap())
+            .collect();
+        let consistent = values.windows(2).all(|w| w[0] == w[1]);
+        (values, consistent)
+    };
     let t = fig41_template();
     for k in 1..=4usize {
         let f = counting_formula(k);
-        let out = check_conjecture(&t, &f, (k as u32) + 3).unwrap();
+        let sizes = k as u32 + 1..=k as u32 + 3;
+        let (values, consistent) = sweep(&t, &f, sizes.clone());
         println!(
-            "  depth {} formula: sizes {:?} -> values {:?} (consistent: {})",
-            out.depth, out.sizes, out.values, out.consistent
+            "  depth {} formula: sizes {:?} -> values {values:?} (consistent: {consistent})",
+            quantifier_depth(&f),
+            sizes.collect::<Vec<_>>(),
         );
     }
     let cyc = icstar_nets::free::cyclic_template();
@@ -309,11 +317,10 @@ fn conjecture() {
         "forall i. AG AF (idle[i] | work[i] | done[i])",
     ] {
         let f = parse_state(src).unwrap();
-        let out = check_conjecture(&cyc, &f, 4).unwrap();
+        let (_, consistent) = sweep(&cyc, &f, quantifier_depth(&f) as u32 + 1..=4);
         println!(
-            "  depth {} formula on cyclic family: consistent: {}",
+            "  depth {} formula on cyclic family: consistent: {consistent}",
             quantifier_depth(&f),
-            out.consistent
         );
     }
     println!("  paper: conjectured; measured: consistent for every battery we ran\n");

@@ -125,8 +125,8 @@ pub struct Verdict {
     /// ([`icstar_sym::CutoffCertificate`]) with stabilization point `c`:
     /// the same truth value holds at **every** family size `≥ c`, and no
     /// structure was built to answer it. `None` for directly-checked
-    /// verdicts (every path except [`FamilyVerifier::verify_all_from`]
-    /// and service batches that hit a cached certificate).
+    /// verdicts (every path except the final verdict of
+    /// [`FamilyVerifier::verify_all_from`]).
     pub cutoff: Option<u32>,
 }
 

@@ -12,84 +12,15 @@
 //! [`SymEngine::certify_cutoff`], which *certifies* a stabilization
 //! point `c` through the counter/representative equivalence machinery
 //! (with independent re-verification) or refuses with a reason — see
-//! `crates/sym/src/cutoff.rs`. [`check_conjecture`] remains as the
-//! original brute-force oracle, useful for cross-checking the decision
-//! procedure on explicitly-buildable sizes, and is deprecated for any
-//! other use.
+//! `crates/sym/src/cutoff.rs`. The tests below keep the brute-force
+//! check of the claim on explicitly built free products: [`interleave`]
+//! plus [`icstar_mc::IndexedChecker`] at every size above the formula's
+//! depth.
 //!
 //! [`SymEngine::certify_cutoff`]: ../../icstar_sym/struct.SymEngine.html#method.certify_cutoff
+//! [`interleave`]: crate::template::interleave
 
-use icstar_logic::{quantifier_depth, StateFormula};
-use icstar_mc::{IndexedChecker, McError};
-
-use crate::template::{interleave, ProcessTemplate};
-
-/// The outcome of an empirical conjecture check.
-#[deprecated(note = "the stabilization claim is decided per formula by \
-            `icstar_sym::SymEngine::certify_cutoff`, which certifies a \
-            cutoff or refuses with a reason; keep this only as a \
-            brute-force cross-check oracle")]
-#[derive(Clone, Debug)]
-pub struct ConjectureOutcome {
-    /// The quantifier nesting depth `k` of the formula.
-    pub depth: usize,
-    /// The instance sizes evaluated (`k+1 ..= max_n`).
-    pub sizes: Vec<u32>,
-    /// The truth value of the formula at each size.
-    pub values: Vec<bool>,
-    /// Whether all values agree — the conjecture's prediction.
-    pub consistent: bool,
-}
-
-/// Evaluates `f` on the free products `M_n` for
-/// `n ∈ {k+1, …, max_n}` (`k` = quantifier depth of `f`) and reports
-/// whether the truth value is constant across those sizes — the
-/// conjecture's "impossible to distinguish between programs that have
-/// *more than* k processes".
-///
-/// The boundary instance `M_k` itself is *not* included: in interleaved
-/// semantics it can genuinely differ (with k = 1, `exists i. AF done[i]`
-/// holds in `M_1`, where the single process cannot be starved, but fails
-/// in every `M_n`, n ≥ 2 — see the `boundary_case_m1_differs` test).
-///
-/// # Errors
-///
-/// Propagates model-checking errors (e.g. an unclosed formula).
-///
-/// # Panics
-///
-/// Panics if `max_n ≤ k`.
-#[deprecated(note = "use `icstar_sym::SymEngine::certify_cutoff`: it decides the \
-            stabilization claim with a certificate (or a reasoned \
-            refusal) instead of sampling sizes; this sweep remains as a \
-            brute-force cross-check oracle")]
-#[allow(deprecated)]
-pub fn check_conjecture(
-    t: &ProcessTemplate,
-    f: &StateFormula,
-    max_n: u32,
-) -> Result<ConjectureOutcome, McError> {
-    let depth = quantifier_depth(f);
-    let start = (depth as u32 + 1).max(1);
-    assert!(
-        max_n >= start,
-        "max_n = {max_n} not above the formula's quantifier depth {depth}"
-    );
-    let sizes: Vec<u32> = (start..=max_n).collect();
-    let mut values = Vec::with_capacity(sizes.len());
-    for &n in &sizes {
-        let m = interleave(t, n);
-        let mut chk = IndexedChecker::new(&m);
-        values.push(chk.holds(f)?);
-    }
-    let consistent = values.windows(2).all(|w| w[0] == w[1]);
-    Ok(ConjectureOutcome {
-        depth,
-        sizes,
-        values,
-        consistent,
-    })
-}
+use crate::template::ProcessTemplate;
 
 /// A three-local-state cyclic template (`idle → work → done → idle`) used
 /// to exercise the conjecture on a second family.
@@ -105,44 +36,42 @@ pub fn cyclic_template() -> ProcessTemplate {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercising the deprecated oracle is the point
 mod tests {
     use super::*;
     use crate::counting::counting_formula;
-    use crate::template::fig41_template;
-    use icstar_logic::parse_state;
+    use crate::template::{fig41_template, interleave};
+    use icstar_logic::{parse_state, quantifier_depth, StateFormula};
+    use icstar_mc::IndexedChecker;
+
+    /// The truth value of `f` on the free product of `n` copies of `t`.
+    fn holds(t: &ProcessTemplate, f: &StateFormula, n: u32) -> bool {
+        IndexedChecker::new(&interleave(t, n)).holds(f).unwrap()
+    }
 
     #[test]
     fn counting_formulas_are_consistent_beyond_their_depth() {
         let t = fig41_template();
         for k in 1..=3usize {
             let f = counting_formula(k);
-            let out = check_conjecture(&t, &f, (k as u32) + 3).unwrap();
-            assert_eq!(out.depth, k);
-            assert!(
-                out.consistent,
-                "f_{k} must be constant for n > {k}: {:?}",
-                out.values
-            );
-            assert!(out.values.iter().all(|&v| v), "f_{k} holds for n > k");
+            assert_eq!(quantifier_depth(&f), k);
+            for n in k as u32 + 1..=k as u32 + 3 {
+                assert!(holds(&t, &f, n), "f_{k} holds at n = {n} > {k}");
+            }
         }
     }
 
     #[test]
     fn boundary_case_m1_differs() {
-        // Why the sweep starts at k+1: a single process cannot be starved
-        // by interleaving, so this depth-1 formula holds in M_1 but in no
-        // larger free product.
+        // Why the claim starts above k: a single process cannot be
+        // starved by interleaving, so this depth-1 formula holds in M_1
+        // but in no larger free product.
         let t = cyclic_template();
         let f = parse_state("exists i. AF done[i]").unwrap();
-        let m1 = interleave(&t, 1);
-        let m2 = interleave(&t, 2);
-        assert!(IndexedChecker::new(&m1).holds(&f).unwrap());
-        assert!(!IndexedChecker::new(&m2).holds(&f).unwrap());
+        assert!(holds(&t, &f, 1));
         // From n = 2 on, the value is constant — the conjecture.
-        let out = check_conjecture(&t, &f, 4).unwrap();
-        assert!(out.consistent);
-        assert!(out.values.iter().all(|&v| !v));
+        for n in 2..=4 {
+            assert!(!holds(&t, &f, n), "n = {n}");
+        }
     }
 
     #[test]
@@ -155,25 +84,8 @@ mod tests {
             "exists i. EG !done[i]",
         ] {
             let f = parse_state(src).unwrap();
-            let out = check_conjecture(&t, &f, 4).unwrap();
-            assert!(out.consistent, "{src}: {:?}", out.values);
+            let values: Vec<bool> = (2..=4).map(|n| holds(&t, &f, n)).collect();
+            assert!(values.windows(2).all(|w| w[0] == w[1]), "{src}: {values:?}");
         }
-    }
-
-    #[test]
-    fn conjecture_values_recorded_per_size() {
-        let t = fig41_template();
-        let f = counting_formula(2);
-        let out = check_conjecture(&t, &f, 5).unwrap();
-        assert_eq!(out.sizes, vec![3, 4, 5]);
-        assert_eq!(out.values.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not above the formula's quantifier depth")]
-    fn max_n_below_depth_panics() {
-        let t = fig41_template();
-        let f = counting_formula(3);
-        let _ = check_conjecture(&t, &f, 3);
     }
 }

@@ -51,8 +51,6 @@ pub use buggy::{buggy_ring, Mutation};
 pub use counting::counting_formula;
 pub use figures::{fig31_left, fig31_right};
 pub use formulas::{ring_invariants, ring_properties, NamedFormula};
-#[allow(deprecated)]
-pub use free::{check_conjecture, ConjectureOutcome};
 pub use ring::{
     paper_related, rank_sum_degree, repaired_related, ring_mutex, Part, ReducedRing, Ring,
     RingFamily, RingState,

@@ -1,14 +1,14 @@
 //! The service's certificate store: one cutoff certificate (or refusal)
 //! per (template, spec, formula) triple.
 //!
-//! Certificates are the service's O(1) answer path: once a formula's
-//! stabilization point `c` is certified
-//! ([`SymEngine::certify_cutoff`]), **every** size `n ≥ c` — including
-//! the unbounded `all_from` form — is answered from the stored verdict
-//! without building or checking anything. A certificate is sampled
+//! Certificates answer only the unbounded `all_from` form of a job: once
+//! a formula's stabilization point `c` is certified
+//! ([`SymEngine::certify_cutoff`]), the job's tail `n ≥ c` is reported as
+//! one verdict from the stored outcome. A certificate is sampled
 //! evidence, not a proof: the guard chain of the cutoff module docs
-//! certifies a verdict that is wrong from `n = 9` on, so these answers
-//! can be wrong. Refusals are cached too:
+//! certifies a verdict that is wrong from `n = 9` on, so every bounded
+//! size is checked directly instead, cached certificate or not. Refusals
+//! are cached too:
 //! re-deriving "this family does not stabilize" on every unbounded
 //! request would repeat the full scan.
 //!
@@ -55,10 +55,7 @@ impl CertStore {
     }
 
     /// The cached outcome for this triple, if any — never certifies.
-    /// The bounded-size fast path uses this: a certificate a previous
-    /// (unbounded) job paid for answers `n ≥ c` for free, but a plain
-    /// `sizes` job never triggers the certification scan itself.
-    pub(crate) fn cached(
+    fn cached(
         &self,
         engine: &SymEngine,
         f: &StateFormula,

@@ -526,31 +526,13 @@ fn process(
     let mut build_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
 
-    // Certificates previously paid for (by an unbounded job on the same
-    // triple) answer bounded sizes for free. Lookup only: a plain
-    // `sizes` job never triggers the certification scan itself.
-    let cached_certs: Vec<Option<icstar_sym::CutoffCertificate>> = formulas
-        .iter()
-        .map(|(_, f)| inner.certs.cached(&engine, f).and_then(Result::ok))
-        .collect();
-
+    // Every bounded size gets a direct verdict: a cutoff certificate is
+    // sampled evidence, so it answers only the unbounded tail below.
     let recorder = &inner.config.recorder;
     let mut verdicts = Vec::with_capacity(sizes.len() * formulas.len());
+    let any_counting = formulas.iter().any(|(_, f)| !has_index_quantifier(f));
+    let any_indexed = formulas.iter().any(|(_, f)| has_index_quantifier(f));
     for &n in &sizes {
-        // Which formulas this size answers from a certificate — those
-        // need no structures at all.
-        let certified: Vec<bool> = cached_certs
-            .iter()
-            .map(|c| c.as_ref().is_some_and(|c| c.covers(n)))
-            .collect();
-        let any_counting = formulas
-            .iter()
-            .zip(&certified)
-            .any(|((_, f), &done)| !done && !has_index_quantifier(f));
-        let any_indexed = formulas
-            .iter()
-            .zip(&certified)
-            .any(|((_, f), &done)| !done && has_index_quantifier(f));
         let mut session = engine.session(n);
         // Indexed formulas at n = 0 expand over the empty index set and
         // fall back to the counter structure, so it is needed then too.
@@ -578,9 +560,7 @@ fn process(
             // their error at check time instead).
             let mut widths: Vec<u32> = formulas
                 .iter()
-                .zip(&certified)
-                .filter(|(_, &done)| !done)
-                .filter_map(|((_, f), _)| required_rep_width(f, n).ok())
+                .filter_map(|(_, f)| required_rep_width(f, n).ok())
                 .filter(|&w| w > 0)
                 .collect();
             widths.sort_unstable();
@@ -618,22 +598,8 @@ fn process(
         check.set_tid(worker);
         check.attr("n", n.to_string());
         check.attr("formulas", formulas.len().to_string());
-        for (i, (name, f)) in formulas.iter().enumerate() {
+        for (name, f) in &formulas {
             inner.stats.formulas_checked.inc();
-            if certified[i] {
-                // O(1): the certificate's stabilized verdict covers n.
-                let cert = cached_certs[i].as_ref().expect("certified flag");
-                inner.stats.cutoff_answers.inc();
-                verdicts.push(JobVerdict {
-                    name: name.clone(),
-                    n,
-                    result: Ok(cert.holds),
-                    rep_width: cert.rep_width,
-                    fair: false,
-                    cutoff: Some(cert.c),
-                });
-                continue;
-            }
             let check_started = Instant::now();
             let run = session.check_described(f);
             check_time += check_started.elapsed();

@@ -28,8 +28,8 @@ pub(crate) struct ServiceStats {
     /// `serve.cutoff.certified` — cutoff certificates issued (one per
     /// distinct (template, spec, formula) triple; refusals not counted).
     pub(crate) cutoffs_certified: Counter,
-    /// `serve.cutoff.hits` — verdicts answered from a cached certificate
-    /// instead of building and checking a structure.
+    /// `serve.cutoff.hits` — unbounded-tail verdicts answered from a
+    /// certificate instead of building and checking a structure.
     pub(crate) cutoff_answers: Counter,
     /// `serve.queue.depth` — jobs submitted but not yet picked up.
     pub(crate) queue_depth: Gauge,
@@ -114,8 +114,8 @@ pub struct StatsSnapshot {
     /// Cutoff certificates issued so far (one per distinct (template,
     /// spec, formula) triple; refusals are not counted).
     pub cutoffs_certified: u64,
-    /// Verdicts answered from a cached cutoff certificate — each one a
-    /// skipped structure build and model-checking run.
+    /// Unbounded-tail verdicts answered from a cutoff certificate —
+    /// each one a skipped structure build and model-checking run.
     pub cutoff_answers: u64,
     /// Estimated median of `serve.job.total_ns` — derived from the same
     /// histogram atomics the `METRICS` exposition and the `HEALTH`

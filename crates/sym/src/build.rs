@@ -1,19 +1,21 @@
-//! The sequential BFS builder behind the counter structure, and the rows
-//! both abstract structures are written into.
+//! The reachability sweep behind every abstract structure, and the rows
+//! the one row writer ([`crate::rep`]) fills.
 //!
-//! [`explore`] explores flat `u32` vectors — occupancy vectors, for
-//! [`CounterSystem::kripke`](crate::CounterSystem::kripke) and as the
-//! reachability sweep the representative lift
-//! ([`representative`](crate::representative)) starts from. Its
+//! [`sweep`] explores a [`CounterSystem`] breadth-first once and records
+//! every reachable state's moves: one `(target id, move id)` pair per
+//! move [`CounterSystem::each_move`] reports, in that order, duplicates
+//! kept, in CSR form. It writes no row, name or label. Its
 //! [`StateTable`] is the BFS queue and the dedup table in one: a state's
 //! id is its queue position, and packed keys are deduplicated by open
-//! addressing over a flat arena, with no allocation per state. Rows of
-//! successors are written in CSR form as states are expanded. Atoms are
-//! numbered in first-seen order and each state's label is interned into a
-//! [`LabelInterner`] as the state is discovered, exactly as
-//! [`icstar_kripke::KripkeBuilder`] interns them, so a state keeps one
-//! `u32` label id and no label list or bitset of its own;
-//! [`Rows::freeze`] hands everything to [`Kripke::from_csr`].
+//! addressing over a flat arena, with no allocation per state.
+//!
+//! The writer lifts the recorded moves into [`Rows`] at any width, the
+//! counter structure being width 0. Atoms are numbered in first-seen
+//! order and each state's label is interned into a [`LabelInterner`] as
+//! the state is written, exactly as [`icstar_kripke::KripkeBuilder`]
+//! interns them, so a state keeps one `u32` label id and no label list or
+//! bitset of its own; [`Rows::freeze`] hands everything to
+//! [`Kripke::from_csr`].
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -21,11 +23,14 @@ use std::hash::BuildHasher;
 use icstar_kripke::{Atom, AtomId, AtomTable, Kripke, LabelInterner, StateId};
 
 use crate::counter::CounterPacking;
+use crate::explore::CounterSystem;
 
 /// An empty slot of the dedup table, or an atom not yet interned.
 const NONE: u32 = u32::MAX;
 
-/// The discovered states of one exploration, in discovery order.
+/// The discovered states of one exploration, in discovery order. The
+/// sweep frees its dedup index when it is done, so a swept table only
+/// reads states.
 pub(crate) struct StateTable {
     packing: CounterPacking,
     /// State `i` is `vecs[i * dim..][..dim]`, its packed key
@@ -63,7 +68,7 @@ impl StateTable {
 
     /// Number of states discovered so far.
     pub(crate) fn len(&self) -> usize {
-        self.keys.len() / self.words
+        self.vecs.len() / self.dim
     }
 
     /// The vector of state `id`.
@@ -76,12 +81,11 @@ impl StateTable {
         self.vecs.chunks_exact(self.dim)
     }
 
-    /// The id of `v`, discovering it under the next id if it is new (the
-    /// flag says whether it was).
-    pub(crate) fn intern(&mut self, v: &[u32]) -> (u32, bool) {
+    /// The id of `v`, discovering it under the next id if it is new.
+    pub(crate) fn intern(&mut self, v: &[u32]) -> u32 {
         self.packing.pack_into(v, &mut self.key);
         let slot = match self.probe(&self.key) {
-            Ok(id) => return (id, false),
+            Ok(id) => return id,
             Err(slot) => slot,
         };
         let id = self.len() as u32;
@@ -96,13 +100,6 @@ impl StateTable {
                 self.slots[slot.expect_err("keys are distinct")] = id as u32;
             }
         }
-        (id, true)
-    }
-
-    /// The id of `v`, which must already be discovered.
-    pub(crate) fn id(&mut self, v: &[u32]) -> u32 {
-        let (id, new) = self.intern(v);
-        debug_assert!(!new, "moves stay among the reachable states");
         id
     }
 
@@ -119,52 +116,64 @@ impl StateTable {
     }
 }
 
-/// Explores breadth-first from `initial` over vectors packed by `packing`
-/// and returns the structure's rows, the discovered states and the peak
-/// frontier size.
-///
-/// `describe(v, label)` is called once per new state, in id order: it
-/// pushes the state's label (positions in `universe`) and returns its
-/// name. `moves(cur, emit)` emits every candidate successor of `cur` in
-/// canonical order; each row keeps the first occurrence of each
-/// successor, and a state with no candidate stutters.
-pub(crate) fn explore(
-    packing: CounterPacking,
-    universe: Vec<Atom>,
-    initial: &[u32],
-    mut describe: impl FnMut(&[u32], &mut Vec<u32>) -> String,
-    mut moves: impl FnMut(&[u32], &mut dyn FnMut(&[u32])),
-) -> (Rows, StateTable, usize) {
-    let mut table = StateTable::new(packing);
-    let mut rows = Rows::new(universe);
-    let mut label = Vec::new();
-    let mut discover = |v: &[u32], table: &mut StateTable, rows: &mut Rows| -> u32 {
-        let (id, new) = table.intern(v);
-        if new {
-            label.clear();
-            let name = describe(v, &mut label);
-            rows.add_state(name, &label);
-        }
-        id
-    };
-    discover(initial, &mut table, &mut rows);
-    let (mut cur, mut frontier_peak, mut head) = (Vec::new(), 0, 0);
-    while head < table.len() {
-        frontier_peak = frontier_peak.max(table.len() - head);
-        cur.clear();
-        cur.extend_from_slice(table.state(head));
-        moves(&cur, &mut |succ| {
-            let to = discover(succ, &mut table, &mut rows);
-            rows.add_edge(to);
-        });
-        rows.close_row(head as u32);
-        head += 1;
-    }
-    (rows, table, frontier_peak)
+/// One breadth-first sweep of a counter system: the reachable states and
+/// every state's moves, recorded once so that a structure of any width is
+/// written from them without generating a move again.
+pub(crate) struct Sweep {
+    /// The reachable states; a state's id is its discovery position.
+    pub(crate) states: StateTable,
+    /// The largest number of discovered states not yet expanded.
+    pub(crate) frontier_peak: usize,
+    /// Every state's moves.
+    pub(crate) moves: Moves,
 }
 
-/// A structure under construction: one row of successors per expanded
-/// state, in id order, plus each discovered state's name and label id.
+/// The moves of every swept state, in CSR form: one `(target id, move
+/// id)` pair per move, in [`CounterSystem::each_move`] order, duplicates
+/// kept.
+pub(crate) struct Moves {
+    /// State `i`'s moves are `pairs[heads[i]..heads[i + 1]]`.
+    heads: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Moves {
+    /// The moves of state `i`.
+    pub(crate) fn of(&self, i: usize) -> &[(u32, u32)] {
+        &self.pairs[self.heads[i] as usize..self.heads[i + 1] as usize]
+    }
+}
+
+/// Sweeps `sys` breadth-first from its initial state, recording every
+/// enabled move of every reachable state. A state with no move records
+/// none; the row writer stutters it.
+pub(crate) fn sweep(sys: &CounterSystem) -> Sweep {
+    let mut states = StateTable::new(*sys.packing());
+    states.intern(sys.initial().counts());
+    let (mut heads, mut pairs) = (vec![0], Vec::new());
+    let (mut cur, mut next, mut frontier_peak) = (Vec::new(), Vec::new(), 0);
+    // State `heads.len() - 1` is the next to expand.
+    while heads.len() <= states.len() {
+        frontier_peak = frontier_peak.max(states.len() + 1 - heads.len());
+        cur.clear();
+        cur.extend_from_slice(states.state(heads.len() - 1));
+        sys.each_move(&cur, &mut next, |succ, mv| {
+            pairs.push((states.intern(succ), mv));
+        });
+        heads.push(pairs.len() as u32);
+    }
+    // No state is looked up again: free the dedup index before the rows
+    // are written, keeping only the vectors.
+    (states.slots, states.keys) = (Vec::new(), Vec::new());
+    Sweep {
+        states,
+        frontier_peak,
+        moves: Moves { heads, pairs },
+    }
+}
+
+/// A structure under construction: one row of successors per state, in
+/// id order, plus each state's name and label id.
 pub(crate) struct Rows {
     /// Every atom a label may carry; labels name atoms by position here.
     universe: Vec<Atom>,
@@ -236,7 +245,7 @@ impl Rows {
 
     /// Builds the atom table and the distinct label bitsets and freezes
     /// the CSR rows into a [`Kripke`] whose initial state is the first one
-    /// discovered.
+    /// written.
     pub(crate) fn freeze(self) -> Kripke {
         let mut atoms = AtomTable::new();
         for &u in &self.seen {
@@ -253,15 +262,17 @@ impl Rows {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::GuardedBuilder;
 
     #[test]
     fn state_table_assigns_discovery_order_ids_across_growth() {
         let mut table = StateTable::new(CounterPacking::new(3, 5_000));
         for i in 0..5_000u32 {
-            assert_eq!(table.intern(&[i, 5_000 - i, 0]), (i, true));
+            assert_eq!(table.intern(&[i, 5_000 - i, 0]), i);
+            assert_eq!(table.len(), i as usize + 1);
         }
         for i in (0..5_000u32).rev() {
-            assert_eq!(table.intern(&[i, 5_000 - i, 0]), (i, false));
+            assert_eq!(table.intern(&[i, 5_000 - i, 0]), i);
         }
         assert_eq!(table.len(), 5_000);
         assert_eq!(table.state(17), &[17, 4_983, 0]);
@@ -269,37 +280,28 @@ mod tests {
     }
 
     #[test]
-    fn explore_interns_atoms_first_seen_and_stutters_dead_ends() {
-        // A counter 0 -> 1 -> 2 over one slot; 2 has no move. State i is
-        // labeled with universe atom 2 - i, then atom 0.
-        let universe = vec![Atom::plain("a"), Atom::plain("b"), Atom::plain("c")];
-        let (rows, table, _) = explore(
-            CounterPacking::new(1, 2),
-            universe,
-            &[0],
-            |v, label| {
-                label.extend([2 - v[0], 0]);
-                format!("s{}", v[0])
-            },
-            |cur, emit| {
-                if cur[0] < 2 {
-                    emit(&[cur[0] + 1]);
-                    emit(&[cur[0] + 1]);
-                }
-            },
-        );
-        assert_eq!(table.len(), 3);
-        let k = rows.freeze();
-        let order: Vec<String> = k.atoms().iter().map(|(_, a)| a.to_string()).collect();
-        assert_eq!(order, ["c", "a", "b"]);
-        assert_eq!(k.label(StateId(1)).iter().collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(
-            k.successors(StateId(0)),
-            &[StateId(1)],
-            "duplicates dropped"
-        );
-        assert_eq!(k.successors(StateId(2)), &[StateId(2)], "dead end stutters");
-        assert_eq!(k.predecessors(StateId(2)), &[StateId(1), StateId(2)]);
-        assert_eq!(k.state_name(StateId(1)), "s1");
+    fn sweep_records_every_move_in_order_with_duplicates() {
+        // a -> b twice, b -> a, and a broadcast from b whose response
+        // map is the identity: it lands where b -> a does.
+        let mut b = GuardedBuilder::new();
+        let a = b.state("a", ["a"]);
+        let bb = b.state("b", ["b"]);
+        b.edge(a, bb);
+        b.edge(a, bb);
+        b.edge(bb, a);
+        b.broadcast(bb, a, []);
+        let sys = CounterSystem::new(b.build(a), 2);
+        let sweep = sweep(&sys);
+        let states: Vec<&[u32]> = sweep.states.states().collect();
+        assert_eq!(states, [&[2, 0][..], &[1, 1], &[0, 2]], "discovery order");
+        // Move ids: edges 0 and 1 are a -> b, edge 2 is b -> a, and the
+        // broadcast comes after the edges.
+        assert_eq!(sweep.moves.of(0), &[(1, 0), (1, 1)]);
+        assert_eq!(sweep.moves.of(1), &[(2, 0), (2, 1), (0, 2), (0, 3)]);
+        assert_eq!(sweep.moves.of(2), &[(1, 2), (1, 3)]);
+        let moves = sys.template().moves();
+        assert_eq!(moves[1].0, (0, 1));
+        assert_eq!(moves[3].0, (1, 0));
+        assert!(moves[2].1.is_none() && moves[3].1.is_some());
     }
 }

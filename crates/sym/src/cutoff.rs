@@ -528,7 +528,7 @@ impl SymEngine {
         for n in [a, b] {
             counters
                 .entry(n)
-                .or_insert_with(|| project(&self.counter_structure(n), support));
+                .or_insert_with(|| project(&self.counter_graph(n).kripke, support));
         }
         let ka = &counters[&a];
         let kb = &counters[&b];
@@ -544,9 +544,9 @@ impl SymEngine {
             for n in [a, b] {
                 if let Entry::Vacant(e) = reps.entry(n) {
                     let rep = self
-                        .representative_structure(n, width)
+                        .representative_graph(n, width)
                         .map_err(CutoffRefusal::Check)?;
-                    e.insert(project(rep.kripke(), support));
+                    e.insert(project(rep.kripke.kripke(), support));
                 }
             }
             let ra = &reps[&a];

@@ -25,7 +25,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use icstar_kripke::{Atom, IndexedKripke, Kripke};
+use icstar_kripke::Atom;
 use icstar_logic::{
     expand_representatives, fair_fragment_depth, has_index_quantifier, restricted_depth,
     PathFormula, StateFormula,
@@ -149,11 +149,6 @@ impl SymEngine {
         CounterSystem::new(self.template.clone(), n).with_telemetry(self.telemetry.clone())
     }
 
-    /// Materializes the counter-abstracted structure at size `n`.
-    pub fn counter_structure(&self, n: u32) -> Kripke {
-        self.system(n).kripke(&self.spec)
-    }
-
     /// Materializes the counter structure at size `n` bundled with the
     /// template's compiled fairness requirements — the unit sessions
     /// cache and fair checks run on. For templates without fairness
@@ -171,22 +166,13 @@ impl SymEngine {
 
     /// Materializes the width-`width` representative structure at size
     /// `n` (the distinguished-copies construction behind
-    /// [`SymEngine::check_indexed`]).
+    /// [`SymEngine::check_indexed`]) bundled with the template's compiled
+    /// fairness requirements.
     ///
     /// # Errors
     ///
     /// [`SymError::EmptyFamily`] at `n = 0`; [`SymError::BadRepWidth`]
     /// unless `1 ≤ width ≤ n`.
-    pub fn representative_structure(&self, n: u32, width: u32) -> Result<IndexedKripke, SymError> {
-        self.representative_graph(n, width).map(|g| g.kripke)
-    }
-
-    /// Materializes the width-`width` representative structure at size
-    /// `n` bundled with the template's compiled fairness requirements.
-    ///
-    /// # Errors
-    ///
-    /// As [`SymEngine::representative_structure`].
     pub fn representative_graph(&self, n: u32, width: u32) -> Result<RepGraph, SymError> {
         // Per-width timing: width is bounded by the quantifier nesting
         // depth of real formulas, so the name cardinality stays tiny.
@@ -801,16 +787,16 @@ mod tests {
     #[test]
     fn engine_materializes_representative_and_sharded_structures() {
         let e = engine();
-        let rep = e.representative_structure(4, 1).unwrap();
+        let rep = e.representative_graph(4, 1).unwrap().kripke;
         assert_eq!(rep.indices(), &[1]);
-        let rep2 = e.representative_structure(4, 2).unwrap();
+        let rep2 = e.representative_graph(4, 2).unwrap().kripke;
         assert_eq!(rep2.indices(), &[1, 2]);
         assert!(matches!(
-            e.representative_structure(0, 1),
+            e.representative_graph(0, 1),
             Err(SymError::EmptyFamily)
         ));
         assert!(matches!(
-            e.representative_structure(4, 9),
+            e.representative_graph(4, 9),
             Err(SymError::BadRepWidth { .. })
         ));
         // The compatibility forward builds the same structure.

@@ -2,11 +2,13 @@
 //!
 //! [`CounterSystem`] is the abstract transition system itself: initial
 //! occupancy vector and successor generation, never materializing more
-//! than the reachable frontier. [`CounterSystem::kripke`] runs a BFS and
-//! freezes the reachable abstract graph as an ordinary
-//! [`icstar_kripke::Kripke`] labeled with the counting atoms of a
-//! [`CountingSpec`] — after which the stock `icstar_mc` checkers run on it
-//! unchanged.
+//! than the reachable frontier. [`CounterSystem::kripke`] freezes the
+//! reachable abstract graph as an ordinary [`icstar_kripke::Kripke`]
+//! labeled with the counting atoms of a [`CountingSpec`] — after which
+//! the stock `icstar_mc` checkers run on it unchanged. It is the width-0
+//! case of the one construction behind every abstract structure: one
+//! reachability sweep records each state's moves, and one row writer
+//! lifts them (see [`crate::rep`]).
 //!
 //! An abstract transition either moves *one* copy along one (enabled)
 //! local transition, mirroring the interleaving semantics of
@@ -24,10 +26,10 @@ use std::time::Instant;
 use icstar_kripke::Kripke;
 use icstar_telemetry::{FlightRecorder, Registry, SpanContext, TraceScope};
 
-use crate::build::{self, StateTable};
 use crate::counter::{respond_into, CounterPacking, CounterState};
-use crate::labels::{CountingSpec, LabelTable};
-use crate::template::{Broadcast, GuardedTemplate};
+use crate::labels::CountingSpec;
+use crate::rep::{self, Lift};
+use crate::template::GuardedTemplate;
 
 /// The counter abstraction of `n` identical copies of a template: an
 /// on-the-fly abstract transition system.
@@ -140,7 +142,7 @@ impl CounterSystem {
     /// at its first occurrence.
     pub fn successors(&self, state: &CounterState) -> Vec<CounterState> {
         let mut out: Vec<CounterState> = Vec::new();
-        self.each_move(state.counts(), &mut Vec::new(), |succ, _, _| {
+        self.each_move(state.counts(), &mut Vec::new(), |succ, _| {
             if !out.iter().any(|s| s.counts() == succ) {
                 out.push(CounterState::new(succ.to_vec()));
             }
@@ -151,42 +153,44 @@ impl CounterSystem {
         out
     }
 
-    /// The move semantics behind [`CounterSystem::successors`], both
-    /// builders and the fairness compiler: calls `emit(next, (src, tgt),
-    /// broadcast)` for every enabled move of the occupancy vector `cur`,
-    /// in canonical order — each enabled local transition `src → tgt` of
-    /// an occupied state, then each enabled broadcast, whose initiator
-    /// takes `src → tgt`. Several moves may lead to the same vector;
-    /// callers keep the first. Emits nothing when no move is enabled, and
-    /// the caller then stutters. `next` is scratch space.
-    pub(crate) fn each_move<'s>(
-        &'s self,
+    /// The move semantics behind [`CounterSystem::successors`] and the
+    /// reachability sweep every structure is written from: calls
+    /// `emit(next, mv)` for every enabled move of the occupancy vector
+    /// `cur`, in canonical order — each enabled local transition of an
+    /// occupied state, then each enabled broadcast. `mv` is the move's
+    /// index in [`GuardedTemplate::moves`]. Several moves may lead to the
+    /// same vector. Emits nothing when no move is enabled, and the caller
+    /// then stutters. `next` is scratch space.
+    pub(crate) fn each_move(
+        &self,
         cur: &[u32],
         next: &mut Vec<u32>,
-        mut emit: impl FnMut(&[u32], (u32, u32), Option<&'s Broadcast>),
+        mut emit: impl FnMut(&[u32], u32),
     ) {
         let t = &self.template;
+        let mut mv = 0;
         for q in 0..cur.len() as u32 {
-            if cur[q as usize] == 0 {
-                continue;
-            }
-            for (k, &q2) in t.base().successors(q).iter().enumerate() {
-                if t.enabled_at(cur, q, k) {
-                    next.clear();
-                    next.extend_from_slice(cur);
-                    next[q as usize] -= 1;
-                    next[q2 as usize] += 1;
-                    emit(next, (q, q2), None);
+            let succs = t.base().successors(q);
+            if cur[q as usize] > 0 {
+                for (k, &q2) in succs.iter().enumerate() {
+                    if t.enabled_at(cur, q, k) {
+                        next.clear();
+                        next.extend_from_slice(cur);
+                        next[q as usize] -= 1;
+                        next[q2 as usize] += 1;
+                        emit(next, mv + k as u32);
+                    }
                 }
             }
+            mv += succs.len() as u32;
         }
         for b in t.broadcasts() {
-            if cur[b.source() as usize] == 0 || !b.enabled_at(cur) {
-                continue;
+            if cur[b.source() as usize] > 0 && b.enabled_at(cur) {
+                let initiator = Some((b.source(), b.target()));
+                respond_into(cur, b.response(), initiator, next);
+                emit(next, mv);
             }
-            let mv = (b.source(), b.target());
-            respond_into(cur, b.response(), Some(mv), next);
-            emit(next, mv, Some(b));
+            mv += 1;
         }
     }
 
@@ -222,59 +226,50 @@ impl CounterSystem {
     /// polynomial in `n` for a fixed template — instead of the `|Q|^n`
     /// states of the explicit composition.
     pub fn kripke(&self, spec: &CountingSpec) -> Kripke {
-        self.build(spec).0
+        self.build(spec, |_, _, _| {}).0
     }
 
     /// [`CounterSystem::kripke`] plus the occupancy vector of every
     /// state, indexed by [`StateId`](icstar_kripke::StateId) (position
     /// `i` is the vector of state `i`).
     pub fn kripke_with_states(&self, spec: &CountingSpec) -> (Kripke, Vec<CounterState>) {
-        let (kripke, table) = self.build(spec);
-        let states = table
-            .states()
+        let (kripke, lift) = self.build(spec, |_, _, _| {});
+        let states = (lift.counters.states())
             .map(|counts| CounterState::new(counts.to_vec()))
             .collect();
         (kripke, states)
     }
 
-    /// The BFS builder: explores from the initial vector, labeling each
-    /// state from a [`LabelTable`] when it is discovered and writing its
-    /// successor row as it is expanded, then freezes. A state's id is its
-    /// discovery position, so the structure comes out byte-identical to a
+    /// Builds the counter structure: the width-0 lift of the reachability
+    /// sweep ([`rep::write_rows`]), calling `on_edge(from, to, (src,
+    /// tgt))` for every move, then frozen. A state's id is its discovery
+    /// position, so the structure comes out byte-identical to a
     /// [`KripkeBuilder`](icstar_kripke::KripkeBuilder) fed the same BFS.
-    pub(crate) fn build(&self, spec: &CountingSpec) -> (Kripke, StateTable) {
+    pub(crate) fn build(
+        &self,
+        spec: &CountingSpec,
+        on_edge: impl FnMut(u32, u32, (u32, u32)),
+    ) -> (Kripke, Lift) {
         let started = Instant::now();
         let explore = self.phase("explore");
-        let (universe, labels) = LabelTable::compile(spec, &self.template);
-        let (mut next, mut name) = (Vec::new(), String::new());
-        let (rows, table, frontier_peak) = build::explore(
-            self.packing,
-            universe,
-            self.initial().counts(),
-            |v, label| {
-                labels.push_labels(v, label);
-                name.clear();
-                self.write_name(v, &mut name);
-                // A copy of the scratch name is allocated at its exact length.
-                name.clone()
-            },
-            |cur, emit| self.each_move(cur, &mut next, |succ, _, _| emit(succ)),
-        );
-        // Exploration telemetry is flushed once after the sweep: the hot
-        // loop itself touches no atomics. `states` vs `arrivals` (edges)
-        // gives the dedup ratio, `build_ns` over `states` states/sec.
+        let (rows, lift) = rep::write_rows(self, spec, 0, on_edge);
+        // Exploration telemetry is flushed once after the rows are
+        // written: the hot loops touch no atomics. `states` vs `arrivals`
+        // (edges) gives the dedup ratio, `build_ns` over `states`
+        // states/sec.
         let t = &self.telemetry;
         t.counter("sym.explore.builds").inc();
-        t.counter("sym.explore.states").add(table.len() as u64);
+        t.counter("sym.explore.states")
+            .add(lift.counters.len() as u64);
         t.counter("sym.explore.arrivals")
             .add(rows.num_edges() as u64);
         t.histogram("sym.explore.build_ns")
             .record_duration(started.elapsed());
         t.gauge("sym.explore.frontier_peak")
-            .set_max(frontier_peak as i64);
+            .set_max(lift.frontier_peak as i64);
         drop(explore);
         let _freeze = self.phase("freeze");
-        (rows.freeze(), table)
+        (rows.freeze(), lift)
     }
 }
 
@@ -323,6 +318,8 @@ mod tests {
         assert_eq!(k.num_states(), 1);
         k.validate().unwrap();
         assert_eq!(sys.state_name(&init), "empty");
+        assert_eq!(k.state_name(k.initial()), "empty");
+        assert_eq!(k.successors(k.initial()), &[k.initial()]);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! against [`check_fair_explicit`].
 //!
 //! [`counter_graph`] / [`rep_graph`] bundle each structure with its
-//! compiled [`TransFairness`] — the unit the engine caches and checks —
-//! filtered from the counter moves, or from the lifted edges' moves.
+//! compiled [`TransFairness`] — the unit the engine caches and checks.
+//! Both filter the edges the one row writer emits (the counter structure
+//! being its width-0 case) through the same per-declaration filter, so
+//! no build enumerates its moves a second time.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -37,7 +39,7 @@ use icstar_mc::expand;
 use icstar_mc::fair::{FairReq, TransFairness};
 use icstar_mc::Checker;
 
-use crate::build::StateTable;
+use crate::build;
 use crate::counter::CounterState;
 use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy};
 use crate::error::SymError;
@@ -69,15 +71,18 @@ pub struct RepGraph {
     pub fairness: TransFairness,
 }
 
-/// Builds the counter structure together with its fairness requirements.
+/// Builds the counter structure together with its fairness requirements,
+/// filtered from the moves of its edges as the row writer emits them.
 ///
 /// On a traced system ([`CounterSystem::with_trace`]) a fair template's
-/// compilation records a `fairness` span next to the build's `explore`
+/// requirements record a `fairness` span next to the build's `explore`
 /// and `freeze` spans.
 pub fn counter_graph(sys: &CounterSystem, spec: &CountingSpec) -> CounterGraph {
-    let (kripke, mut table) = sys.build(spec);
+    let decls = sys.template().fairness();
+    let mut edges = vec![BTreeSet::new(); decls.len()];
+    let (kripke, _) = sys.build(spec, |from, to, mv| take(decls, &mut edges, from, to, mv));
     let _span = sys.template().is_fair().then(|| sys.phase("fairness"));
-    let fairness = counter_moves_fairness(sys, &mut table);
+    let fairness = requirements(edges, kripke.num_states());
     CounterGraph { kripke, fairness }
 }
 
@@ -103,32 +108,25 @@ pub fn rep_graph(
 
 /// Compiles the template's fairness declarations onto a counter
 /// structure, given the id-ordered occupancy vectors from
-/// [`CounterSystem::kripke_with_states`].
+/// [`CounterSystem::kripke_with_states`]: the requirements
+/// [`counter_graph`] bundles, filtered from the moves one reachability
+/// sweep records, with no rows written.
+///
+/// # Panics
+///
+/// Panics if `states` are not the reachable states of `sys`.
 pub fn counter_fairness(sys: &CounterSystem, states: &[CounterState]) -> TransFairness {
-    let mut table = StateTable::new(*sys.packing());
-    for s in states {
-        table.intern(s.counts());
-    }
-    counter_moves_fairness(sys, &mut table)
-}
-
-fn counter_moves_fairness(sys: &CounterSystem, table: &mut StateTable) -> TransFairness {
-    if !sys.template().is_fair() {
-        return TransFairness::unconstrained();
-    }
     let decls = sys.template().fairness();
     let mut edges = vec![BTreeSet::new(); decls.len()];
-    let (mut cur, mut next) = (Vec::new(), Vec::new());
-    for i in 0..table.len() {
-        cur.clear();
-        cur.extend_from_slice(table.state(i));
-        sys.each_move(&cur, &mut next, |succ, (src, tgt), _| {
-            if decls.iter().any(|d| d.contains(src, tgt)) {
-                take(decls, &mut edges, i as u32, table.id(succ), (src, tgt));
-            }
-        });
+    let sweep = build::sweep(sys);
+    assert_eq!(sweep.states.len(), states.len(), "the reachable states");
+    let moves = sys.template().moves();
+    for i in 0..states.len() {
+        for &(to, mv) in sweep.moves.of(i) {
+            take(decls, &mut edges, i as u32, to, moves[mv as usize].0);
+        }
     }
-    requirements(edges, table.len())
+    requirements(edges, states.len())
 }
 
 /// Records a move `(src, tgt)` — a copy taking it, or initiating a

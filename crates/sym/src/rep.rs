@@ -16,8 +16,17 @@
 //! and one initial local state. So once occupancy `c` is reachable, so
 //! is every split `(c − t, t)` with a tuple `t` of tracked locals fitting
 //! inside `c` (permute the copies), and its moves are those of `c`,
-//! fired by a tracked or an untracked copy. No second exploration runs;
-//! this is German–Sistla's "one process plus environment" construction.
+//! fired by a tracked or an untracked copy. This is German–Sistla's "one
+//! process plus environment" construction.
+//!
+//! **One sweep, one row writer.** Every structure is built the same way:
+//! one breadth-first sweep over occupancy vectors records each reachable
+//! counter state's moves ([`crate::build`]), and [`write_rows`] lifts the
+//! recorded moves at the requested width, generating no move twice. The
+//! counter structure is the width-0 lift: one state per counter state,
+//! named and labeled by its occupancy alone. Fairness requirements of
+//! every width come from the same rows, through one edge filter
+//! ([`crate::fairness`]).
 //!
 //! **Soundness boundary.** Full symmetry makes all copies interchangeable
 //! *at the symmetric initial state*: a quantifier with `d` outer index
@@ -34,7 +43,7 @@
 
 use icstar_kripke::{Atom, Index, IndexedKripke};
 
-use crate::build::{self, Rows, StateTable};
+use crate::build::{self, Rows, StateTable, Sweep};
 use crate::counter::CounterState;
 use crate::error::SymError;
 use crate::explore::CounterSystem;
@@ -130,10 +139,13 @@ pub fn representative_with_states(
 
 /// The states `(c, t)` of a width-`k` structure, numbered by counter
 /// state `c` (BFS order), then by fitting tuple `t` (lexicographic): one
-/// offset per counter state plus one tuple per structure state.
+/// offset per counter state plus one tuple per structure state. At width
+/// 0 each counter state carries the one empty tuple.
 pub(crate) struct Lift {
     /// The reachable counter states.
-    counters: StateTable,
+    pub(crate) counters: StateTable,
+    /// The largest frontier of the sweep that found them.
+    pub(crate) frontier_peak: usize,
     /// The states over counter state `i` are `heads[i]..heads[i + 1]`.
     heads: Vec<u32>,
     /// The tracked locals of state `s`: `tuples[s * width..][..width]`.
@@ -143,8 +155,8 @@ pub(crate) struct Lift {
 
 impl Lift {
     /// Numbers the fitting tuples of every counter state in `counters`.
-    fn new(counters: StateTable, width: usize) -> Self {
-        let (mut heads, mut tuples) = (vec![0], Vec::new());
+    fn new(counters: StateTable, frontier_peak: usize, width: usize) -> Self {
+        let (mut heads, mut tuples, mut count) = (vec![0], Vec::new(), 0);
         let (mut free, mut tuple) = (Vec::new(), Vec::with_capacity(width));
         for c in counters.states() {
             // Depth-first over positions, trying local states in order
@@ -155,6 +167,7 @@ impl Lift {
             loop {
                 if tuple.len() == width {
                     tuples.extend_from_slice(&tuple);
+                    count += 1;
                 } else if let Some(q) = (from..free.len()).find(|&q| free[q] > 0) {
                     free[q] -= 1;
                     tuple.push(q as u32);
@@ -165,10 +178,11 @@ impl Lift {
                 free[q as usize] += 1;
                 from = q as usize + 1;
             }
-            heads.push((tuples.len() / width) as u32);
+            heads.push(count);
         }
         Lift {
             counters,
+            frontier_peak,
             heads,
             tuples,
             width,
@@ -201,15 +215,17 @@ impl Lift {
     }
 }
 
-/// Builds the width-`width` structure as a lift of the counter
-/// reachability set (see the module docs), calling `on_edge(from, to,
-/// (src, tgt))` for every move of every state; returns it with its id
-/// map.
+/// Builds the width-`width` structure ([`write_rows`]) and freezes it,
+/// returning it with its id map.
+///
+/// # Errors
+///
+/// As for [`representative`].
 pub(crate) fn build_rep(
     sys: &CounterSystem,
     spec: &CountingSpec,
     width: u32,
-    mut on_edge: impl FnMut(u32, u32, (u32, u32)),
+    on_edge: impl FnMut(u32, u32, (u32, u32)),
 ) -> Result<(IndexedKripke, Lift), SymError> {
     let n = sys.size();
     if n == 0 {
@@ -218,6 +234,24 @@ pub(crate) fn build_rep(
     if width == 0 || width > n {
         return Err(SymError::BadRepWidth { width, n });
     }
+    let (rows, lift) = write_rows(sys, spec, width, on_edge);
+    let indices = (0..width).map(|c| REPRESENTATIVE_INDEX + c as Index);
+    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), lift))
+}
+
+/// The one row writer. Sweeps `sys` once ([`build::sweep`]), numbers the
+/// width-`width` states over the reachable counter states (see the module
+/// docs), and writes each state's row from the moves recorded for its
+/// counter state, calling `on_edge(from, to, (src, tgt))` for every
+/// lifted move, duplicates included. Width 0 is the counter structure:
+/// one state per counter state, named by its occupancy (`idle^2|crit^1`)
+/// and labeled with the counting atoms alone. Needs `width ≤ n`.
+pub(crate) fn write_rows(
+    sys: &CounterSystem,
+    spec: &CountingSpec,
+    width: u32,
+    mut on_edge: impl FnMut(u32, u32, (u32, u32)),
+) -> (Rows, Lift) {
     let template = sys.template();
     let num_locals = template.num_states();
     let w = width as usize;
@@ -241,29 +275,20 @@ pub(crate) fn build_rep(
         })
         .collect();
 
-    let mut next = Vec::new();
-    let (_, counters, _) = build::explore(
-        *sys.packing(),
-        Vec::new(),
-        sys.initial().counts(),
-        |_, _| String::new(),
-        |cur, emit| sys.each_move(cur, &mut next, |succ, _, _| emit(succ)),
-    );
-    let mut lift = Lift::new(counters, w);
+    let Sweep {
+        states,
+        frontier_peak,
+        moves: recorded,
+    } = build::sweep(sys);
+    let lift = Lift::new(states, frontier_peak, w);
+    let moves = template.moves();
     let mut rows = Rows::new(universe);
-    let (mut cur, mut moves, mut counting) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut label, mut others, mut succ, mut name) =
-        (Vec::new(), Vec::new(), Vec::new(), String::new());
+    let (mut counting, mut label, mut others) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut succ, mut name) = (Vec::new(), String::new());
     for i in 0..lift.counters.len() {
-        cur.clear();
-        cur.extend_from_slice(lift.counters.state(i));
-        moves.clear();
-        let counters = &mut lift.counters;
-        sys.each_move(&cur, &mut next, |c, mv, bc| {
-            moves.push((counters.id(c), mv, bc))
-        });
+        let cur = lift.counters.state(i);
         counting.clear();
-        labels.push_labels(&cur, &mut counting);
+        labels.push_labels(cur, &mut counting);
         for s in lift.range(i) {
             let t = lift.tuple(s);
             label.clear();
@@ -272,23 +297,22 @@ pub(crate) fn build_rep(
             }
             label.extend_from_slice(&counting);
             others.clear();
-            others.extend_from_slice(&cur);
+            others.extend_from_slice(cur);
             name.clear();
-            name.push_str("rep=");
             for (c, &l) in t.iter().enumerate() {
                 others[l as usize] -= 1;
-                if c > 0 {
-                    name.push(',');
-                }
+                name.push_str(if c == 0 { "rep=" } else { "," });
                 name.push_str(template.state_name(l));
             }
-            name.push('|');
+            if w > 0 {
+                name.push('|');
+            }
             sys.write_name(&others, &mut name);
             // A copy of the scratch name is allocated at its exact length.
             rows.add_state(name.clone(), &label);
 
-            for &(j, mv, bc) in &moves {
-                let (src, tgt) = mv;
+            for &(j, mv) in recorded.of(i) {
+                let ((src, tgt), bc) = moves[mv as usize];
                 succ.clear();
                 match bc {
                     None => succ.extend_from_slice(t),
@@ -297,7 +321,7 @@ pub(crate) fn build_rep(
                 let mut edge = |succ: &[u32]| {
                     let to = lift.id(j, succ);
                     rows.add_edge(to);
-                    on_edge(s, to, mv);
+                    on_edge(s, to, (src, tgt));
                 };
                 // A tracked copy in the move's source fires it, or an
                 // untracked one does.
@@ -315,17 +339,50 @@ pub(crate) fn build_rep(
             rows.close_row(s);
         }
     }
-    let indices = (0..width).map(|c| REPRESENTATIVE_INDEX + c as Index);
-    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), lift))
+    (rows, lift)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::{mutex_template, GuardedTemplate};
+    use crate::template::{mutex_template, Guard, GuardedBuilder, GuardedTemplate};
+    use icstar_kripke::StateId;
     use icstar_logic::parse_state;
     use icstar_mc::IndexedChecker;
     use icstar_nets::fig41_template;
+
+    #[test]
+    fn width_zero_writes_first_seen_atoms_and_stutters_dead_ends() {
+        // One copy walks a -> b (two parallel edges) -> c, and c's only
+        // edge is guarded impossibly.
+        let mut b = GuardedBuilder::new();
+        let a = b.state("a", ["a"]);
+        let bb = b.state("b", ["b"]);
+        let c = b.state("c", ["c"]);
+        b.edge(a, bb).edge(a, bb).edge(bb, c);
+        b.edge_guarded(c, c, [Guard::at_least("c", 99)]);
+        let sys = CounterSystem::new(b.build(a), 1);
+        // The universe is a_ge1, c_ge1, a_eq0; a_eq0 is seen before c_ge1.
+        let spec = (CountingSpec::new().with_at_least("a", 1))
+            .with_at_least("c", 1)
+            .with_zero("a");
+        let mut edges = Vec::new();
+        let (rows, lift) = write_rows(&sys, &spec, 0, |from, to, mv| edges.push((from, to, mv)));
+        assert_eq!(lift.counters.len(), 3);
+        assert_eq!(edges, [(0, 1, (0, 1)), (0, 1, (0, 1)), (1, 2, (1, 2))]);
+        let k = rows.freeze();
+        let order: Vec<String> = k.atoms().iter().map(|(_, a)| a.to_string()).collect();
+        assert_eq!(order, ["a_ge1", "a_eq0", "c_ge1"]);
+        assert_eq!(k.label(StateId(2)).iter().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(
+            k.successors(StateId(0)),
+            &[StateId(1)],
+            "duplicates dropped"
+        );
+        assert_eq!(k.successors(StateId(2)), &[StateId(2)], "dead end stutters");
+        assert_eq!(k.predecessors(StateId(2)), &[StateId(1), StateId(2)]);
+        assert_eq!(k.state_name(StateId(1)), "b^1", "no rep= prefix");
+    }
 
     #[test]
     fn empty_family_rejected() {

@@ -262,6 +262,10 @@ impl Broadcast {
     }
 }
 
+/// A move one copy initiates: its `(source, target)` pair, plus the
+/// broadcast every other copy responds to, if it is one.
+pub(crate) type Move<'t> = ((u32, u32), Option<&'t Broadcast>);
+
 /// A named weak-fairness constraint over a group of local moves.
 ///
 /// A move pair `(src, tgt)` selects **every** template transition from
@@ -417,6 +421,18 @@ impl GuardedTemplate {
     /// Whether the template has any broadcast moves.
     pub fn has_broadcasts(&self) -> bool {
         !self.broadcasts.is_empty()
+    }
+
+    /// Every move a copy can initiate, indexed by the move ids
+    /// `CounterSystem::each_move` reports: each local edge, by source
+    /// state and then position among its successors, then each broadcast
+    /// in declaration order. A move is the initiator's `(source, target)`
+    /// pair plus the broadcast, if it is one.
+    pub(crate) fn moves(&self) -> Vec<Move<'_>> {
+        let edges = (0..self.num_states() as u32)
+            .flat_map(|q| self.successors(q).iter().map(move |&q2| ((q, q2), None)));
+        let broadcasts = (self.broadcasts.iter()).map(|b| ((b.source, b.target), Some(b)));
+        edges.chain(broadcasts).collect()
     }
 
     /// The weak-fairness declarations, in declaration order.

@@ -37,7 +37,7 @@ pub struct HealthSnapshot {
     pub traces_dropped: u64,
     /// Cutoff certificates issued (`serve.cutoff.certified`).
     pub cutoffs_certified: u64,
-    /// Verdicts answered from a cached cutoff certificate
+    /// Unbounded-tail verdicts answered from a cutoff certificate
     /// (`serve.cutoff.hits`).
     pub cutoff_answers: u64,
     /// Estimated median job latency in nanoseconds (see

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for size in [10u32, 100, 1_000, 10_000] {
         let t = Instant::now();
-        let k = engine.counter_structure(size);
+        let k = engine.counter_graph(size).kripke;
         let digits = (size as f64 * 3f64.log10()).ceil() as u64;
         println!(
             "{:>8} {:>16} {:>21}... {:>12?}",

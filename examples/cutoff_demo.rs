@@ -9,9 +9,10 @@
 //! 2. **Serve** — the wire route: a `sizes 1..*` job goes over TCP and
 //!    comes back as finitely many verdicts (the sizes below `c` checked
 //!    directly, one certified verdict covering all `n ≥ c`). A follow-up
-//!    bounded job at `n = 1,000,000` is answered from the cached
-//!    certificate: the `sym.explore.builds` counter must not move —
-//!    zero structures built on the certified path.
+//!    `sizes 1000000..*` job is answered from the cached certificate:
+//!    the `sym.explore.builds` counter must not move — zero structures
+//!    built on the certified path. A bounded job is still checked
+//!    directly: a certificate is sampled evidence, not a proof.
 //! 3. **Audit** — the certified answers must agree with the direct
 //!    [`FamilyVerifier::verify_at_many`] route at `n ∈ {c, 10^3, 10^6}`
 //!    on a fresh (certificate-free) service, and the certified answer at
@@ -103,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(certified.iter().all(|v| v.cutoff == Some(2) && v.n == 2));
 
     // The certified path must not build anything: pin the exploration
-    // counter across a bounded job at n = 10^6.
+    // counter across an unbounded job from n = 10^6.
     let builds_before = client
         .metrics()?
         .counter("icstar_sym_explore_builds")
@@ -111,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warm_started = Instant::now();
     let warm_id = client.submit(
         &VerifyJob::new(mutex_template())
-            .at_size(1_000_000)
+            .all_sizes_from(1_000_000)
             .formula("mutual exclusion", parse_state("AG !crit_ge2")?)
             .formula(
                 "access possibility",
@@ -124,11 +125,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .metrics()?
         .counter("icstar_sym_explore_builds")
         .unwrap_or(0);
-    assert!(warm.verdicts.iter().all(|v| v.cutoff == Some(2)));
+    assert_eq!(warm.verdicts.len(), 2, "one tail verdict per formula");
+    assert!(warm
+        .verdicts
+        .iter()
+        .all(|v| v.cutoff == Some(2) && v.n == 1_000_000));
     assert_eq!(
         builds_after, builds_before,
         "the certified path must build zero structures"
     );
+    // A bounded size is checked directly, cached certificate or not.
+    let bounded_id = client.submit(
+        &VerifyJob::new(mutex_template())
+            .at_size(5)
+            .formula("mutual exclusion", parse_state("AG !crit_ge2")?),
+    )?;
+    let bounded = client.result(bounded_id)?;
+    assert!(bounded.verdicts.iter().all(|v| v.cutoff.is_none()));
     let stats = client.stats()?;
     assert_eq!(stats.cutoffs_certified, 2);
     assert!(stats.cutoff_answers >= 4, "2 unbounded + 2 warm verdicts");
@@ -154,11 +167,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cold_elapsed = cold_started.elapsed();
 
     for (n, verdicts) in direct_small.iter().chain(&direct_large) {
-        // Each size is re-asked over the wire; every answer comes from
-        // the certificate and must match the direct verdict.
+        // Each size is re-asked over the wire as the tail `n..*`; every
+        // answer comes from the certificate and must match the direct
+        // verdict.
         let audit_id = client.submit(
             &VerifyJob::new(mutex_template())
-                .at_size(*n)
+                .all_sizes_from(*n)
                 .formula("mutual exclusion", parse_state("AG !crit_ge2")?)
                 .formula(
                     "access possibility",
@@ -169,6 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (w, d) in wire.verdicts.iter().zip(verdicts) {
             assert_eq!(w.name, d.name);
             assert_eq!(w.cutoff, Some(2), "{} at n = {n} must be certified", w.name);
+            assert_eq!(w.n, *n);
             assert_eq!(w.outcome, Ok(d.holds), "{} at n = {n}", w.name);
         }
         println!("audit: certified == direct at n = {n}");

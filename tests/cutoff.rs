@@ -20,6 +20,7 @@
 
 use icstar::Atom;
 use icstar_logic::parse_state;
+use icstar_serve::{VerifyJob, VerifyService};
 use icstar_sym::arb::{random_guarded_template, RandomGuardedConfig};
 use icstar_sym::{
     barrier_template, msi_template, mutex_template, ring_station_template, wakeup_template,
@@ -256,4 +257,21 @@ fn guard_chain_direct_verdicts_are_pinned() {
     for n in [9, 10, 20] {
         assert!(engine.check(n, &f).unwrap(), "n = {n}");
     }
+}
+
+#[test]
+fn guard_chain_bounded_jobs_get_direct_verdicts_after_certification() {
+    // An unbounded job caches whatever the scan concludes for the chain
+    // (today `c = 2, holds = false`); a bounded job at n = 9 must still be
+    // checked directly, not answered from that certificate.
+    let service = VerifyService::with_defaults();
+    let f = parse_state("EF q8_ge1").unwrap();
+    let unbounded = VerifyJob::new(guard_chain())
+        .all_sizes_from(1)
+        .formula("chain", f.clone());
+    service.submit(unbounded).wait().unwrap();
+    let bounded = VerifyJob::new(guard_chain()).at_size(9).formula("chain", f);
+    let report = service.submit(bounded).wait().unwrap();
+    assert!(matches!(report.verdicts[0].result, Ok(true)));
+    assert_eq!(report.verdicts[0].cutoff, None);
 }
