@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Ratio guard: fails when the median of one benchmark exceeds the median
-# of another by more than a given factor, both read from the same
-# BENCH_*.json artifact (so machine speed cancels out).
+# Ratio guard: fails when the fastest sample of one benchmark exceeds the
+# fastest sample of another by more than a given factor, both read from
+# the same BENCH_*.json artifact (so machine speed cancels out). The
+# minimum (`min_ns`) is the sample least disturbed by other load on the
+# machine; medians of rows that run minutes apart move with that load.
 #
 #   bash ci/bench_ratio.sh BENCH_sym.json \
 #     sym/unfair-liveness/counting/100000 sym/unfair-liveness/counting/10000 25
@@ -22,20 +24,20 @@ numerator=$2
 denominator=$3
 max_ratio=$4
 
-median() {
+min_ns() {
   awk -v want="$1" '
     /"group"/ {
       line = $0
       g = line; sub(/.*"group": "/, "", g); sub(/".*/, "", g)
       i = line; sub(/.*"id": "/, "", i); sub(/".*/, "", i)
-      m = line; sub(/.*"median_ns": /, "", m); sub(/[,}].*/, "", m)
+      m = line; sub(/.*"min_ns": /, "", m); sub(/[,}].*/, "", m)
       if (g "/" i == want) print m
     }
   ' "$current"
 }
 
-num_ns=$(median "$numerator")
-den_ns=$(median "$denominator")
+num_ns=$(min_ns "$numerator")
+den_ns=$(min_ns "$denominator")
 for pair in "$numerator=$num_ns" "$denominator=$den_ns"; do
   if [ -z "${pair#*=}" ]; then
     echo "bench-ratio: ${pair%=*} missing from $current" >&2

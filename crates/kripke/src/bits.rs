@@ -44,6 +44,19 @@ impl BitSet {
         self.nbits
     }
 
+    /// The set as machine words: element `i` is bit `i % 64` of word
+    /// `i / 64`. Bits at or past [`BitSet::capacity`] are clear.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The words, for writing whole words at a time. Callers must leave
+    /// the bits at or past [`BitSet::capacity`] clear: equality, `len`
+    /// and iteration count them.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Inserts `bit`. Returns `true` if it was newly inserted.
     ///
     /// # Panics
@@ -287,6 +300,21 @@ mod tests {
         let mut h = HashSet::new();
         h.insert(a);
         assert!(h.contains(&b));
+    }
+
+    #[test]
+    fn words_expose_the_layout() {
+        let mut s = BitSet::from_iter_with_capacity(70, [0, 63, 64, 69]);
+        assert_eq!(s.words(), &[1 | 1 << 63, 1 | 1 << 5]);
+        s.words_mut()[1] = 1 << 2;
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 66]);
+        let mut full = BitSet::new(70);
+        full.complement();
+        assert_eq!(
+            full.words()[1],
+            (1 << 6) - 1,
+            "bits past capacity stay clear"
+        );
     }
 
     #[test]

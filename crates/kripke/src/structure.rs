@@ -18,6 +18,12 @@ impl StateId {
     }
 }
 
+impl From<StateId> for u32 {
+    fn from(s: StateId) -> u32 {
+        s.0
+    }
+}
+
 impl fmt::Display for StateId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)
@@ -290,6 +296,28 @@ impl Kripke {
         &self.pred_edges[lo..hi]
     }
 
+    /// The transition relation in compressed-sparse-row form, as
+    /// `(heads, edges)`: the successors of state `s` are
+    /// `edges[heads[s]..heads[s + 1]]`, so `heads` has `|S| + 1` entries.
+    /// The check kernels walk these slices directly.
+    pub fn succ_csr(&self) -> (&[u32], &[StateId]) {
+        (&self.succ_heads, &self.succ_edges)
+    }
+
+    /// The reverse relation in the same form as [`Kripke::succ_csr`]: the
+    /// predecessors of `s` are `edges[heads[s]..heads[s + 1]]`.
+    pub fn pred_csr(&self) -> (&[u32], &[StateId]) {
+        (&self.pred_heads, &self.pred_edges)
+    }
+
+    /// The labeling as `(labels, label_of)`: the distinct labels, in
+    /// first-seen state order, and each state's index into them, so
+    /// `label(s)` is `labels[label_of[s]]`. A predicate on labels is
+    /// decided once per distinct label this way.
+    pub fn label_parts(&self) -> (&[BitSet], &[u32]) {
+        (&self.labels, &self.label_of)
+    }
+
     /// Whether `(a, b) ∈ R`.
     pub fn has_edge(&self, a: StateId, b: StateId) -> bool {
         self.successors(a).contains(&b)
@@ -442,6 +470,38 @@ mod tests {
         assert_eq!(m.state_by_name("c"), Some(StateId(1)));
         assert_eq!(m.state_by_name("zzz"), None);
         assert!(m.validate().is_ok());
+    }
+
+    #[test]
+    fn csr_parts_match_the_row_accessors() {
+        let mut b = KripkeBuilder::new();
+        let a = b.state_labeled("a", [Atom::plain("p")]);
+        let c = b.state("c");
+        let d = b.state_labeled("d", [Atom::plain("p")]);
+        b.edge(a, c);
+        b.edge(a, d);
+        b.edge(c, c);
+        b.edge(d, a);
+        let m = b.build(a).unwrap();
+        for (csr, row) in [
+            (
+                m.succ_csr(),
+                Kripke::successors as fn(&Kripke, StateId) -> &[StateId],
+            ),
+            (m.pred_csr(), Kripke::predecessors),
+        ] {
+            let (heads, edges) = csr;
+            assert_eq!(heads.len(), m.num_states() + 1);
+            for s in m.states() {
+                let (lo, hi) = (heads[s.idx()] as usize, heads[s.idx() + 1] as usize);
+                assert_eq!(&edges[lo..hi], row(&m, s));
+            }
+        }
+        let (labels, label_of) = m.label_parts();
+        assert_eq!(labels.len(), 2, "a and d share one label");
+        for s in m.states() {
+            assert_eq!(&labels[label_of[s.idx()] as usize], m.label(s));
+        }
     }
 
     #[test]

@@ -14,19 +14,59 @@
 //! a worklist at most once and each transition is looked at a bounded
 //! number of times, however deep the fixpoint.
 //!
+//! The kernels read the structure in its stored layout. The transition
+//! relation and its reverse are compressed-sparse-row arrays
+//! ([`Kripke::succ_csr`], [`Kripke::pred_csr`]): the row of state `s` is
+//! `edges[heads[s]..heads[s + 1]]`, one contiguous slice per state. A
+//! state set is a [`BitSet`] whose word `i / 64` holds state `i` at bit
+//! `i % 64` ([`BitSet::words`]); the kernels test and set those bits in
+//! place, and start their scans from whole words (`er` visits only the
+//! words of `g ∧ ¬f`).
+//!
 //! The crate's one strongly-connected-component routine lives here too:
-//! an iterative Tarjan over a successor closure, shared by fair `EG`
-//! ([`crate::fair::eg_fair`]) and the Büchi product ([`crate::product`]).
+//! `tarjan`, an iterative Tarjan over a CSR graph restricted to the
+//! nodes a filter keeps, shared by fair `EG` ([`crate::fair::eg_fair`])
+//! and the Büchi product ([`crate::product`]).
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Kripke, StateId};
+use icstar_kripke::Kripke;
+
+/// Whether state `i` is in the set with words `words`.
+#[inline]
+pub(crate) fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Adds state `i` to the set with words `words`.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Removes state `i` from the set with words `words`, returning whether
+/// it was there.
+#[inline]
+fn take_bit(words: &mut [u64], i: usize) -> bool {
+    let (w, mask) = (&mut words[i / 64], 1u64 << (i % 64));
+    let was = *w & mask != 0;
+    *w &= !mask;
+    was
+}
+
+/// The row of `s` in the CSR arrays `(heads, edges)`.
+#[inline]
+pub(crate) fn row<'a, E>(heads: &[u32], edges: &'a [E], s: usize) -> &'a [E] {
+    &edges[heads[s] as usize..heads[s + 1] as usize]
+}
 
 /// States with at least one successor in `set` (the `EX` modality).
 pub fn pre_exists(m: &Kripke, set: &BitSet) -> BitSet {
+    let (heads, preds) = m.pred_csr();
     let mut out = BitSet::new(m.num_states());
-    for bit in set.iter() {
-        for &p in m.predecessors(StateId(bit as u32)) {
-            out.insert(p.idx());
+    let words = out.words_mut();
+    for t in set.iter() {
+        for p in row(heads, preds, t) {
+            set_bit(words, p.idx());
         }
     }
     out
@@ -47,16 +87,28 @@ pub fn pre_all(m: &Kripke, set: &BitSet) -> BitSet {
 /// only through `f`-states. Least fixpoint `μZ. g ∨ (f ∧ EX Z)`,
 /// computed with a backward worklist.
 pub fn eu(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
-    let mut out = g.clone();
-    let mut work: Vec<StateId> = g.iter().map(|b| StateId(b as u32)).collect();
-    while let Some(s) = work.pop() {
-        for &p in m.predecessors(s) {
-            if f.contains(p.idx()) && !out.contains(p.idx()) {
-                out.insert(p.idx());
-                work.push(p);
+    let (heads, preds) = m.pred_csr();
+    // The `f`-states not reached yet; a predecessor joins iff it is one.
+    let mut open = f.clone();
+    open.difference_with(g);
+    let open_words = open.words_mut();
+    // Depth-first from one `g`-state at a time, so the worklist holds
+    // one search, not all of `g`.
+    let mut work: Vec<u32> = Vec::new();
+    for s in g.iter() {
+        work.push(s as u32);
+        while let Some(t) = work.pop() {
+            for p in row(heads, preds, t as usize) {
+                if take_bit(open_words, p.idx()) {
+                    work.push(p.0);
+                }
             }
         }
     }
+    // Z = g ∨ (f ∧ ¬open).
+    let mut out = f.clone();
+    out.difference_with(&open);
+    out.union_with(g);
     out
 }
 
@@ -78,29 +130,46 @@ pub fn eg(m: &Kripke, f: &BitSet) -> BitSet {
 /// `g ∧ f` states never leave. Each state departs at most once, so each
 /// predecessor edge is walked at most once.
 pub fn er(m: &Kripke, f: &BitSet, g: &BitSet) -> BitSet {
-    let mut z = g.clone();
+    let (succ_heads, succs) = m.succ_csr();
+    let (pred_heads, preds) = m.pred_csr();
+    let g_words = g.words();
+    // The states of `Z` that may still leave it: `Z ∧ ¬f`, from `g ∧ ¬f`.
+    let mut open = g.clone();
+    open.difference_with(f);
+    let open_words = open.words_mut();
     let mut count = vec![0u32; m.num_states()];
-    let mut gone: Vec<StateId> = Vec::new();
-    for s in g.iter().filter(|&s| !f.contains(s)) {
-        let s = StateId(s as u32);
-        let live = m.successors(s).iter().filter(|t| g.contains(t.idx()));
-        count[s.idx()] = live.count() as u32;
-        if count[s.idx()] == 0 {
-            z.remove(s.idx());
-            gone.push(s);
+    let mut gone: Vec<u32> = Vec::new();
+    for w in 0..open_words.len() {
+        let mut word = open_words[w];
+        while word != 0 {
+            let s = w * 64 + word.trailing_zeros() as usize;
+            word &= word - 1;
+            let live = row(succ_heads, succs, s)
+                .iter()
+                .filter(|t| has_bit(g_words, t.idx()))
+                .count() as u32;
+            count[s] = live;
+            if live == 0 {
+                take_bit(open_words, s);
+                gone.push(s as u32);
+            }
         }
     }
     while let Some(t) = gone.pop() {
-        for &p in m.predecessors(t) {
-            if z.contains(p.idx()) && !f.contains(p.idx()) {
+        for p in row(pred_heads, preds, t as usize) {
+            if has_bit(open_words, p.idx()) {
                 count[p.idx()] -= 1;
                 if count[p.idx()] == 0 {
-                    z.remove(p.idx());
-                    gone.push(p);
+                    take_bit(open_words, p.idx());
+                    gone.push(p.0);
                 }
             }
         }
     }
+    // Z = (g ∧ f) ∨ open.
+    let mut z = g.clone();
+    z.intersect_with(f);
+    z.union_with(&open);
     z
 }
 
@@ -116,73 +185,119 @@ pub fn empty_set(m: &Kripke) -> BitSet {
     BitSet::new(m.num_states())
 }
 
-/// Strongly connected components of the graph on nodes `0..n` whose
-/// successors are `succs(u)`, by an iterative Tarjan that explores from
-/// each of `roots` in turn. Returns each node's component id (ids come
-/// out in reverse topological order), or `u32::MAX` for nodes no root
-/// reaches.
-pub(crate) fn tarjan<I>(
-    n: usize,
+/// Strongly connected components of the CSR graph `(heads, edges)` on
+/// nodes `0..heads.len() - 1`, restricted to the nodes `keep` admits
+/// (edges to other nodes are ignored), by an iterative Tarjan that
+/// explores from each of `roots` in turn; every root must be kept.
+///
+/// Returns each node's component id, or `u32::MAX` for nodes no root
+/// reaches, and per component whether it is non-trivial: whether some
+/// kept edge stays inside it (it has two nodes or more, or a
+/// self-loop). Ids come out in reverse topological order.
+///
+/// This is Pearce's space-saving form of Tarjan's algorithm: one `u32`
+/// per node (`rindex`) serves as visit index, low link and, once the
+/// node's component is complete, component number, so no on-stack flag
+/// is kept. Indices count up from 1 and are reused when a component
+/// completes; component numbers count down from `n`, so a finished node
+/// always reads larger than an open one and never lowers a low link.
+pub(crate) fn tarjan<E: Copy + Into<u32>>(
+    heads: &[u32],
+    edges: &[E],
+    keep: impl Fn(u32) -> bool,
     roots: impl IntoIterator<Item = u32>,
-    succs: impl Fn(u32) -> I,
-) -> Vec<u32>
-where
-    I: Iterator<Item = u32>,
-{
-    let mut comp = vec![u32::MAX; n];
-    let mut index = vec![u32::MAX; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    // Explicit DFS: (node, remaining successors).
-    let mut call: Vec<(u32, I)> = Vec::new();
-    let (mut next_index, mut next_comp) = (0u32, 0u32);
+) -> (Vec<u32>, Vec<bool>) {
+    /// A node on the DFS path.
+    struct Frame {
+        node: u32,
+        /// The position of its next edge.
+        next: u32,
+        /// Whether no edge has reached below its index yet, so that it
+        /// is the root of its component.
+        root: bool,
+        self_loop: bool,
+    }
+    let n = heads.len() - 1;
+    // 0: not visited.
+    let mut rindex = vec![0u32; n];
+    // Visited nodes, off the DFS path, whose component is still open.
+    let mut open: Vec<u32> = Vec::new();
+    let mut call: Vec<Frame> = Vec::new();
+    let mut nontrivial: Vec<bool> = Vec::new();
+    let (mut index, mut next_comp) = (1u32, n as u32);
+    let enter = |v: u32, index: &mut u32, rindex: &mut [u32]| {
+        rindex[v as usize] = *index;
+        *index += 1;
+        Frame {
+            node: v,
+            next: heads[v as usize],
+            root: true,
+            self_loop: false,
+        }
+    };
     for root in roots {
-        if index[root as usize] != u32::MAX {
+        if rindex[root as usize] != 0 {
             continue;
         }
-        let mut enter = Some(root);
-        loop {
-            if let Some(v) = enter.take() {
-                index[v as usize] = next_index;
-                low[v as usize] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v as usize] = true;
-                call.push((v, succs(v)));
-            }
-            let Some((u, rest)) = call.last_mut() else {
-                break;
-            };
-            let u = *u;
-            match rest.next() {
-                Some(v) if index[v as usize] == u32::MAX => enter = Some(v),
-                Some(v) => {
-                    if on_stack[v as usize] {
-                        low[u as usize] = low[u as usize].min(index[v as usize]);
-                    }
+        call.push(enter(root, &mut index, &mut rindex));
+        while let Some(frame) = call.last_mut() {
+            let v = frame.node as usize;
+            let rest = &edges[frame.next as usize..heads[v + 1] as usize];
+            let (mut low, mut child) = (rindex[v], None);
+            for (k, &w) in rest.iter().enumerate() {
+                let w: u32 = w.into();
+                if !keep(w) {
+                    continue;
                 }
-                None => {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent as usize] = low[parent as usize].min(low[u as usize]);
+                let rw = rindex[w as usize];
+                if rw == 0 {
+                    child = Some((w, k as u32));
+                    break;
+                }
+                frame.self_loop |= w as usize == v;
+                if rw < low {
+                    low = rw;
+                    frame.root = false;
+                }
+            }
+            rindex[v] = low;
+            if let Some((w, k)) = child {
+                frame.next += k + 1;
+                call.push(enter(w, &mut index, &mut rindex));
+                continue;
+            }
+            let done = call.pop().expect("the frame just read");
+            if done.root {
+                let mut members = 1;
+                while let Some(&w) = open.last() {
+                    if rindex[w as usize] < low {
+                        break;
                     }
-                    if low[u as usize] == index[u as usize] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            comp[w as usize] = next_comp;
-                            if w == u {
-                                break;
-                            }
-                        }
-                        next_comp += 1;
-                    }
+                    open.pop();
+                    rindex[w as usize] = next_comp;
+                    members += 1;
+                }
+                index -= members;
+                rindex[v] = next_comp;
+                next_comp -= 1;
+                nontrivial.push(members > 1 || done.self_loop);
+            } else {
+                open.push(v as u32);
+            }
+            if let Some(parent) = call.last_mut() {
+                let p = parent.node as usize;
+                if rindex[v] < rindex[p] {
+                    rindex[p] = rindex[v];
+                    parent.root = false;
                 }
             }
         }
     }
-    comp
+    // Component numbers n, n - 1, ... become ids 0, 1, ...
+    for r in &mut rindex {
+        *r = if *r == 0 { u32::MAX } else { n as u32 - *r };
+    }
+    (rindex, nontrivial)
 }
 
 #[cfg(test)]
@@ -191,7 +306,7 @@ mod tests {
     use crate::fair::{eg_fair, FairReq, TransFairness};
     use crate::Checker;
     use icstar_kripke::gen::{random_kripke, RandomConfig};
-    use icstar_kripke::{Atom, KripkeBuilder};
+    use icstar_kripke::{Atom, KripkeBuilder, StateId};
     use icstar_logic::parse_state;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -403,6 +518,29 @@ mod tests {
     }
 
     #[test]
+    fn pre_exists_matches_its_definition_on_random_structures() {
+        let mut rng = StdRng::seed_from_u64(0x9e_e715);
+        for trial in 0..400 {
+            let m = random_kripke(
+                &mut rng,
+                &RandomConfig {
+                    states: 1 + trial % 70,
+                    mean_out_degree: 1.0 + (trial % 4) as f64,
+                    ..RandomConfig::default()
+                },
+            );
+            let set = random_subset(&mut rng, &m);
+            let by_definition = BitSet::from_iter_with_capacity(
+                m.num_states(),
+                (m.states())
+                    .filter(|&s| m.successors(s).iter().any(|t| set.contains(t.idx())))
+                    .map(|s| s.idx()),
+            );
+            assert_eq!(pre_exists(&m, &set), by_definition, "trial {trial}");
+        }
+    }
+
+    #[test]
     fn counting_eg_er_match_the_fixpoints_on_random_structures() {
         let mut rng = StdRng::seed_from_u64(0x1f_eeed);
         let mut self_loops = 0;
@@ -479,29 +617,99 @@ mod tests {
         }
     }
 
+    /// `adj` as CSR arrays.
+    fn csr(adj: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+        let mut heads = vec![0];
+        for row in adj {
+            heads.push(heads.last().unwrap() + row.len() as u32);
+        }
+        (heads, adj.concat())
+    }
+
     #[test]
     fn tarjan_on_simple_graph() {
         // 0 -> 1 -> 2 -> 0 (one SCC), 3 -> 0 (own SCC)
-        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![0], vec![0]];
-        let comp = tarjan(adj.len(), 0..4, |u| adj[u as usize].iter().copied());
+        let (heads, edges) = csr(&[vec![1], vec![2], vec![0], vec![0]]);
+        let (comp, nontrivial) = tarjan(&heads, &edges, |_| true, 0..4);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[3], comp[0]);
+        assert!(nontrivial[comp[0] as usize] && !nontrivial[comp[3] as usize]);
+        assert_eq!(nontrivial.len(), 2);
     }
 
     #[test]
     fn tarjan_self_loop_and_isolated() {
-        let adj: Vec<Vec<u32>> = vec![vec![0], vec![]];
-        let comp = tarjan(adj.len(), 0..2, |u| adj[u as usize].iter().copied());
+        let (heads, edges) = csr(&[vec![0], vec![]]);
+        let (comp, nontrivial) = tarjan(&heads, &edges, |_| true, 0..2);
         assert_ne!(comp[0], comp[1]);
+        assert_eq!(nontrivial, vec![true, false]);
     }
 
     #[test]
     fn tarjan_leaves_unreached_nodes_unassigned() {
         // Rooted at 1 only: 1 -> 2 -> 1 is reached, 0 is not.
-        let adj: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1]];
-        let comp = tarjan(adj.len(), [1], |u| adj[u as usize].iter().copied());
+        let (heads, edges) = csr(&[vec![1], vec![2], vec![1]]);
+        let (comp, nontrivial) = tarjan(&heads, &edges, |_| true, [1]);
         assert_eq!(comp[0], u32::MAX);
         assert_eq!(comp[1], comp[2]);
+        assert_eq!(nontrivial, vec![true]);
+    }
+
+    #[test]
+    fn tarjan_ignores_edges_to_dropped_nodes() {
+        // 0 -> 1 -> 2 -> 0 is one SCC, but without node 2 it falls apart
+        // into {0} and {1}, and 2 stays unassigned.
+        let (heads, edges) = csr(&[vec![1], vec![2], vec![0]]);
+        let (comp, nontrivial) = tarjan(&heads, &edges, |v| v != 2, [0, 1]);
+        assert_ne!(comp[0], comp[1]);
+        assert_eq!(comp[2], u32::MAX);
+        assert_eq!(nontrivial, vec![false, false]);
+        // Reverse topological order: 1 is finished before 0.
+        assert!(comp[1] < comp[0]);
+    }
+
+    #[test]
+    fn tarjan_matches_mutual_reachability_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(0x5cc);
+        for trial in 0..300 {
+            let n = 1 + trial % 15;
+            let adj: Vec<Vec<u32>> = (0..n)
+                .map(|_| (0..n as u32).filter(|_| rng.random_bool(0.2)).collect())
+                .collect();
+            let kept: Vec<bool> = (0..n).map(|_| rng.random_bool(0.8)).collect();
+            let roots: Vec<u32> = (0..n as u32).filter(|&u| kept[u as usize]).collect();
+            // reach[u][v]: a path of one step or more through kept nodes.
+            let mut reach = vec![vec![false; n]; n];
+            for u in roots.iter().map(|&u| u as usize) {
+                for &v in &adj[u] {
+                    reach[u][v as usize] = kept[v as usize];
+                }
+            }
+            for k in 0..n {
+                for u in 0..n {
+                    for v in 0..n {
+                        reach[u][v] |= reach[u][k] && reach[k][v];
+                    }
+                }
+            }
+            let (heads, edges) = csr(&adj);
+            let (comp, nontrivial) = tarjan(&heads, &edges, |v| kept[v as usize], roots);
+            for u in 0..n {
+                if !kept[u] {
+                    assert_eq!(comp[u], u32::MAX, "trial {trial}");
+                    continue;
+                }
+                assert_eq!(nontrivial[comp[u] as usize], reach[u][u], "trial {trial}");
+                for v in (0..n).filter(|&v| kept[v]) {
+                    let same = u == v || reach[u][v] && reach[v][u];
+                    assert_eq!(comp[u] == comp[v], same, "trial {trial}: {u}, {v}");
+                    // Reverse topological order.
+                    if reach[u][v] && !same {
+                        assert!(comp[u] > comp[v], "trial {trial}: {u} -> {v}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -199,14 +199,13 @@ impl<'a> Checker<'a> {
                 s
             }
             Iff(a, b) => {
-                let sa = self.sat(a)?;
+                // ¬(a xor b), a word at a time.
+                let mut s = (*self.sat(a)?).clone();
                 let sb = self.sat(b)?;
-                let mut s = BitSet::new(self.m.num_states());
-                for st in self.m.states() {
-                    if sa.contains(st.idx()) == sb.contains(st.idx()) {
-                        s.insert(st.idx());
-                    }
+                for (w, b) in s.words_mut().iter_mut().zip(sb.words()) {
+                    *w ^= b;
                 }
+                s.complement();
                 s
             }
             ForallIdx(v, _) | ExistsIdx(v, _) => {
@@ -219,13 +218,21 @@ impl<'a> Checker<'a> {
 
     /// The states labeled `atom`, with the atom's id looked up once.
     fn sat_atom(&self, atom: &Atom) -> BitSet {
+        match self.m.atoms().id(atom) {
+            Some(id) => self.sat_label(|label| label.contains(id.idx())),
+            None => BitSet::new(self.m.num_states()),
+        }
+    }
+
+    /// The states whose label satisfies `holds`, which is decided once
+    /// per distinct label; the result is written 64 states to a word.
+    fn sat_label(&self, holds: impl Fn(&BitSet) -> bool) -> BitSet {
+        let (labels, label_of) = self.m.label_parts();
+        let label_holds: Vec<bool> = labels.iter().map(holds).collect();
         let mut out = BitSet::new(self.m.num_states());
-        if let Some(id) = self.m.atoms().id(atom) {
-            for s in self.m.states() {
-                if self.m.label(s).contains(id.idx()) {
-                    out.insert(s.idx());
-                }
-            }
+        for (word, states) in out.words_mut().iter_mut().zip(label_of.chunks(64)) {
+            *word = (states.iter().enumerate())
+                .fold(0, |w, (i, &l)| w | (label_holds[l as usize] as u64) << i);
         }
         out
     }
@@ -245,14 +252,7 @@ impl<'a> Checker<'a> {
             .filter(|(_, a)| a.is_indexed() && a.name() == name)
             .map(|(id, _)| id.idx())
             .collect();
-        let mut out = BitSet::new(self.m.num_states());
-        for s in self.m.states() {
-            let count = ids.iter().filter(|&&b| self.m.label(s).contains(b)).count();
-            if count == 1 {
-                out.insert(s.idx());
-            }
-        }
-        out
+        self.sat_label(|label| ids.iter().filter(|&&b| label.contains(b)).count() == 1)
     }
 
     /// `E p` (`exists = true`) or `A p` (`exists = false`).

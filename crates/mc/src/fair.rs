@@ -31,17 +31,28 @@
 //! * [`af_fair`], [`ag_fair`], [`ax_fair`] — by duality
 //!   (`AF_fair f = ¬E_fair G ¬f`).
 //!
+//! `eg_fair` is linear in `|S| + |R|` plus the requirements' sizes, and
+//! reads no state's row twice. One `ctl::tarjan` pass over the
+//! structure's successor rows, restricted to `f`, numbers the SCCs and
+//! decides on the way whether each is non-trivial (it has two states or
+//! a self-loop). Each requirement then marks the SCCs it hits from its
+//! own flat data, without walking `f`: its released states word by word
+//! over `f ∧ released` (64 states per step), and its edges as one
+//! sequential sweep of a slice kept sorted by source and deduplicated,
+//! so a hit is two SCC-id reads and no lookup. An SCC is fair iff it is
+//! non-trivial and every requirement hits it; when none is, the
+//! backward closure is skipped.
+//!
 //! Under the empty constraint every operator *is* the plain primitive of
 //! [`crate::ctl`] and no fair-state set is computed. The model checker
 //! evaluates formulas through these operators
 //! ([`Checker::with_fairness`](crate::Checker::with_fairness)), so plain
 //! checking is fair checking with no constraints.
 
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{Kripke, StateId};
+use icstar_kripke::Kripke;
 
 use crate::ctl;
 
@@ -60,15 +71,20 @@ use crate::ctl;
 #[derive(Clone, Debug)]
 pub struct FairReq {
     states: BitSet,
-    edges: BTreeSet<(u32, u32)>,
+    /// Sorted by `(source, target)`, without duplicates.
+    edges: Box<[(u32, u32)]>,
 }
 
 impl FairReq {
-    /// A requirement from its released-state set and its edge set.
+    /// A requirement from its released-state set and its edges, in any
+    /// order and with repeats allowed.
     pub fn new(states: BitSet, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        let mut edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        edges.sort_unstable();
+        edges.dedup();
         FairReq {
             states,
-            edges: edges.into_iter().collect(),
+            edges: edges.into_boxed_slice(),
         }
     }
 
@@ -79,8 +95,8 @@ impl FairReq {
     }
 
     /// The requirement edges (traversing one infinitely often satisfies
-    /// the requirement).
-    pub fn edges(&self) -> &BTreeSet<(u32, u32)> {
+    /// the requirement), sorted by `(source, target)`, each once.
+    pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 }
@@ -148,13 +164,21 @@ impl TransFairness {
     /// the structure it is compiled for.
     pub(crate) fn fair_set(&self, m: &Kripke) -> &BitSet {
         debug_assert!(!self.is_empty(), "the empty constraint memoizes nothing");
-        debug_assert_eq!(
+        self.assert_bound_to(m);
+        self.fair_states
+            .get_or_init(|| eg_fair(m, &ctl::full_set(m), self))
+    }
+
+    /// Panics unless the non-empty constraint spans `m`'s states. O(1),
+    /// and kept in release builds: a constraint checked against another
+    /// structure would read its state sets and edges as that structure's
+    /// and answer garbage.
+    fn assert_bound_to(&self, m: &Kripke) {
+        assert_eq!(
             self.reqs[0].states.capacity(),
             m.num_states(),
             "a fairness constraint is bound to the structure it is compiled for"
         );
-        self.fair_states
-            .get_or_init(|| eg_fair(m, &ctl::full_set(m), self))
     }
 }
 
@@ -169,51 +193,60 @@ pub fn eg_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
     if fair.is_empty() {
         return ctl::eg(m, f);
     }
-    let comp = ctl::tarjan(m.num_states(), f.iter().map(|s| s as u32), |u| {
-        m.successors(StateId(u))
-            .iter()
-            .map(|t| t.0)
-            .filter(move |&t| f.contains(t as usize))
-    });
-    let num_comps = f.iter().map(|s| comp[s] as usize + 1).max().unwrap_or(0);
-    // Non-trivial: some edge stays inside the component (a self-loop
-    // counts).
-    let mut fair_comp = vec![false; num_comps];
-    for s in f.iter() {
-        let c = comp[s];
-        if m.successors(StateId(s as u32))
-            .iter()
-            .any(|t| comp[t.idx()] == c)
-        {
-            fair_comp[c as usize] = true;
-        }
-    }
+    fair.assert_bound_to(m);
+    let (heads, succs) = m.succ_csr();
+    let f_words = f.words();
+    let in_f = |t: u32| ctl::has_bit(f_words, t as usize);
+    // Every `f`-state is a root, so exactly the `f`-states get an SCC.
+    let (comp, mut fair_comp) = ctl::tarjan(heads, succs, in_f, f.iter().map(|s| s as u32));
+    // A non-trivial SCC is fair iff every requirement hits it.
+    let mut hit = vec![false; fair_comp.len()];
     for req in fair.reqs() {
-        let mut hit = vec![false; num_comps];
-        for s in f.iter() {
-            if req.states().contains(s) {
-                hit[comp[s] as usize] = true;
+        if !fair_comp.contains(&true) {
+            break;
+        }
+        hit.fill(false);
+        // A released state of the SCC, word by word over `f ∧ released`.
+        for (w, (&fw, &rw)) in f_words.iter().zip(req.states().words()).enumerate() {
+            let mut bits = fw & rw;
+            while bits != 0 {
+                hit[comp[w * 64 + bits.trailing_zeros() as usize] as usize] = true;
+                bits &= bits - 1;
             }
         }
-        // An SCC-internal requirement edge can be traversed infinitely
-        // often by a path cycling through the component.
+        // An SCC-internal requirement edge, which a path cycling through
+        // the SCC can traverse infinitely often.
         for &(u, v) in req.edges() {
             let c = comp[u as usize];
             if c != u32::MAX && c == comp[v as usize] {
                 hit[c as usize] = true;
             }
         }
-        for (fc, h) in fair_comp.iter_mut().zip(hit) {
-            *fc &= h;
+        for (fair, &hit) in fair_comp.iter_mut().zip(&hit) {
+            *fair &= hit;
         }
+    }
+    if !fair_comp.contains(&true) {
+        return BitSet::new(m.num_states());
+    }
+    if !fair_comp.contains(&false) {
+        // Every `f`-state lies on a fair SCC of `f`.
+        return f.clone();
     }
     // One pass suffices: each seed is a whole fair SCC of the candidate
     // set, and it stays a fair SCC inside the backward closure. A second
     // pass therefore finds the same seeds and the same closure.
-    let seeds = BitSet::from_iter_with_capacity(
-        m.num_states(),
-        f.iter().filter(|&s| fair_comp[comp[s] as usize]),
-    );
+    let mut seeds = f.clone();
+    for (w, word) in seeds.words_mut().iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let s = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if !fair_comp[comp[s] as usize] {
+                *word &= !(1 << (s % 64));
+            }
+        }
+    }
     ctl::eu(m, f, &seeds)
 }
 
@@ -300,7 +333,7 @@ pub fn ag_fair(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icstar_kripke::{Atom, KripkeBuilder};
+    use icstar_kripke::{Atom, KripkeBuilder, StateId};
 
     /// A scheduler that may ignore client 2 forever:
     /// s0 (serve nobody) -> s1 (serve 1) -> s0, s0 -> s2 (serve 2) -> s0.
@@ -549,12 +582,145 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "bound to the structure")]
     fn constraint_checked_against_another_structure_is_caught() {
         let (_, _, fair) = stutter_escape();
         let (other, ..) = scheduler();
         fair_states(&other, &fair);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound to the structure")]
+    fn fair_eg_against_another_structure_is_caught() {
+        let (_, _, fair) = stutter_escape();
+        let (other, ..) = scheduler();
+        eg_fair(&other, &ctl::full_set(&other), &fair);
+    }
+
+    /// `E_fair G f` from its definition, without Tarjan: SCCs of the
+    /// `f`-restricted graph from its transitive closure, then the
+    /// backward `f`-closure of the fair ones by iterated pre-image.
+    fn eg_fair_oracle(m: &Kripke, f: &BitSet, fair: &TransFairness) -> BitSet {
+        let n = m.num_states();
+        // reach[u][v]: a path of one step or more from u to v inside f.
+        let mut reach = vec![vec![false; n]; n];
+        for u in f.iter() {
+            for t in m.successors(StateId(u as u32)) {
+                reach[u][t.idx()] = f.contains(t.idx());
+            }
+        }
+        for k in 0..n {
+            for u in 0..n {
+                for v in 0..n {
+                    reach[u][v] |= reach[u][k] && reach[k][v];
+                }
+            }
+        }
+        let mut z = BitSet::new(n);
+        for u in f.iter().filter(|&u| reach[u][u]) {
+            let scc: Vec<usize> = (0..n).filter(|&v| reach[u][v] && reach[v][u]).collect();
+            let hit = |req: &FairReq| {
+                scc.iter().any(|&v| req.states().contains(v))
+                    || (req.edges().iter())
+                        .any(|&(a, b)| scc.contains(&(a as usize)) && scc.contains(&(b as usize)))
+            };
+            if fair.reqs().iter().all(hit) {
+                z.insert(u);
+            }
+        }
+        loop {
+            let pre: Vec<usize> = f
+                .iter()
+                .filter(|&s| !z.contains(s))
+                .filter(|&s| {
+                    m.successors(StateId(s as u32))
+                        .iter()
+                        .any(|t| z.contains(t.idx()))
+                })
+                .collect();
+            if pre.is_empty() {
+                return z;
+            }
+            pre.into_iter().for_each(|s| {
+                z.insert(s);
+            });
+        }
+    }
+
+    #[test]
+    fn eg_fair_matches_the_closure_oracle_on_random_structures() {
+        use icstar_kripke::gen::{random_kripke, RandomConfig};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x0fa1_e5cc);
+        let (mut self_loops, mut crossing, mut released, mut nonempty) = (0, 0, 0, 0);
+        for trial in 0..500 {
+            let m = random_kripke(
+                &mut rng,
+                &RandomConfig {
+                    states: 1 + trial % 12,
+                    mean_out_degree: 1.0 + (trial % 3) as f64,
+                    ..RandomConfig::default()
+                },
+            );
+            let n = m.num_states();
+            let subset = |rng: &mut StdRng, density: f64| {
+                BitSet::from_iter_with_capacity(n, (0..n).filter(|_| rng.random_bool(density)))
+            };
+            let f = if trial % 5 == 0 {
+                ctl::full_set(&m)
+            } else {
+                subset(&mut rng, 0.8)
+            };
+            let all_edges: Vec<(u32, u32)> = m
+                .states()
+                .flat_map(|s| m.successors(s).iter().map(move |t| (s.0, t.0)))
+                .collect();
+            let reqs: Vec<FairReq> = (0..1 + trial % 3)
+                .map(|_| {
+                    let density = [0.0, 0.1, 0.3][rng.random_range(0usize..3)];
+                    let states = subset(&mut rng, density);
+                    let p = [0.0, 0.2, 0.5][rng.random_range(0usize..3)];
+                    let edges: Vec<(u32, u32)> = (all_edges.iter().copied())
+                        .filter(|_| rng.random_bool(p))
+                        .collect();
+                    released += states.len();
+                    self_loops += edges.iter().filter(|(a, b)| a == b).count();
+                    // Edges leaving the f-restricted SCC of their source.
+                    let (heads, succs) = m.succ_csr();
+                    let keep = |t: u32| f.contains(t as usize);
+                    let (comp, _) = ctl::tarjan(heads, succs, keep, f.iter().map(|s| s as u32));
+                    crossing += (edges.iter())
+                        .filter(|&&(a, b)| comp[a as usize] != comp[b as usize])
+                        .count();
+                    // Repeats and disorder are the constructor's to fix.
+                    let mut shuffled = edges.clone();
+                    shuffled.extend(edges.iter().rev());
+                    FairReq::new(states, shuffled)
+                })
+                .collect();
+            let fair = TransFairness::new(reqs);
+            let got = eg_fair(&m, &f, &fair);
+            assert_eq!(got, eg_fair_oracle(&m, &f, &fair), "trial {trial}");
+            nonempty += usize::from(!got.is_empty());
+        }
+        assert!(
+            self_loops > 200,
+            "only {self_loops} self-loop requirement edges"
+        );
+        assert!(
+            crossing > 500,
+            "only {crossing} requirement edges between SCCs"
+        );
+        assert!(released > 400, "only {released} released states");
+        assert!(nonempty > 100, "only {nonempty} non-empty E_fair G sets");
+    }
+
+    #[test]
+    fn requirement_edges_are_sorted_and_deduplicated() {
+        let req = FairReq::new(BitSet::new(3), [(2, 0), (0, 1), (2, 0), (0, 0)]);
+        assert_eq!(req.edges(), &[(0, 0), (0, 1), (2, 0)]);
     }
 
     mod checker {

@@ -3,10 +3,11 @@
 //! `E φ` holds at state `s` iff the product of the structure with the
 //! automaton for `φ` has, from some compatible initial pair `(s, q₀)`, a
 //! path reaching a *non-trivial* strongly connected component that
-//! intersects every acceptance set. SCCs are found with the crate's
-//! shared iterative Tarjan; the satisfying-state set falls out of a
-//! reverse reachability pass, so the whole labeling is computed in one
-//! product exploration.
+//! intersects every acceptance set. The explored product is kept in
+//! compressed-sparse-row form; SCCs are found with the crate's one
+//! Tarjan (`ctl::tarjan`), and the satisfying-state set falls out of a
+//! reverse reachability pass over the transposed rows, so the whole
+//! labeling is computed in one product exploration.
 
 use std::collections::HashMap;
 
@@ -25,7 +26,10 @@ pub struct Product<'a> {
     /// Product nodes as (kripke state, gba node).
     nodes: Vec<(u32, u32)>,
     index: HashMap<(u32, u32), u32>,
-    adj: Vec<Vec<u32>>,
+    /// The product's edges in compressed-sparse-row form: the successors
+    /// of node `u` are `succs[heads[u]..heads[u + 1]]`.
+    heads: Vec<u32>,
+    succs: Vec<u32>,
     /// SCC id per node (by Tarjan; ids are in reverse topological order).
     comp: Vec<u32>,
     /// Whether each node lies in an accepting SCC.
@@ -45,6 +49,25 @@ fn compatible(gba: &Gba, lit_sat: &[BitSet], s: u32, q: usize) -> bool {
             .all(|l| !lit_sat[l.idx()].contains(s as usize))
 }
 
+/// The compressed-sparse-row arrays `(heads, targets)` of the graph on
+/// `n` nodes with edges `pairs`, each row in the order of its edges.
+fn csr(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut heads = vec![0u32; n + 1];
+    for (u, _) in pairs.clone() {
+        heads[u as usize + 1] += 1;
+    }
+    for u in 0..n {
+        heads[u + 1] += heads[u];
+    }
+    let mut next = heads[..n].to_vec();
+    let mut targets = vec![0u32; heads[n] as usize];
+    for (u, v) in pairs {
+        targets[next[u as usize] as usize] = v;
+        next[u as usize] += 1;
+    }
+    (heads, targets)
+}
+
 impl<'a> Product<'a> {
     /// Explores the product of `m` with `gba`, where `lit_sat[l]` is the
     /// set of structure states satisfying literal `l`.
@@ -56,13 +79,12 @@ impl<'a> Product<'a> {
     pub fn explore(m: &'a Kripke, gba: &'a Gba, lit_sat: &[BitSet]) -> Self {
         let mut nodes: Vec<(u32, u32)> = Vec::new();
         let mut index: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut adj: Vec<Vec<u32>> = Vec::new();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut stack: Vec<u32> = Vec::new();
 
         let add = |s: u32,
                    q: u32,
                    nodes: &mut Vec<(u32, u32)>,
-                   adj: &mut Vec<Vec<u32>>,
                    index: &mut HashMap<(u32, u32), u32>,
                    stack: &mut Vec<u32>|
          -> u32 {
@@ -71,7 +93,6 @@ impl<'a> Product<'a> {
             }
             let id = nodes.len() as u32;
             nodes.push((s, q));
-            adj.push(Vec::new());
             index.insert((s, q), id);
             stack.push(id);
             id
@@ -82,7 +103,7 @@ impl<'a> Product<'a> {
         for s in m.states() {
             for &q in &gba.initial {
                 if compatible(gba, lit_sat, s.0, q) {
-                    add(s.0, q as u32, &mut nodes, &mut adj, &mut index, &mut stack);
+                    add(s.0, q as u32, &mut nodes, &mut index, &mut stack);
                 }
             }
         }
@@ -91,58 +112,47 @@ impl<'a> Product<'a> {
             for &t in m.successors(StateId(s)) {
                 for &q2 in &gba.nodes[q as usize].succs {
                     if compatible(gba, lit_sat, t.0, q2) {
-                        let id2 = add(t.0, q2 as u32, &mut nodes, &mut adj, &mut index, &mut stack);
-                        adj[id as usize].push(id2);
+                        let id2 = add(t.0, q2 as u32, &mut nodes, &mut index, &mut stack);
+                        edges.push((id, id2));
                     }
                 }
             }
         }
-
-        let comp = ctl::tarjan(adj.len(), 0..adj.len() as u32, |u| {
-            adj[u as usize].iter().copied()
-        });
         let n = nodes.len();
-        // Which SCCs are accepting?
-        let num_comps = comp.iter().copied().max().map_or(0, |c| c as usize + 1);
-        let mut comp_size = vec![0u32; num_comps];
-        for &c in &comp {
-            comp_size[c as usize] += 1;
-        }
-        let mut has_self_loop = vec![false; num_comps];
-        let mut has_internal_edge = vec![false; num_comps];
-        for (u, outs) in adj.iter().enumerate() {
-            for &v in outs {
-                if comp[u] == comp[v as usize] {
-                    has_internal_edge[comp[u] as usize] = true;
-                    if u as u32 == v {
-                        has_self_loop[comp[u] as usize] = true;
-                    }
+        let (heads, succs) = csr(n, edges.iter().copied());
+        drop(edges);
+
+        let (comp, mut accepting_comp) = ctl::tarjan(&heads, &succs, |_| true, 0..n as u32);
+        // A non-trivial SCC is accepting iff it meets every acceptance
+        // set.
+        let mut hit = vec![false; accepting_comp.len()];
+        for set in &gba.acceptance {
+            let member: Vec<bool> = (0..gba.nodes.len()).map(|q| set.contains(&q)).collect();
+            hit.fill(false);
+            for (u, &(_, q)) in nodes.iter().enumerate() {
+                if member[q as usize] {
+                    hit[comp[u] as usize] = true;
                 }
             }
-        }
-        let mut accepting_comp = vec![false; num_comps];
-        for c in 0..num_comps {
-            let nontrivial = comp_size[c] > 1 && has_internal_edge[c] || has_self_loop[c];
-            if !nontrivial {
-                continue;
+            for (accepting, &hit) in accepting_comp.iter_mut().zip(&hit) {
+                *accepting &= hit;
             }
-            accepting_comp[c] = gba.acceptance.iter().all(|set| {
-                (0..n).any(|u| comp[u] as usize == c && set.contains(&(nodes[u].1 as usize)))
-            });
         }
-        let in_accepting: Vec<bool> = (0..n).map(|u| accepting_comp[comp[u] as usize]).collect();
+        let in_accepting: Vec<bool> = comp.iter().map(|&c| accepting_comp[c as usize]).collect();
 
-        // Reverse reachability from accepting SCC members.
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, outs) in adj.iter().enumerate() {
-            for &v in outs {
-                radj[v as usize].push(u as u32);
-            }
-        }
+        // Reverse reachability from accepting SCC members, over the
+        // transposed rows.
+        let (pred_heads, preds) = csr(
+            n,
+            (0..n).flat_map(|u| {
+                let row = ctl::row(&heads, &succs, u);
+                row.iter().map(move |&v| (v, u as u32))
+            }),
+        );
         let mut can_accept = in_accepting.clone();
         let mut work: Vec<u32> = (0..n as u32).filter(|&u| can_accept[u as usize]).collect();
         while let Some(u) = work.pop() {
-            for &p in &radj[u as usize] {
+            for &p in ctl::row(&pred_heads, &preds, u as usize) {
                 if !can_accept[p as usize] {
                     can_accept[p as usize] = true;
                     work.push(p);
@@ -155,11 +165,17 @@ impl<'a> Product<'a> {
             gba,
             nodes,
             index,
-            adj,
+            heads,
+            succs,
             comp,
             in_accepting,
             can_accept,
         }
+    }
+
+    /// The successors of product node `u`.
+    fn successors(&self, u: u32) -> &[u32] {
+        ctl::row(&self.heads, &self.succs, u as usize)
     }
 
     /// The set of structure states where `E φ` holds.
@@ -237,7 +253,7 @@ impl<'a> Product<'a> {
         let mut queue = std::collections::VecDeque::from([start]);
         prev[start as usize] = start;
         while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u as usize] {
+            for &v in self.successors(u) {
                 if prev[v as usize] == u32::MAX {
                     prev[v as usize] = u;
                     if goal(v) {
@@ -270,7 +286,7 @@ impl<'a> Product<'a> {
     ) -> Option<Vec<u32>> {
         // One explicit first step, then BFS (allows start == target with a
         // real cycle).
-        for &v in &self.adj[start as usize] {
+        for &v in self.successors(start) {
             if self.comp[v as usize] != scc {
                 continue;
             }
@@ -295,7 +311,7 @@ impl<'a> Product<'a> {
         let mut queue = std::collections::VecDeque::from([start]);
         prev[start as usize] = start;
         while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u as usize] {
+            for &v in self.successors(u) {
                 if self.comp[v as usize] != scc || prev[v as usize] != u32::MAX {
                     continue;
                 }

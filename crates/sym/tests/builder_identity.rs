@@ -303,7 +303,7 @@ fn reference_rep_fairness(
 fn reqs(f: &TransFairness) -> Vec<(BitSet, BTreeSet<(u32, u32)>)> {
     f.reqs()
         .iter()
-        .map(|r| (r.states().clone(), r.edges().clone()))
+        .map(|r| (r.states().clone(), r.edges().iter().copied().collect()))
         .collect()
 }
 
