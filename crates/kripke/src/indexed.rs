@@ -13,6 +13,7 @@
 //!   one index value satisfies `P`.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use crate::atom::{Atom, AtomId, AtomTable, Index, CANONICAL_INDEX};
 use crate::structure::{Kripke, StructureError};
@@ -160,6 +161,16 @@ impl IndexedKripke {
     }
 }
 
+/// An indexed structure is its underlying structure plus an index set,
+/// so it reads as a `&Kripke` wherever one is wanted.
+impl Deref for IndexedKripke {
+    type Target = Kripke;
+
+    fn deref(&self) -> &Kripke {
+        &self.kripke
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +191,14 @@ mod tests {
         b.edge(s0, s1);
         b.edge(s1, s0);
         IndexedKripke::new(b.build(s0).unwrap(), vec![1, 2])
+    }
+
+    #[test]
+    fn derefs_to_the_underlying_structure() {
+        let m = sample();
+        let k: &Kripke = &m;
+        assert!(std::ptr::eq(k, m.kripke()));
+        assert_eq!(m.num_states(), 2);
     }
 
     #[test]

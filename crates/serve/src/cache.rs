@@ -1,17 +1,17 @@
-//! The memoized counter-graph cache.
+//! The memoized structure cache.
 //!
 //! Materializing an abstract structure is the expensive step of every
 //! verification — everything after it is graph traversal. The cache maps
-//! `(template, spec, n, width)` to the materialized graph bundle
-//! ([`CounterGraph`] / [`RepGraph`]: the Kripke structure *plus* its
-//! compiled fairness conditions, which are a per-state artifact of the
-//! same exploration) behind an [`Arc`], so concurrent jobs over the same
-//! family share one copy and repeated queries are near-free. Counter
-//! graphs carry width 0; representative structures carry their number of
-//! tracked copies, so a depth-1 and a depth-2 structure of the same
-//! family never collide. Fairness declarations are part of the template
-//! fingerprint, so a fair template and its unconstrained twin never
-//! share an entry either.
+//! `(template, spec, n, width)` to the materialized [`RepGraph`] bundle
+//! (the Kripke structure *plus* its compiled fairness conditions, which
+//! are a per-state artifact of the same exploration) behind an [`Arc`],
+//! so concurrent jobs over the same family share one copy and repeated
+//! queries are near-free. The counter structure is width 0; a
+//! representative structure carries its number of tracked copies, so
+//! structures of different widths of the same family never collide, and
+//! one map, one weight and one LRU order serve them all. Fairness
+//! declarations are part of the template fingerprint, so a fair template
+//! and its unconstrained twin never share an entry either.
 //!
 //! Identity is **structural, verified**: entries are bucketed by the
 //! fast 64-bit [`CacheKey`] ([`GuardedTemplate::fingerprint`] /
@@ -31,7 +31,7 @@
 //! LRU victim, which costs a rebuild later but never a wrong answer —
 //! outstanding [`Arc`] handles keep an evicted structure alive until
 //! their holders drop it; eviction only forgets the cache's copy.
-//! Weight is states, not entries — one `n = 10⁶` counter graph
+//! Weight is states, not entries — one `n = 10⁶` counter structure
 //! outweighs thousands of small ones, which is exactly how the memory
 //! footprint behaves. Recency is stamped by a global logical clock on
 //! every hit, and the precise LRU scan runs under the shard locks one
@@ -55,14 +55,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use icstar_sym::{CounterGraph, CountingSpec, GuardedTemplate, RepGraph, SymError};
+use icstar_sym::{CountingSpec, GuardedTemplate, RepGraph, SymError};
 use icstar_telemetry::{Counter, Registry};
 
 use crate::spill::SpillStore;
 
-/// The bucket key of one family: fingerprints plus size and
-/// representative width (0 = the counter graph). Fast to hash and
-/// compare; entries under one key are disambiguated structurally.
+/// The bucket key of one structure: fingerprints plus size and width
+/// (0 = the counter structure). Fast to hash and compare; entries under
+/// one key are disambiguated structurally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`GuardedTemplate::fingerprint`] of the template.
@@ -72,13 +72,13 @@ pub struct CacheKey {
     /// The family size.
     pub n: u32,
     /// Distinguished copies tracked by the structure: 0 for the counter
-    /// graph, `k ≥ 1` for a width-`k` representative structure.
+    /// structure, `k ≥ 1` for a width-`k` representative structure.
     pub width: u32,
 }
 
 impl CacheKey {
     /// The key of `template` with labeling `spec` at size `n` and
-    /// representative width `width`.
+    /// width `width`.
     pub fn of(template: &GuardedTemplate, spec: &CountingSpec, n: u32, width: u32) -> Self {
         CacheKey {
             template: template.fingerprint(),
@@ -90,20 +90,20 @@ impl CacheKey {
 }
 
 /// A build-once slot: filled exactly once, then shared.
-type Slot<T> = Arc<OnceLock<Result<Arc<T>, SymError>>>;
+type Slot = Arc<OnceLock<Result<Arc<RepGraph>, SymError>>>;
 
 /// One verified entry: the workload it is for, its slot, and when it was
 /// last returned (logical clock; drives LRU eviction).
-struct Entry<T> {
+struct Entry {
     template: GuardedTemplate,
     spec: CountingSpec,
-    slot: Slot<T>,
+    slot: Slot,
     last_used: u64,
 }
 
-/// One sharded key→bucket map.
-struct Memo<T> {
-    shards: Vec<Mutex<HashMap<CacheKey, Vec<Entry<T>>>>>,
+/// The sharded key→bucket map.
+struct Memo {
+    shards: Vec<Mutex<HashMap<CacheKey, Vec<Entry>>>>,
 }
 
 fn shard_index(key: &CacheKey, shards: usize) -> usize {
@@ -114,7 +114,13 @@ fn shard_index(key: &CacheKey, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-impl<T> Memo<T> {
+/// A bundle's eviction weight: abstract states of its structure (the
+/// fairness conditions are per-state bit sets, proportional to it).
+fn weight(g: &RepGraph) -> u64 {
+    g.kripke.num_states() as u64
+}
+
+impl Memo {
     fn new(shards: usize) -> Self {
         Memo {
             shards: (0..shards.max(1))
@@ -132,7 +138,7 @@ impl<T> Memo<T> {
         template: &GuardedTemplate,
         spec: &CountingSpec,
         now: u64,
-    ) -> (Slot<T>, bool) {
+    ) -> (Slot, bool) {
         let shard = shard_index(&key, self.shards.len());
         let mut map = self.shards[shard].lock().expect("cache shard poisoned");
         let bucket = map.entry(key).or_default();
@@ -142,7 +148,7 @@ impl<T> Memo<T> {
                 return (Arc::clone(&entry.slot), false);
             }
         }
-        let slot: Slot<T> = Arc::new(OnceLock::new());
+        let slot: Slot = Arc::new(OnceLock::new());
         bucket.push(Entry {
             template: template.clone(),
             spec: spec.clone(),
@@ -150,44 +156,6 @@ impl<T> Memo<T> {
             last_used: now,
         });
         (slot, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn get_or_build(
-        &self,
-        key: CacheKey,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        now: u64,
-        hits: &Counter,
-        misses: &Counter,
-        resident: &AtomicI64,
-        pinned: &AtomicBool,
-        size: impl Fn(&T) -> usize,
-        build: impl FnOnce() -> Result<T, SymError>,
-    ) -> Result<Arc<T>, SymError> {
-        let (slot, created) = self.slot(key, template, spec, now);
-        if created {
-            misses.inc();
-        } else {
-            // Either already materialized or being materialized by a peer
-            // right now — both share the work, both are hits.
-            hits.inc();
-        }
-        let out = slot.get_or_init(|| build().map(Arc::new)).clone();
-        if created {
-            // Exactly one accounting add per entry: the inserter's (the
-            // slot may have been *filled* by a peer, but only one caller
-            // saw created == true). Estimate only — the eviction loop
-            // re-reads the precise total under the locks.
-            if let Ok(t) = &out {
-                resident.fetch_add(size(t) as i64, Ordering::Relaxed);
-            }
-            // The entry set changed: a pinned over-budget verdict may
-            // have new victims now.
-            pinned.store(false, Ordering::Relaxed);
-        }
-        out
     }
 
     fn len(&self) -> usize {
@@ -203,9 +171,9 @@ impl<T> Memo<T> {
             .sum()
     }
 
-    /// Sums `size` over every *materialized* entry (slots still building,
-    /// or filled with a build error, count zero).
-    fn total_size(&self, size: impl Fn(&T) -> usize) -> u64 {
+    /// Sums the weight of every *materialized* entry (slots still
+    /// building, or filled with a build error, count zero).
+    fn total_weight(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| {
@@ -215,22 +183,18 @@ impl<T> Memo<T> {
                     .flatten()
                     .filter_map(|e| e.slot.get())
                     .filter_map(|r| r.as_ref().ok())
-                    .map(|t| size(t) as u64)
+                    .map(|g| weight(g))
                     .sum::<u64>()
             })
             .sum()
     }
 
     /// The least-recently-used *materialized* entry other than `keep`:
-    /// its stamp, key, and weight. In-flight and errored slots are never
+    /// its stamp and key. In-flight and errored slots are never
     /// candidates (they weigh nothing, and evicting an in-flight build
     /// would lose the build-once guarantee).
-    fn lru_candidate(
-        &self,
-        keep: CacheKey,
-        size: &impl Fn(&T) -> usize,
-    ) -> Option<(u64, CacheKey, u64)> {
-        let mut best: Option<(u64, CacheKey, u64)> = None;
+    fn lru_candidate(&self, keep: CacheKey) -> Option<(u64, CacheKey)> {
+        let mut best: Option<(u64, CacheKey)> = None;
         for shard in &self.shards {
             let map = shard.lock().expect("cache shard poisoned");
             for (key, bucket) in map.iter() {
@@ -238,11 +202,10 @@ impl<T> Memo<T> {
                     continue;
                 }
                 for entry in bucket {
-                    let Some(Ok(t)) = entry.slot.get() else {
-                        continue;
-                    };
-                    if best.is_none_or(|(stamp, ..)| entry.last_used < stamp) {
-                        best = Some((entry.last_used, *key, size(t) as u64));
+                    if matches!(entry.slot.get(), Some(Ok(_)))
+                        && best.is_none_or(|(stamp, _)| entry.last_used < stamp)
+                    {
+                        best = Some((entry.last_used, *key));
                     }
                 }
             }
@@ -253,12 +216,7 @@ impl<T> Memo<T> {
     /// Removes the materialized entry under `key` stamped `stamp`,
     /// returning its weight. `None` if a racing lookup re-stamped or a
     /// racing eviction already removed it.
-    fn remove_stamped(
-        &self,
-        key: CacheKey,
-        stamp: u64,
-        size: &impl Fn(&T) -> usize,
-    ) -> Option<u64> {
+    fn remove_stamped(&self, key: CacheKey, stamp: u64) -> Option<u64> {
         let shard = shard_index(&key, self.shards.len());
         let mut map = self.shards[shard].lock().expect("cache shard poisoned");
         let bucket = map.get_mut(&key)?;
@@ -269,31 +227,21 @@ impl<T> Memo<T> {
         if bucket.is_empty() {
             map.remove(&key);
         }
-        let weight = match entry.slot.get() {
-            Some(Ok(t)) => size(t) as u64,
-            _ => 0,
-        };
-        Some(weight)
+        Some(
+            entry
+                .slot
+                .get()
+                .and_then(|r| r.as_ref().ok())
+                .map_or(0, |g| weight(g)),
+        )
     }
 }
 
-/// A bundle's eviction weight: abstract states of its Kripke structure
-/// (the fairness conditions are per-state bit sets, proportional to it).
-fn counter_weight(g: &CounterGraph) -> usize {
-    g.kripke.num_states()
-}
-
-/// See [`counter_weight`].
-fn rep_weight(g: &RepGraph) -> usize {
-    g.kripke.kripke().num_states()
-}
-
-/// The service-wide structure cache: counter graphs and representative
-/// structures, identified by workload (template + spec + size + width),
-/// optionally bounded by an abstract-state budget with LRU eviction.
+/// The service-wide structure cache: the structures of every width,
+/// identified by workload (template + spec + size + width), optionally
+/// bounded by an abstract-state budget with LRU eviction.
 pub struct GraphCache {
-    counter: Memo<CounterGraph>,
-    rep: Memo<RepGraph>,
+    memo: Memo,
     hits: Counter,
     misses: Counter,
     /// Maximum total abstract states across materialized entries;
@@ -350,8 +298,7 @@ impl GraphCache {
     /// instead of re-exploring.
     pub fn with_store(shards: usize, budget_states: u64, store: Option<SpillStore>) -> Self {
         GraphCache {
-            counter: Memo::new(shards),
-            rep: Memo::new(shards),
+            memo: Memo::new(shards),
             hits: Counter::detached(),
             misses: Counter::detached(),
             budget_states,
@@ -385,67 +332,20 @@ impl GraphCache {
         }
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The counter graph bundle (structure + compiled fairness) of
-    /// `template`/`spec` at size `n`, building it with `build` on the
-    /// first request and sharing the result afterwards. With a
-    /// [`SpillStore`] attached, a memory miss probes the disk first (a
-    /// verified restore skips `build`) and a fresh build is spilled back.
-    pub fn counter(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        build: impl FnOnce() -> CounterGraph,
-    ) -> Arc<CounterGraph> {
-        let key = CacheKey::of(template, spec, n, 0);
-        let out = self
-            .counter
-            .get_or_build(
-                key,
-                template,
-                spec,
-                self.tick(),
-                &self.hits,
-                &self.misses,
-                &self.resident,
-                &self.over_budget_pinned,
-                counter_weight,
-                || {
-                    if let Some(store) = &self.store {
-                        if let Some(g) = store.restore_counter(template, spec, n) {
-                            return Ok(g);
-                        }
-                        let g = build();
-                        store.spill_counter(template, spec, n, &g);
-                        return Ok(g);
-                    }
-                    Ok(build())
-                },
-            )
-            .expect("counter builds are infallible");
-        self.enforce_budget(key);
-        out
-    }
-
-    /// The width-`width` representative graph bundle (structure +
-    /// compiled fairness) of `template`/`spec` at size `n`; build
-    /// failures (e.g. [`SymError::EmptyFamily`]) are cached and replayed
-    /// like successes.
-    ///
-    /// The key carries `width` verbatim — a nonsensical width-0 request
-    /// caches its own error under its own key and can never poison the
-    /// width-1 entry (representative and counter structures live in
-    /// separate maps, so width 0 cannot collide with a counter graph
-    /// either).
+    /// The width-`width` structure bundle (structure + compiled
+    /// fairness) of `template`/`spec` at size `n` — the counter
+    /// structure at width 0 — building it with `build` on the first
+    /// request and sharing the result afterwards. Build failures (e.g.
+    /// [`SymError::BadRepWidth`]) are cached and replayed like
+    /// successes, under their own key, so they never poison another
+    /// width. With a [`SpillStore`] attached, a memory miss probes the
+    /// disk first (a verified restore skips `build`) and a fresh build
+    /// is spilled back.
     ///
     /// # Errors
     ///
     /// Whatever `build` returned when the slot was first filled.
-    pub fn representative(
+    pub fn get(
         &self,
         template: &GuardedTemplate,
         spec: &CountingSpec,
@@ -454,28 +354,40 @@ impl GraphCache {
         build: impl FnOnce() -> Result<RepGraph, SymError>,
     ) -> Result<Arc<RepGraph>, SymError> {
         let key = CacheKey::of(template, spec, n, width);
-        let out = self.rep.get_or_build(
-            key,
-            template,
-            spec,
-            self.tick(),
-            &self.hits,
-            &self.misses,
-            &self.resident,
-            &self.over_budget_pinned,
-            rep_weight,
-            || {
-                if let Some(store) = &self.store {
-                    if let Some(g) = store.restore_rep(template, spec, n, width) {
-                        return Ok(g);
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        let (slot, created) = self.memo.slot(key, template, spec, now);
+        // Either already materialized or being materialized by a peer
+        // right now — both share the work, both are hits.
+        if created { &self.misses } else { &self.hits }.inc();
+        let out = slot
+            .get_or_init(|| {
+                let restored =
+                    (self.store.as_ref()).and_then(|s| s.restore(template, spec, n, width));
+                let graph = match restored {
+                    Some(g) => g,
+                    None => {
+                        let g = build()?;
+                        if let Some(store) = &self.store {
+                            store.spill(template, spec, n, width, &g);
+                        }
+                        g
                     }
-                    let g = build()?;
-                    store.spill_rep(template, spec, n, width, &g);
-                    return Ok(g);
-                }
-                build()
-            },
-        );
+                };
+                Ok(Arc::new(graph))
+            })
+            .clone();
+        if created {
+            // Exactly one accounting add per entry: the inserter's (the
+            // slot may have been *filled* by a peer, but only one caller
+            // saw created == true). Estimate only — the eviction loop
+            // re-reads the precise total under the locks.
+            if let Ok(g) = &out {
+                self.resident.fetch_add(weight(g) as i64, Ordering::Relaxed);
+            }
+            // The entry set changed: a pinned over-budget verdict may
+            // have new victims now.
+            self.over_budget_pinned.store(false, Ordering::Relaxed);
+        }
         self.enforce_budget(key);
         out
     }
@@ -501,28 +413,17 @@ impl GraphCache {
             return;
         }
         while self.abstract_states() > self.budget_states {
-            let counter_victim = self.counter.lru_candidate(just_used, &counter_weight);
-            let rep_victim = self.rep.lru_candidate(just_used, &rep_weight);
-            let removed = match (counter_victim, rep_victim) {
-                (Some((cs, ck, _)), Some((rs, ..))) if cs <= rs => {
-                    self.counter.remove_stamped(ck, cs, &counter_weight)
-                }
-                (_, Some((rs, rk, _))) => self.rep.remove_stamped(rk, rs, &rep_weight),
-                (Some((cs, ck, _)), None) => self.counter.remove_stamped(ck, cs, &counter_weight),
-                (None, None) => {
-                    // Nothing evictable besides the entry in use: stop
-                    // scanning until the entry set changes.
-                    self.over_budget_pinned.store(true, Ordering::Relaxed);
-                    break;
-                }
+            let Some((stamp, key)) = self.memo.lru_candidate(just_used) else {
+                // Nothing evictable besides the entry in use: stop
+                // scanning until the entry set changes.
+                self.over_budget_pinned.store(true, Ordering::Relaxed);
+                break;
             };
-            match removed {
-                Some(weight) => {
-                    self.resident.fetch_sub(weight as i64, Ordering::Relaxed);
-                    self.evictions.inc();
-                    self.evicted_states.add(weight);
-                }
-                None => continue, // raced with a lookup; rescan
+            // `None`: raced with a lookup; rescan.
+            if let Some(weight) = self.memo.remove_stamped(key, stamp) {
+                self.resident.fetch_sub(weight as i64, Ordering::Relaxed);
+                self.evictions.inc();
+                self.evicted_states.add(weight);
             }
         }
     }
@@ -549,21 +450,21 @@ impl GraphCache {
         self.evicted_states.get()
     }
 
-    /// Number of cached structures (counter + representative).
+    /// Number of cached structures, of every width.
     pub fn len(&self) -> usize {
-        self.counter.len() + self.rep.len()
+        self.memo.len()
     }
 
     /// Total abstract states held by the cache, across all materialized
-    /// counter graphs and representative structures. Slots whose build is
-    /// still in flight (or failed) contribute nothing.
+    /// structures. Slots whose build is still in flight (or failed)
+    /// contribute nothing.
     ///
     /// Together with [`GraphCache::len`] this is the occupancy signal an
     /// operator needs to size an eviction budget: `len` says how many
     /// families are resident, `abstract_states` how much memory-shaped
     /// weight they carry (states dominate the footprint).
     pub fn abstract_states(&self) -> u64 {
-        self.counter.total_size(counter_weight) + self.rep.total_size(rep_weight)
+        self.memo.total_weight()
     }
 
     /// Whether nothing has been cached yet.
@@ -588,13 +489,24 @@ mod tests {
         CountingSpec::standard(&mutex_template())
     }
 
+    /// The counter structure through the cache: width 0.
+    fn counter(
+        cache: &GraphCache,
+        t: &GuardedTemplate,
+        s: &CountingSpec,
+        n: u32,
+        build: impl FnOnce() -> RepGraph,
+    ) -> Arc<RepGraph> {
+        cache.get(t, s, n, 0, || Ok(build())).unwrap()
+    }
+
     #[test]
     fn second_request_is_a_hit_and_shares_the_arc() {
         let cache = GraphCache::new(4);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let a = cache.counter(&t, &s, 5, || engine.counter_graph(5));
-        let b = cache.counter(&t, &s, 5, || unreachable!("must not rebuild"));
+        let a = counter(&cache, &t, &s, 5, || engine.counter_graph(5));
+        let b = counter(&cache, &t, &s, 5, || unreachable!("must not rebuild"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -605,8 +517,8 @@ mod tests {
         let cache = GraphCache::new(4);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let a = cache.counter(&t, &s, 3, || engine.counter_graph(3));
-        let b = cache.counter(&t, &s, 4, || engine.counter_graph(4));
+        let a = counter(&cache, &t, &s, 3, || engine.counter_graph(3));
+        let b = counter(&cache, &t, &s, 4, || engine.counter_graph(4));
         assert_ne!(a.kripke.num_states(), b.kripke.num_states());
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
@@ -622,37 +534,35 @@ mod tests {
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let r1 = cache
-            .representative(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
             .unwrap();
         let r2 = cache
-            .representative(&t, &s, 6, 2, || engine.representative_graph(6, 2))
+            .get(&t, &s, 6, 2, || engine.representative_graph(6, 2))
             .unwrap();
         assert!(!Arc::ptr_eq(&r1, &r2));
         assert_eq!(r1.kripke.indices(), &[1]);
         assert_eq!(r2.kripke.indices(), &[1, 2]);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         // And each width hits its own entry afterwards.
-        let r1b = cache
-            .representative(&t, &s, 6, 1, || unreachable!("cached"))
-            .unwrap();
+        let r1b = cache.get(&t, &s, 6, 1, || unreachable!("cached")).unwrap();
         assert!(Arc::ptr_eq(&r1, &r1b));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]
-    fn width_zero_error_cannot_poison_the_width_one_entry() {
-        // Regression: a nonsensical width-0 request caches its
+    fn bad_width_error_cannot_poison_the_width_one_entry() {
+        // Regression: a nonsensical width-(n + 1) request caches its
         // BadRepWidth error under its *own* key; the legitimate width-1
         // structure must still build and be served.
         let cache = GraphCache::new(4);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let err = cache
-            .representative(&t, &s, 6, 0, || engine.representative_graph(6, 0))
+            .get(&t, &s, 6, 7, || engine.representative_graph(6, 7))
             .unwrap_err();
         assert!(matches!(err, icstar_sym::SymError::BadRepWidth { .. }));
         let r1 = cache
-            .representative(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
             .unwrap();
         assert_eq!(r1.kripke.indices(), &[1]);
         assert_eq!(cache.misses(), 2, "separate entries, no poisoning");
@@ -666,14 +576,14 @@ mod tests {
         let cache = GraphCache::with_budget(2, 10);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let _a = cache.counter(&t, &s, 30, || engine.counter_graph(30));
+        let _a = counter(&cache, &t, &s, 30, || engine.counter_graph(30));
         // Hits while pinned stay cheap and evict nothing.
         for _ in 0..3 {
-            let _ = cache.counter(&t, &s, 30, || unreachable!("cached"));
+            let _ = counter(&cache, &t, &s, 30, || unreachable!("cached"));
         }
         assert_eq!(cache.evictions(), 0);
         // A new entry supersedes the pinned one: the old entry goes.
-        let _b = cache.counter(&t, &s, 40, || engine.counter_graph(40));
+        let _b = counter(&cache, &t, &s, 40, || engine.counter_graph(40));
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 1);
     }
@@ -688,8 +598,8 @@ mod tests {
         let s2 = CountingSpec::new().with_zero("crit");
         let e1 = SymEngine::with_spec(t.clone(), s1.clone());
         let e2 = SymEngine::with_spec(t.clone(), s2.clone());
-        let a = cache.counter(&t, &s1, 4, || e1.counter_graph(4));
-        let b = cache.counter(&t, &s2, 4, || e2.counter_graph(4));
+        let a = counter(&cache, &t, &s1, 4, || e1.counter_graph(4));
+        let b = counter(&cache, &t, &s2, 4, || e2.counter_graph(4));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.misses(), 2);
     }
@@ -724,8 +634,8 @@ mod tests {
         let spec = CountingSpec::standard(&plain);
         let ep = SymEngine::with_spec(plain.clone(), spec.clone());
         let ef = SymEngine::with_spec(fair.clone(), spec.clone());
-        let a = cache.counter(&plain, &spec, 4, || ep.counter_graph(4));
-        let b = cache.counter(&fair, &spec, 4, || ef.counter_graph(4));
+        let a = counter(&cache, &plain, &spec, 4, || ep.counter_graph(4));
+        let b = counter(&cache, &fair, &spec, 4, || ef.counter_graph(4));
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(a.fairness.is_empty());
         assert!(!b.fairness.is_empty());
@@ -762,12 +672,12 @@ mod tests {
         let spec = CountingSpec::standard(&t1);
         let e1 = SymEngine::with_spec(t1.clone(), spec.clone());
         let e2 = SymEngine::with_spec(t2.clone(), spec.clone());
-        let a = cache.counter(&t1, &spec, 4, || e1.counter_graph(4));
-        let b = cache.counter(&t2, &spec, 4, || e2.counter_graph(4));
+        let a = counter(&cache, &t1, &spec, 4, || e1.counter_graph(4));
+        let b = counter(&cache, &t2, &spec, 4, || e2.counter_graph(4));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         // And asking again for each is a verified hit on its own entry.
-        let a2 = cache.counter(&t1, &spec, 4, || unreachable!("cached"));
+        let a2 = counter(&cache, &t1, &spec, 4, || unreachable!("cached"));
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
@@ -778,14 +688,14 @@ mod tests {
         assert_eq!(cache.abstract_states(), 0);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let a = cache.counter(&t, &s, 5, || engine.counter_graph(5));
-        let b = cache.counter(&t, &s, 9, || engine.counter_graph(9));
+        let a = counter(&cache, &t, &s, 5, || engine.counter_graph(5));
+        let b = counter(&cache, &t, &s, 9, || engine.counter_graph(9));
         assert_eq!(
             cache.abstract_states(),
             (a.kripke.num_states() + b.kripke.num_states()) as u64
         );
         // A cached build *error* occupies an entry but weighs nothing.
-        let _ = cache.representative(&t, &s, 0, 1, || engine.representative_graph(0, 1));
+        let _ = cache.get(&t, &s, 0, 1, || engine.representative_graph(0, 1));
         assert_eq!(cache.len(), 3);
         assert_eq!(
             cache.abstract_states(),
@@ -799,10 +709,10 @@ mod tests {
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let e1 = cache
-            .representative(&t, &s, 0, 1, || engine.representative_graph(0, 1))
+            .get(&t, &s, 0, 1, || engine.representative_graph(0, 1))
             .unwrap_err();
         let e2 = cache
-            .representative(&t, &s, 0, 1, || unreachable!("cached error"))
+            .get(&t, &s, 0, 1, || unreachable!("cached error"))
             .unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -816,19 +726,19 @@ mod tests {
         let cache = GraphCache::with_budget(4, 100);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let a = cache.counter(&t, &s, 20, || engine.counter_graph(20));
-        let _b = cache.counter(&t, &s, 22, || engine.counter_graph(22));
+        let a = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
+        let _b = counter(&cache, &t, &s, 22, || engine.counter_graph(22));
         // Touch n = 20 so n = 22 is now the LRU entry.
-        let a2 = cache.counter(&t, &s, 20, || unreachable!("cached"));
+        let a2 = counter(&cache, &t, &s, 20, || unreachable!("cached"));
         assert!(Arc::ptr_eq(&a, &a2));
-        let _c = cache.counter(&t, &s, 24, || engine.counter_graph(24));
+        let _c = counter(&cache, &t, &s, 24, || engine.counter_graph(24));
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.evicted_states(), 45, "n = 22 was evicted");
         assert!(cache.abstract_states() <= 100);
         // n = 20 survived (a hit), n = 22 must rebuild (a miss).
         let misses_before = cache.misses();
-        let _ = cache.counter(&t, &s, 20, || unreachable!("still cached"));
-        let _ = cache.counter(&t, &s, 22, || engine.counter_graph(22));
+        let _ = counter(&cache, &t, &s, 20, || unreachable!("still cached"));
+        let _ = counter(&cache, &t, &s, 22, || engine.counter_graph(22));
         assert_eq!(cache.misses(), misses_before + 1);
     }
 
@@ -841,10 +751,10 @@ mod tests {
         let cache = GraphCache::with_budget(2, 10);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let _a = cache.counter(&t, &s, 30, || engine.counter_graph(30));
+        let _a = counter(&cache, &t, &s, 30, || engine.counter_graph(30));
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 1);
-        let _b = cache.counter(&t, &s, 40, || engine.counter_graph(40));
+        let _b = counter(&cache, &t, &s, 40, || engine.counter_graph(40));
         assert_eq!(cache.evictions(), 1, "the older oversized entry goes");
         assert_eq!(cache.len(), 1);
     }
@@ -858,10 +768,10 @@ mod tests {
         // n = 20 has 41. Together they exceed 60, so the rep (older) is
         // evicted when the counter lands.
         let rep = cache
-            .representative(&t, &s, 10, 1, || engine.representative_graph(10, 1))
+            .get(&t, &s, 10, 1, || engine.representative_graph(10, 1))
             .unwrap();
         let rep_states = rep.kripke.kripke().num_states() as u64;
-        let _c = cache.counter(&t, &s, 20, || engine.counter_graph(20));
+        let _c = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
         assert!(cache.evictions() >= 1);
         assert_eq!(cache.evicted_states(), rep_states);
         // The evicted Arc is still alive for its holder.
@@ -874,7 +784,7 @@ mod tests {
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         for n in 1..=30u32 {
-            let _ = cache.counter(&t, &s, n, || engine.counter_graph(n));
+            let _ = counter(&cache, &t, &s, n, || engine.counter_graph(n));
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 30);
@@ -891,7 +801,7 @@ mod tests {
                 let engine = Arc::clone(&engine);
                 let builds = Arc::clone(&builds);
                 scope.spawn(move || {
-                    cache.counter(&mutex_template(), &std_spec(), 50, || {
+                    counter(&cache, &mutex_template(), &std_spec(), 50, || {
                         builds.fetch_add(1, Ordering::SeqCst);
                         engine.counter_graph(50)
                     })
@@ -923,14 +833,14 @@ mod tests {
         let (t, s) = (mutex_template(), std_spec());
         let built = {
             let cache = GraphCache::with_store(2, u64::MAX, Some(store));
-            let g = cache.counter(&t, &s, 8, || engine.counter_graph(8));
+            let g = counter(&cache, &t, &s, 8, || engine.counter_graph(8));
             assert_eq!(cache.spill_store().unwrap().spills(), 1);
             g.kripke.num_states()
         };
         // A fresh cache over the same directory — the restart/replica
         // case — restores from disk: the build closure must never run.
         let cache = GraphCache::with_store(2, u64::MAX, Some(SpillStore::open(&dir).unwrap()));
-        let g = cache.counter(&t, &s, 8, || unreachable!("must restore from disk"));
+        let g = counter(&cache, &t, &s, 8, || unreachable!("must restore from disk"));
         assert_eq!(g.kripke.num_states(), built);
         assert_eq!(cache.spill_store().unwrap().restores(), 1);
         // Still a memory miss — restore is a faster rebuild, not a hit.
@@ -945,12 +855,14 @@ mod tests {
         let (t, s) = (mutex_template(), std_spec());
         // Budget fits one mutex counter graph at a time (2n + 1 states).
         let cache = GraphCache::with_store(2, 50, Some(store));
-        let _a = cache.counter(&t, &s, 20, || engine.counter_graph(20));
-        let _b = cache.counter(&t, &s, 22, || engine.counter_graph(22));
+        let _a = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
+        let _b = counter(&cache, &t, &s, 22, || engine.counter_graph(22));
         assert!(cache.evictions() >= 1, "n = 20 was evicted");
         // Re-requesting the evicted entry restores the spilled file
         // instead of re-exploring.
-        let _a2 = cache.counter(&t, &s, 20, || unreachable!("must restore from disk"));
+        let _a2 = counter(&cache, &t, &s, 20, || {
+            unreachable!("must restore from disk")
+        });
         assert_eq!(cache.spill_store().unwrap().restores(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -962,11 +874,11 @@ mod tests {
         let (t, s) = (mutex_template(), std_spec());
         let cache = GraphCache::with_store(2, u64::MAX, Some(store));
         let _ = cache
-            .representative(&t, &s, 0, 1, || engine.representative_graph(0, 1))
+            .get(&t, &s, 0, 1, || engine.representative_graph(0, 1))
             .unwrap_err();
         assert_eq!(cache.spill_store().unwrap().spills(), 0);
         let ok = cache
-            .representative(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
             .unwrap();
         assert_eq!(cache.spill_store().unwrap().spills(), 1);
         assert_eq!(ok.kripke.indices(), &[1]);
@@ -987,7 +899,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..10u32 {
                         let n = 5 + (t * 10 + i) % 25;
-                        let _ = cache.counter(&mutex_template(), &std_spec(), n, || {
+                        let _ = counter(&cache, &mutex_template(), &std_spec(), n, || {
                             engine.counter_graph(n)
                         });
                     }

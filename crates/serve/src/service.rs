@@ -8,9 +8,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use icstar_logic::{has_index_quantifier, StateFormula};
-use icstar_sym::{required_rep_width, CounterGraph, CountingSpec, SymEngine};
+use icstar_sym::{required_rep_width, CountingSpec, RepGraph, SymEngine, SymError};
 use icstar_telemetry::{
-    FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId,
+    FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId, TraceScope,
 };
 
 use crate::cache::GraphCache;
@@ -412,7 +412,6 @@ impl VerifyService {
             cached_abstract_states: self.inner.cache.abstract_states(),
             cache_evictions: self.inner.cache.evictions(),
             evicted_abstract_states: self.inner.cache.evicted_states(),
-            sharded_explorations: 0,
             cutoffs_certified: s.cutoffs_certified.get(),
             cutoff_answers: s.cutoff_answers.get(),
             p50_total_ns: total.p50(),
@@ -494,18 +493,18 @@ fn timed_fetch<T>(
     (out, dur, built.get())
 }
 
-/// Runs one job: for every size, fetch-or-build the needed structures
-/// through the cache — the counter graph, plus one representative
-/// structure per distinct width the job's formulas require — then check
-/// every formula on a session seeded with them. Structure acquisition
-/// and checking are timed separately into the per-job phase histograms
+/// Runs one job: for every size, fetch-or-build the structures it
+/// needs through the cache — one per distinct width its formulas
+/// require, the counter structure being width 0 — then check every
+/// formula on a session seeded with them. Structure acquisition and
+/// checking are timed separately into the per-job phase histograms
 /// (`serve.job.build_ns` / `serve.job.check_ns`, one sample per job).
 ///
 /// Every phase also records a span under the job's `root` context —
 /// `cache_lookup` (with its hit/miss outcome), `build` (only when this
 /// worker actually materialized; under it, the build's `explore`,
-/// `freeze` and `fairness` phases), and `check` — all on the flight recorder, tagged
-/// with this worker's index as the Chrome-trace lane.
+/// `freeze` and `fairness` phases), and `check` — all on the flight
+/// recorder, tagged with this worker's index as the Chrome-trace lane.
 fn process(
     inner: &Inner,
     id: u64,
@@ -530,68 +529,42 @@ fn process(
     // sampled evidence, so it answers only the unbounded tail below.
     let recorder = &inner.config.recorder;
     let mut verdicts = Vec::with_capacity(sizes.len() * formulas.len());
-    let any_counting = formulas.iter().any(|(_, f)| !has_index_quantifier(f));
-    let any_indexed = formulas.iter().any(|(_, f)| has_index_quantifier(f));
     for &n in &sizes {
         let mut session = engine.session(n);
-        // Indexed formulas at n = 0 expand over the empty index set and
-        // fall back to the counter structure, so it is needed then too.
-        if any_counting || (any_indexed && n == 0) {
+        // The distinct widths this job needs at this size: 0 for a
+        // counting formula, and for an indexed one at n = 0 (it expands
+        // over the empty index set). Formulas outside the k-restricted
+        // fragment report their error at check time instead.
+        let mut widths: Vec<u32> = formulas
+            .iter()
+            .filter_map(|(_, f)| {
+                if n == 0 || !has_index_quantifier(f) {
+                    return Some(0);
+                }
+                required_rep_width(f, n).ok().filter(|&w| w > 0)
+            })
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        for width in widths {
             let mut lookup = recorder.scope_under(root, "cache_lookup");
             lookup.set_tid(worker);
-            lookup.attr("kind", "counter");
-            lookup.attr("n", n.to_string());
+            tag(&mut lookup, n, width);
             let (graph, dur, built) = timed_fetch(&inner.stats, |built| {
                 inner
                     .cache
-                    .counter(engine.template(), engine.spec(), n, || {
+                    .get(engine.template(), engine.spec(), n, width, || {
                         built.set(true);
-                        materialize(inner, &engine, n, root, worker)
+                        materialize(inner, &engine, n, width, root, worker)
                     })
             });
             lookup.attr("outcome", if built { "miss" } else { "hit" });
             drop(lookup);
             build_time += dur;
-            session.seed_counter(graph);
-        }
-        if any_indexed && n > 0 {
-            // The distinct representative widths this job needs at this
-            // size (formulas outside the k-restricted fragment report
-            // their error at check time instead).
-            let mut widths: Vec<u32> = formulas
-                .iter()
-                .filter_map(|(_, f)| required_rep_width(f, n).ok())
-                .filter(|&w| w > 0)
-                .collect();
-            widths.sort_unstable();
-            widths.dedup();
-            for width in widths {
-                let mut lookup = recorder.scope_under(root, "cache_lookup");
-                lookup.set_tid(worker);
-                lookup.attr("kind", "representative");
-                lookup.attr("n", n.to_string());
-                lookup.attr("width", width.to_string());
-                let (rep, dur, built) = timed_fetch(&inner.stats, |built| {
-                    inner
-                        .cache
-                        .representative(engine.template(), engine.spec(), n, width, || {
-                            built.set(true);
-                            let mut build = recorder.scope_under(root, "build");
-                            build.set_tid(worker);
-                            build.attr("kind", "representative");
-                            build.attr("n", n.to_string());
-                            build.attr("width", width.to_string());
-                            engine.representative_graph(n, width)
-                        })
-                });
-                lookup.attr("outcome", if built { "miss" } else { "hit" });
-                drop(lookup);
-                build_time += dur;
-                if let Ok(rep) = rep {
-                    session.seed_representative(width, rep);
-                }
-                // On error the session is left unseeded: each indexed
-                // check reproduces the build error as its verdict.
+            // On error the session is left unseeded: each check at this
+            // width reproduces the build error as its verdict.
+            if let Ok(graph) = graph {
+                session.seed(width, graph);
             }
         }
         let mut check = recorder.scope_under(root, "check");
@@ -728,7 +701,22 @@ fn process_unbounded(
     }
 }
 
-/// Builds the counter graph bundle (structure + compiled fairness) for
+/// Tags a lookup or build span with the structure it is for: its
+/// `kind`, `n`, and the `width` of a representative.
+fn tag(span: &mut TraceScope, n: u32, width: u32) {
+    let kind = if width == 0 {
+        "counter"
+    } else {
+        "representative"
+    };
+    span.attr("kind", kind);
+    span.attr("n", n.to_string());
+    if width > 0 {
+        span.attr("width", width.to_string());
+    }
+}
+
+/// Builds the width-`width` bundle (structure + compiled fairness) for
 /// the cache. The `build` span it records under `root` parents the
 /// build's phase spans (`explore`, `freeze`, and `fairness` on fair
 /// templates), so the trace shows which worker paid for the
@@ -737,18 +725,18 @@ fn materialize(
     inner: &Inner,
     engine: &SymEngine,
     n: u32,
+    width: u32,
     root: SpanContext,
     worker: u32,
-) -> CounterGraph {
+) -> Result<RepGraph, SymError> {
     let recorder = &inner.config.recorder;
     let mut build = recorder.scope_under(root, "build");
     build.set_tid(worker);
-    build.attr("kind", "counter");
-    build.attr("n", n.to_string());
+    tag(&mut build, n, width);
     let sys = engine
         .system(n)
         .with_trace(recorder.clone(), build.context(), worker);
-    icstar_sym::counter_graph(&sys, engine.spec())
+    icstar_sym::rep_graph(&sys, engine.spec(), width)
 }
 
 #[cfg(test)]
@@ -1125,29 +1113,44 @@ mod tests {
 
     #[test]
     fn builds_hang_phase_spans_under_the_build_span() {
+        // Every width is traced alike: the counter build of a counting
+        // formula and the width-1 build of an indexed one.
         let config = small_config();
         let recorder = config.recorder.clone();
         let service = VerifyService::start(config);
-        let h = service.submit(
-            VerifyJob::new(mutex_template())
-                .at_size(12)
-                .formula("m", parse_state("AG !crit_ge2").unwrap()),
-        );
-        let trace = h.trace;
-        h.wait().unwrap();
-        let spans = recorder.spans_for(trace);
-        let build = spans.iter().find(|s| s.name == "build").expect("build");
-        let phases: Vec<&str> = spans
-            .iter()
-            .filter(|s| s.parent == Some(build.id))
-            .map(|s| s.name.as_str())
-            .collect();
-        assert_eq!(phases, ["explore", "freeze"], "phases of a plain build");
-        assert!(spans
-            .iter()
-            .filter(|s| s.parent == Some(build.id))
-            .all(|s| s.tid == build.tid));
-        assert_eq!(service.stats().sharded_explorations, 0);
+        for (kind, f) in [
+            ("counter", "AG !crit_ge2"),
+            ("representative", "forall i. AG(try[i] -> EF crit[i])"),
+        ] {
+            let h = service.submit(
+                VerifyJob::new(mutex_template())
+                    .at_size(12)
+                    .formula("m", parse_state(f).unwrap()),
+            );
+            let trace = h.trace;
+            h.wait().unwrap();
+            let spans = recorder.spans_for(trace);
+            let build = spans
+                .iter()
+                .find(|s| {
+                    s.name == "build" && s.attrs.iter().any(|(k, v)| k == "kind" && v == kind)
+                })
+                .unwrap_or_else(|| panic!("a {kind} build span in {spans:?}"));
+            let phases: Vec<&str> = spans
+                .iter()
+                .filter(|s| s.parent == Some(build.id))
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(
+                phases,
+                ["explore", "freeze"],
+                "phases of a plain {kind} build"
+            );
+            assert!(spans
+                .iter()
+                .filter(|s| s.parent == Some(build.id))
+                .all(|s| s.tid == build.tid));
+        }
     }
 
     #[test]

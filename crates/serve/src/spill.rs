@@ -2,18 +2,18 @@
 //! materialized structures.
 //!
 //! A [`SpillStore`] is a directory of spill files, one per materialized
-//! [`CounterGraph`] / [`RepGraph`], named by the workload's cache key
-//! (`fingerprint`s, `n`, `width`). On a cache miss the store is probed
-//! first; a valid file reconstructs the bundle without re-exploration —
-//! restarts and horizontally-scaled replicas warm-start from the same
-//! directory instead of re-building multi-million-state structures.
+//! [`RepGraph`] of any width (the counter structure is width 0), named
+//! by the workload's cache key: `g-<template fp>-<spec fp>-n<n>-w<width>.spill`.
+//! On a cache miss the store is probed first; a valid file reconstructs
+//! the bundle without re-exploration — restarts and horizontally-scaled
+//! replicas warm-start from the same directory instead of re-building
+//! multi-million-state structures.
 //!
-//! The on-disk format is **versioned and checksummed**:
+//! The on-disk format (version 2) is **versioned and checksummed**:
 //!
 //! ```text
 //! magic    8 bytes  "ICSPILL!"
 //! version  u32 LE   bumped on any incompatible layout change
-//! kind     u8       0 = counter graph, 1 = representative graph
 //! key      u64 template fp · u64 spec fp · u32 n · u32 width
 //! length   u64 LE   payload byte count
 //! payload  workload bytes · graph bytes      (see below)
@@ -27,18 +27,20 @@
 //! cost a rejected file but never a wrong structure — the same
 //! verified-identity invariant the in-memory cache maintains. The graph
 //! bytes then encode the Kripke structure (state names, sorted label
-//! atoms, successor lists, initial state), the index set for
-//! representative structures, and the compiled [`TransFairness`]
-//! (per-requirement state bit sets and transition edge sets, both over
-//! the structure's dense state ids — state creation order is preserved
-//! on decode, so the indices stay valid).
+//! atoms, successor lists, initial state), the index set (empty at
+//! width 0), and the compiled [`TransFairness`] (per-requirement state
+//! bit sets and transition edge sets, both over the structure's dense
+//! state ids — state creation order is preserved on decode, so the
+//! indices stay valid).
 //!
-//! **Any** defect — truncation, checksum mismatch, unknown version,
-//! wrong key, workload mismatch, malformed graph bytes — rejects the
-//! file silently: the caller falls back to a fresh build (and re-spills
-//! it, healing the file). Corruption can cost a rebuild, never a wrong
-//! answer. Writes go through a temp file + atomic rename so a crashed
-//! writer leaves no half-written spill under the final name.
+//! **Any** defect — truncation, checksum mismatch, unknown version
+//! (version 1 files, which kept counter and representative structures
+//! apart, included), wrong key, workload mismatch, malformed graph
+//! bytes — rejects the file silently: the caller falls back to a fresh
+//! build (and re-spills it, healing the file). Corruption can cost a
+//! rebuild, never a wrong answer. Writes go through a temp file +
+//! atomic rename so a crashed writer leaves no half-written spill under
+//! the final name.
 
 use std::fs;
 use std::io::Write;
@@ -47,17 +49,16 @@ use std::path::{Path, PathBuf};
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Atom, IndexedKripke, Kripke, KripkeBuilder, StateId, CANONICAL_INDEX};
 use icstar_mc::fair::{FairReq, TransFairness};
-use icstar_sym::{CounterGraph, CountingSpec, Guard, GuardedTemplate, RepGraph};
+use icstar_sym::{CountingSpec, Guard, GuardedTemplate, RepGraph};
 use icstar_telemetry::Counter;
+
+use crate::cache::CacheKey;
 
 /// The 8-byte file magic.
 pub const SPILL_MAGIC: &[u8; 8] = b"ICSPILL!";
 
 /// The current on-disk format version. Readers reject any other value.
-pub const SPILL_VERSION: u32 = 1;
-
-const KIND_COUNTER: u8 = 0;
-const KIND_REP: u8 = 1;
+pub const SPILL_VERSION: u32 = 2;
 
 /// Decode-side sanity cap on any single element count (states, edges,
 /// atoms). Far above any graph the engine can materialize; prevents a
@@ -442,21 +443,12 @@ fn indices_cover_labels(k: &Kripke, indices: &[u32]) -> bool {
 // File assembly.
 // ---------------------------------------------------------------------
 
-struct FileKey {
-    kind: u8,
-    template_fp: u64,
-    spec_fp: u64,
-    n: u32,
-    width: u32,
-}
-
-fn assemble(key: &FileKey, payload: &[u8]) -> Vec<u8> {
+fn assemble(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 64);
     out.extend_from_slice(SPILL_MAGIC);
     put_u32(&mut out, SPILL_VERSION);
-    put_u8(&mut out, key.kind);
-    put_u64(&mut out, key.template_fp);
-    put_u64(&mut out, key.spec_fp);
+    put_u64(&mut out, key.template);
+    put_u64(&mut out, key.spec);
     put_u32(&mut out, key.n);
     put_u32(&mut out, key.width);
     put_u64(&mut out, payload.len() as u64);
@@ -465,26 +457,21 @@ fn assemble(key: &FileKey, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Checks magic, version, kind, key, length, and checksum; returns the
+/// Checks magic, version, key, length, and checksum; returns the
 /// verified payload slice.
-fn verified_payload<'a>(bytes: &'a [u8], key: &FileKey) -> Option<&'a [u8]> {
+fn verified_payload<'a>(bytes: &'a [u8], key: &CacheKey) -> Option<&'a [u8]> {
     let mut c = Cursor::new(bytes);
-    if c.bytes(8)? != SPILL_MAGIC {
+    if c.bytes(8)? != SPILL_MAGIC || c.u32()? != SPILL_VERSION {
         return None;
     }
-    if c.u32()? != SPILL_VERSION {
-        return None;
-    }
-    if c.u8()? != key.kind
-        || c.u64()? != key.template_fp
-        || c.u64()? != key.spec_fp
+    if c.u64()? != key.template
+        || c.u64()? != key.spec
         || c.u32()? != key.n
         || c.u32()? != key.width
     {
         return None;
     }
-    let len = c.u64()?;
-    let len = usize::try_from(len).ok()?;
+    let len = usize::try_from(c.u64()?).ok()?;
     let payload = c.bytes(len)?;
     let checksum = c.u64()?;
     if !c.at_end() || fnv1a(payload) != checksum {
@@ -520,9 +507,15 @@ impl SpillStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        // Only this format's files: version-1 `c-`/`r-` files are never
+        // read, so they are no warm-start inventory.
         let warm_files = fs::read_dir(&dir)?
             .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "spill"))
+            .filter(|e| {
+                let name = e.file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("g-") && name.ends_with(".spill")
+            })
             .count() as u64;
         Ok(SpillStore {
             dir,
@@ -538,8 +531,8 @@ impl SpillStore {
         &self.dir
     }
 
-    /// Spill files present when the store was opened — the warm-start
-    /// inventory a restarted server begins with.
+    /// Spill files of this format present when the store was opened —
+    /// the warm-start inventory a restarted server begins with.
     pub fn warm_files(&self) -> u64 {
         self.warm_files
     }
@@ -565,21 +558,11 @@ impl SpillStore {
         (&self.spills, &self.restores, &self.rejects)
     }
 
-    /// The file a counter-graph spill for this workload lives at.
+    /// The file the width-`width` spill of this workload lives at.
     /// Fingerprints name the file, so fair/unfair or otherwise distinct
     /// templates never alias; colliding fingerprints are caught by the
     /// stored workload bytes on restore.
-    pub fn counter_path(&self, template: &GuardedTemplate, spec: &CountingSpec, n: u32) -> PathBuf {
-        self.dir.join(format!(
-            "c-{:016x}-{:016x}-n{}.spill",
-            template.fingerprint(),
-            spec.fingerprint(),
-            n
-        ))
-    }
-
-    /// The file a representative-graph spill for this workload lives at.
-    pub fn rep_path(
+    pub fn path(
         &self,
         template: &GuardedTemplate,
         spec: &CountingSpec,
@@ -587,11 +570,9 @@ impl SpillStore {
         width: u32,
     ) -> PathBuf {
         self.dir.join(format!(
-            "r-{:016x}-{:016x}-n{}-w{}.spill",
+            "g-{:016x}-{:016x}-n{n}-w{width}.spill",
             template.fingerprint(),
             spec.fingerprint(),
-            n,
-            width
         ))
     }
 
@@ -605,53 +586,10 @@ impl SpillStore {
         fs::rename(&tmp, path)
     }
 
-    fn counter_key(template: &GuardedTemplate, spec: &CountingSpec, n: u32) -> FileKey {
-        FileKey {
-            kind: KIND_COUNTER,
-            template_fp: template.fingerprint(),
-            spec_fp: spec.fingerprint(),
-            n,
-            width: 0,
-        }
-    }
-
-    fn rep_key(template: &GuardedTemplate, spec: &CountingSpec, n: u32, width: u32) -> FileKey {
-        FileKey {
-            kind: KIND_REP,
-            template_fp: template.fingerprint(),
-            spec_fp: spec.fingerprint(),
-            n,
-            width,
-        }
-    }
-
-    /// Writes `graph` to disk. Write failures (permissions, full disk)
-    /// are swallowed — persistence is an optimization, never load-bearing.
-    pub fn spill_counter(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        graph: &CounterGraph,
-    ) {
-        let mut payload = Vec::new();
-        let workload = workload_bytes(template, spec);
-        put_u32(&mut payload, workload.len() as u32);
-        payload.extend_from_slice(&workload);
-        encode_kripke(&mut payload, &graph.kripke);
-        encode_fairness(&mut payload, &graph.fairness);
-        let bytes = assemble(&Self::counter_key(template, spec, n), &payload);
-        if self
-            .write_atomic(&self.counter_path(template, spec, n), &bytes)
-            .is_ok()
-        {
-            self.spills.inc();
-        }
-    }
-
-    /// Writes `graph` to disk; failures are swallowed as in
-    /// [`SpillStore::spill_counter`].
-    pub fn spill_rep(
+    /// Writes the width-`width` `graph` to disk. Write failures
+    /// (permissions, full disk) are swallowed — persistence is an
+    /// optimization, never load-bearing.
+    pub fn spill(
         &self,
         template: &GuardedTemplate,
         spec: &CountingSpec,
@@ -663,128 +601,65 @@ impl SpillStore {
         let workload = workload_bytes(template, spec);
         put_u32(&mut payload, workload.len() as u32);
         payload.extend_from_slice(&workload);
-        encode_kripke(&mut payload, graph.kripke.kripke());
+        encode_kripke(&mut payload, &graph.kripke);
         put_u32(&mut payload, graph.kripke.indices().len() as u32);
         for &i in graph.kripke.indices() {
             put_u32(&mut payload, i);
         }
         encode_fairness(&mut payload, &graph.fairness);
-        let bytes = assemble(&Self::rep_key(template, spec, n, width), &payload);
-        if self
-            .write_atomic(&self.rep_path(template, spec, n, width), &bytes)
-            .is_ok()
-        {
+        let bytes = assemble(&CacheKey::of(template, spec, n, width), &payload);
+        if (self.write_atomic(&self.path(template, spec, n, width), &bytes)).is_ok() {
             self.spills.inc();
         }
     }
 
-    /// Reads back the verified payload of a spill file: `None` when the
-    /// file is absent; counts a reject when it is present but defective.
-    fn read_payload(&self, path: &Path, key: &FileKey) -> Option<Vec<u8>> {
-        let bytes = fs::read(path).ok()?;
-        match verified_payload(&bytes, key) {
-            Some(payload) => Some(payload.to_vec()),
-            None => {
-                self.rejects.inc();
-                None
-            }
-        }
-    }
-
-    /// The stored workload bytes must equal the requested workload's
-    /// canonical encoding — the on-disk analogue of the cache's verified
-    /// structural identity.
-    fn verified_graph_cursor<'a>(
-        &self,
-        payload: &'a [u8],
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-    ) -> Option<Cursor<'a>> {
-        let mut c = Cursor::new(payload);
-        let len = c.count()? as usize;
-        let stored = c.bytes(len)?;
-        if stored != workload_bytes(template, spec).as_slice() {
-            self.rejects.inc();
-            return None;
-        }
-        Some(c)
-    }
-
-    /// Restores the counter graph of this workload from disk, or `None`
-    /// (absent, or rejected per the module rules).
-    pub fn restore_counter(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-    ) -> Option<CounterGraph> {
-        let path = self.counter_path(template, spec, n);
-        let payload = self.read_payload(&path, &Self::counter_key(template, spec, n))?;
-        let graph = (|| {
-            let mut c = self.verified_graph_cursor(&payload, template, spec)?;
-            let kripke = decode_kripke(&mut c)?;
-            let fairness = decode_fairness(&mut c, &kripke)?;
-            if !c.at_end() {
-                return None;
-            }
-            Some(CounterGraph { kripke, fairness })
-        })();
-        match graph {
-            Some(g) => {
-                self.restores.inc();
-                Some(g)
-            }
-            None => {
-                self.rejects.inc();
-                None
-            }
-        }
-    }
-
-    /// Restores the width-`width` representative graph of this workload
-    /// from disk, or `None` (absent, or rejected per the module rules).
-    pub fn restore_rep(
+    /// Restores the width-`width` structure of this workload from disk,
+    /// or `None`: absent, or rejected per the module rules (each
+    /// rejection counts in [`SpillStore::rejects`]).
+    pub fn restore(
         &self,
         template: &GuardedTemplate,
         spec: &CountingSpec,
         n: u32,
         width: u32,
     ) -> Option<RepGraph> {
-        let path = self.rep_path(template, spec, n, width);
-        let payload = self.read_payload(&path, &Self::rep_key(template, spec, n, width))?;
-        let graph = (|| {
-            let mut c = self.verified_graph_cursor(&payload, template, spec)?;
+        let bytes = fs::read(self.path(template, spec, n, width)).ok()?;
+        let key = CacheKey::of(template, spec, n, width);
+        let graph = verified_payload(&bytes, &key).and_then(|payload| {
+            // The stored workload bytes must equal the requested
+            // workload's canonical encoding — the on-disk analogue of the
+            // cache's verified structural identity.
+            let mut c = Cursor::new(payload);
+            let len = c.count()? as usize;
+            if c.bytes(len)? != workload_bytes(template, spec).as_slice() {
+                return None;
+            }
             let kripke = decode_kripke(&mut c)?;
             let indices = decode_indices(&mut c)?;
             if !indices_cover_labels(&kripke, &indices) {
                 return None;
             }
             let fairness = decode_fairness(&mut c, &kripke)?;
-            if !c.at_end() {
-                return None;
-            }
-            Some(RepGraph {
+            c.at_end().then(|| RepGraph {
                 kripke: IndexedKripke::new(kripke, indices),
                 fairness,
             })
-        })();
-        match graph {
-            Some(g) => {
-                self.restores.inc();
-                Some(g)
-            }
-            None => {
-                self.rejects.inc();
-                None
-            }
+        });
+        match &graph {
+            Some(_) => self.restores.inc(),
+            None => self.rejects.inc(),
         }
+        graph
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icstar_sym::{mutex_template, SymEngine};
+    use icstar_sym::{
+        barrier_template, msi_template, mutex_template, ring_station_template, wakeup_template,
+        GuardedBuilder, SymEngine,
+    };
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -799,64 +674,129 @@ mod tests {
         dir
     }
 
-    fn kripke_eq(a: &Kripke, b: &Kripke) -> bool {
-        a.num_states() == b.num_states()
-            && a.initial() == b.initial()
-            && a.states().all(|s| {
-                a.state_name(s) == b.state_name(s)
-                    && a.label_atoms(s) == b.label_atoms(s)
-                    && a.successors(s) == b.successors(s)
-            })
+    /// Every gallery family, plain and with the fairness declarations
+    /// its liveness rows use.
+    fn gallery() -> Vec<GuardedTemplate> {
+        let fig41 = {
+            let mut b = GuardedBuilder::new();
+            let a = b.state("a", ["a"]);
+            let f = b.state("b", ["b"]);
+            b.edge(a, f);
+            b.edge(f, f);
+            b.build(a)
+        };
+        let ring = ring_station_template(4, 1);
+        let fair = vec![
+            fig41.clone().with_fairness("fall", [(0, 1)]),
+            mutex_template().with_fairness("enter", [(1, 2)]),
+            ring.clone()
+                .with_fairness("advance", [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            barrier_template()
+                .with_fairness("arrive", [(0, 1), (2, 3)])
+                .with_fairness("release", [(1, 2), (3, 0)]),
+            msi_template().with_fairness("writeback", [(2, 0)]),
+            wakeup_template().with_fairness("wake", [(0, 1)]),
+        ];
+        let plain = [
+            fig41,
+            mutex_template(),
+            ring,
+            barrier_template(),
+            msi_template(),
+            wakeup_template(),
+        ];
+        plain.into_iter().chain(fair).collect()
+    }
+
+    fn assert_same(a: &RepGraph, b: &RepGraph, what: &str) {
+        let (ka, kb) = (&a.kripke, &b.kripke);
+        assert_eq!(ka.num_states(), kb.num_states(), "{what}: states");
+        assert_eq!(ka.initial(), kb.initial(), "{what}: initial");
+        assert_eq!(ka.indices(), kb.indices(), "{what}: indices");
+        for s in ka.states() {
+            assert_eq!(ka.state_name(s), kb.state_name(s), "{what}: name");
+            assert_eq!(ka.label_atoms(s), kb.label_atoms(s), "{what}: label");
+            assert_eq!(ka.successors(s), kb.successors(s), "{what}: edges");
+        }
+        let (ra, rb) = (a.fairness.reqs(), b.fairness.reqs());
+        assert_eq!(ra.len(), rb.len(), "{what}: requirements");
+        for (ra, rb) in ra.iter().zip(rb) {
+            assert!(ra.states().iter().eq(rb.states().iter()), "{what}");
+            assert_eq!(ra.edges(), rb.edges(), "{what}: fairness edges");
+        }
+    }
+
+    /// Spills and restores every gallery family at each of `widths`
+    /// (n = 4) and checks the restored structure against a fresh build.
+    fn assert_round_trips(tag: &str, widths: std::ops::RangeInclusive<u32>) {
+        let dir = temp_dir(tag);
+        let store = SpillStore::open(&dir).unwrap();
+        let n = 4;
+        let mut expected = 0;
+        for t in gallery() {
+            let s = CountingSpec::standard(&t);
+            let engine = SymEngine::with_spec(t.clone(), s.clone());
+            for width in widths.clone() {
+                expected += 1;
+                let what = format!("{:?} fair {}, width {width}", t.state_name(0), t.is_fair());
+                let built = engine.graph(n, width).unwrap();
+                store.spill(&t, &s, n, width, &built);
+                let restored = store.restore(&t, &s, n, width).expect("restores");
+                assert_same(&built, &restored, &what);
+                assert_same(&engine.graph(n, width).unwrap(), &restored, &what);
+                // A file written under one width's key is refused under
+                // another's.
+                let other = (width + 1) % 3;
+                fs::copy(store.path(&t, &s, n, width), store.path(&t, &s, n, other)).unwrap();
+                let rejects = store.rejects();
+                assert!(store.restore(&t, &s, n, other).is_none(), "{what}");
+                assert_eq!(store.rejects(), rejects + 1, "{what}");
+                fs::remove_file(store.path(&t, &s, n, other)).unwrap();
+            }
+        }
+        assert_eq!(store.restores(), expected);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn counter_round_trip_is_structural_identity() {
-        let dir = temp_dir("counter-rt");
-        let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
-        let built = engine.counter_graph(7);
-        store.spill_counter(&t, &s, 7, &built);
-        assert_eq!(store.spills(), 1);
-        let restored = store.restore_counter(&t, &s, 7).expect("restores");
-        assert!(kripke_eq(&built.kripke, &restored.kripke));
-        assert_eq!(built.fairness.reqs().len(), restored.fairness.reqs().len());
-        assert_eq!(store.restores(), 1);
-        assert_eq!(store.rejects(), 0);
-        fs::remove_dir_all(&dir).unwrap();
+        assert_round_trips("counter-round-trip", 0..=0);
     }
 
     #[test]
     fn rep_round_trip_preserves_indices_and_fairness() {
-        let dir = temp_dir("rep-rt");
-        let store = SpillStore::open(&dir).unwrap();
+        assert_round_trips("rep-round-trip", 1..=2);
+    }
+
+    /// Spills the mutex counter structure at `n` and returns its path.
+    fn spill_mutex(store: &SpillStore, n: u32) -> PathBuf {
         let t = mutex_template();
         let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
-        let built = engine.representative_graph(6, 2).unwrap();
-        store.spill_rep(&t, &s, 6, 2, &built);
-        let restored = store.restore_rep(&t, &s, 6, 2).expect("restores");
-        assert!(kripke_eq(built.kripke.kripke(), restored.kripke.kripke()));
-        assert_eq!(built.kripke.indices(), restored.kripke.indices());
-        assert_eq!(built.fairness.reqs().len(), restored.fairness.reqs().len());
-        fs::remove_dir_all(&dir).unwrap();
+        store.spill(&t, &s, n, 0, &SymEngine::new(t.clone()).counter_graph(n));
+        store.path(&t, &s, n, 0)
+    }
+
+    fn restore_mutex(store: &SpillStore, n: u32) -> Option<RepGraph> {
+        let t = mutex_template();
+        store.restore(&t, &CountingSpec::standard(&t), n, 0)
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
         let dir = temp_dir("version");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
-        store.spill_counter(&t, &s, 4, &engine.counter_graph(4));
-        let path = store.counter_path(&t, &s, 4);
+        let path = spill_mutex(&store, 4);
         let mut bytes = fs::read(&path).unwrap();
         bytes[8] ^= 0xff; // version field
         fs::write(&path, &bytes).unwrap();
-        assert!(store.restore_counter(&t, &s, 4).is_none());
+        assert!(restore_mutex(&store, 4).is_none());
         assert_eq!(store.rejects(), 1);
+        // Version 1 files are refused too.
+        bytes[8] ^= 0xff;
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(restore_mutex(&store, 4).is_none());
+        assert_eq!(store.rejects(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -864,16 +804,12 @@ mod tests {
     fn checksum_corruption_is_rejected() {
         let dir = temp_dir("corrupt");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
-        store.spill_counter(&t, &s, 4, &engine.counter_graph(4));
-        let path = store.counter_path(&t, &s, 4);
+        let path = spill_mutex(&store, 4);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.restore_counter(&t, &s, 4).is_none());
+        assert!(restore_mutex(&store, 4).is_none());
         assert_eq!(store.rejects(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -882,45 +818,36 @@ mod tests {
     fn truncation_is_rejected() {
         let dir = temp_dir("trunc");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
-        store.spill_counter(&t, &s, 4, &engine.counter_graph(4));
-        let path = store.counter_path(&t, &s, 4);
+        let path = spill_mutex(&store, 4);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        assert!(store.restore_counter(&t, &s, 4).is_none());
+        assert!(restore_mutex(&store, 4).is_none());
         assert_eq!(store.rejects(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Writes a checksummed counter spill of `t` at `n` whose graph is
-    /// `k` and whose fairness section is the raw `fairness` bytes.
-    fn write_counter_spill(
-        store: &SpillStore,
-        t: &GuardedTemplate,
-        s: &CountingSpec,
-        n: u32,
-        k: &Kripke,
-        fairness: &[u8],
-    ) {
+    /// Writes a checksummed mutex counter spill at `n` whose graph is
+    /// `k`, with an empty index set, and whose fairness section is the
+    /// raw `fairness` bytes.
+    fn write_counter_spill(store: &SpillStore, n: u32, k: &Kripke, fairness: &[u8]) {
+        let t = mutex_template();
+        let s = CountingSpec::standard(&t);
         let mut payload = Vec::new();
-        let workload = workload_bytes(t, s);
+        let workload = workload_bytes(&t, &s);
         put_u32(&mut payload, workload.len() as u32);
         payload.extend_from_slice(&workload);
         encode_kripke(&mut payload, k);
+        put_u32(&mut payload, 0);
         payload.extend_from_slice(fairness);
-        let bytes = assemble(&SpillStore::counter_key(t, s, n), &payload);
-        fs::write(store.counter_path(t, s, n), bytes).unwrap();
+        let bytes = assemble(&CacheKey::of(&t, &s, n, 0), &payload);
+        fs::write(store.path(&t, &s, n, 0), bytes).unwrap();
     }
 
     #[test]
     fn mismatched_fairness_capacities_are_rejected() {
         let dir = temp_dir("fair-capacity");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let k = SymEngine::new(t.clone()).counter_graph(4).kripke;
+        let k = SymEngine::new(mutex_template()).counter_graph(4).kripke;
         let states = k.num_states() as u32;
         // Two edge-free requirements, one a state short.
         let mut fairness = Vec::new();
@@ -930,8 +857,8 @@ mod tests {
             put_u32(&mut fairness, 0);
             put_u32(&mut fairness, 0);
         }
-        write_counter_spill(&store, &t, &s, 4, &k, &fairness);
-        assert!(store.restore_counter(&t, &s, 4).is_none());
+        write_counter_spill(&store, 4, &k, &fairness);
+        assert!(restore_mutex(&store, 4).is_none());
         assert_eq!(store.rejects(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -940,9 +867,7 @@ mod tests {
     fn fairness_edges_outside_the_structure_are_rejected() {
         let dir = temp_dir("fair-edge");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let k = SymEngine::new(t.clone()).counter_graph(4).kripke;
+        let k = SymEngine::new(mutex_template()).counter_graph(4).kripke;
         let (a, b) = k
             .states()
             .flat_map(|a| k.states().map(move |b| (a, b)))
@@ -953,8 +878,8 @@ mod tests {
         for word in [1, k.num_states() as u32, 0, 1, a.0, b.0] {
             put_u32(&mut fairness, word);
         }
-        write_counter_spill(&store, &t, &s, 4, &k, &fairness);
-        assert!(store.restore_counter(&t, &s, 4).is_none());
+        write_counter_spill(&store, 4, &k, &fairness);
+        assert!(restore_mutex(&store, 4).is_none());
         assert_eq!(store.rejects(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -963,9 +888,7 @@ mod tests {
     fn missing_file_is_not_a_reject() {
         let dir = temp_dir("missing");
         let store = SpillStore::open(&dir).unwrap();
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        assert!(store.restore_counter(&t, &s, 3).is_none());
+        assert!(restore_mutex(&store, 3).is_none());
         assert_eq!(store.rejects(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -973,15 +896,18 @@ mod tests {
     #[test]
     fn warm_files_counts_existing_spills() {
         let dir = temp_dir("warm");
-        let t = mutex_template();
-        let s = CountingSpec::standard(&t);
-        let engine = SymEngine::new(t.clone());
         {
             let store = SpillStore::open(&dir).unwrap();
             assert_eq!(store.warm_files(), 0);
-            store.spill_counter(&t, &s, 4, &engine.counter_graph(4));
-            store.spill_counter(&t, &s, 5, &engine.counter_graph(5));
+            spill_mutex(&store, 4);
+            spill_mutex(&store, 5);
         }
+        // A version-1 counter file is never read, so it is not counted.
+        fs::write(
+            dir.join("c-0000000000000001-0000000000000002-n4.spill"),
+            b"",
+        )
+        .unwrap();
         let reopened = SpillStore::open(&dir).unwrap();
         assert_eq!(reopened.warm_files(), 2);
         fs::remove_dir_all(&dir).unwrap();

@@ -108,9 +108,6 @@ pub struct StatsSnapshot {
     /// Total abstract states carried by evicted entries — together with
     /// `cache_evictions`, the pressure signal for tuning the budget.
     pub evicted_abstract_states: u64,
-    /// Always 0: every build is sequential. Kept so the `STATS` key
-    /// list stays stable for existing clients.
-    pub sharded_explorations: u64,
     /// Cutoff certificates issued so far (one per distinct (template,
     /// spec, formula) triple; refusals are not counted).
     pub cutoffs_certified: u64,

@@ -22,6 +22,7 @@
 //! [`crate::crosscheck`] at a small `n`, mechanically auditing the
 //! abstraction for the given template.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ use icstar_telemetry::Registry;
 use crate::crosscheck::verify_counter_abstraction;
 use crate::error::SymError;
 use crate::explore::CounterSystem;
-use crate::fairness::{self, CounterGraph, RepGraph};
+use crate::fairness::{self, RepGraph};
 use crate::labels::CountingSpec;
 use crate::template::GuardedTemplate;
 
@@ -149,46 +150,40 @@ impl SymEngine {
         CounterSystem::new(self.template.clone(), n).with_telemetry(self.telemetry.clone())
     }
 
-    /// Materializes the counter structure at size `n` bundled with the
-    /// template's compiled fairness requirements — the unit sessions
-    /// cache and fair checks run on. For templates without fairness
-    /// declarations the bundle carries an unconstrained
+    /// Materializes the width-`width` structure at size `n` bundled with
+    /// the template's compiled fairness requirements — the unit sessions
+    /// cache and checks run on: the counter structure at width 0, the
+    /// distinguished-copies construction behind
+    /// [`SymEngine::check_indexed`] above. For templates without
+    /// fairness declarations the bundle carries an unconstrained
     /// [`icstar_mc::fair::TransFairness`] at no extra cost.
-    pub fn counter_graph(&self, n: u32) -> CounterGraph {
-        fairness::counter_graph(&self.system(n), &self.spec)
+    ///
+    /// # Errors
+    ///
+    /// [`SymError::EmptyFamily`] for a width ≥ 1 at `n = 0`;
+    /// [`SymError::BadRepWidth`] for a width above `n`.
+    pub fn graph(&self, n: u32, width: u32) -> Result<RepGraph, SymError> {
+        fairness::rep_graph(&self.system(n), &self.spec, width)
+    }
+
+    /// [`SymEngine::graph`] at width 0: the counter structure.
+    pub fn counter_graph(&self, n: u32) -> RepGraph {
+        self.graph(n, 0).expect("width 0 builds at every n")
     }
 
     /// Forwards to [`SymEngine::counter_graph`]; `shards` is ignored.
     /// Kept only so existing callers compile: every build is sequential.
-    pub fn counter_graph_sharded(&self, n: u32, _shards: usize) -> CounterGraph {
+    pub fn counter_graph_sharded(&self, n: u32, _shards: usize) -> RepGraph {
         self.counter_graph(n)
     }
 
-    /// Materializes the width-`width` representative structure at size
-    /// `n` (the distinguished-copies construction behind
-    /// [`SymEngine::check_indexed`]) bundled with the template's compiled
-    /// fairness requirements.
+    /// Forwards to [`SymEngine::graph`].
     ///
     /// # Errors
     ///
-    /// [`SymError::EmptyFamily`] at `n = 0`; [`SymError::BadRepWidth`]
-    /// unless `1 ≤ width ≤ n`.
+    /// As for [`SymEngine::graph`].
     pub fn representative_graph(&self, n: u32, width: u32) -> Result<RepGraph, SymError> {
-        // Per-width timing: width is bounded by the quantifier nesting
-        // depth of real formulas, so the name cardinality stays tiny.
-        let span = self.telemetry.span(
-            format!("sym.rep.w{width}.build"),
-            self.telemetry
-                .histogram(&format!("sym.rep.w{width}.build_ns")),
-        );
-        let rep = fairness::rep_graph(&self.system(n), &self.spec, width);
-        if rep.is_ok() {
-            self.telemetry.counter("sym.rep.builds").inc();
-            span.stop();
-        } else {
-            span.cancel();
-        }
-        rep
+        self.graph(n, width)
     }
 
     /// Starts a checking session at size `n`: the abstract structures are
@@ -199,8 +194,7 @@ impl SymEngine {
         SymSession {
             engine: self,
             n,
-            counter: None,
-            reps: HashMap::new(),
+            graphs: HashMap::new(),
         }
     }
 
@@ -275,10 +269,9 @@ impl SymEngine {
     }
 }
 
-/// A checking session at one family size: materializes the counter
-/// structure and one representative structure *per width* lazily, at
-/// most once each, and reuses them for every formula checked through the
-/// session.
+/// A checking session at one family size: materializes one structure
+/// *per width* — the counter structure is width 0 — lazily, at most once
+/// each, and reuses them for every formula checked through the session.
 ///
 /// Created by [`SymEngine::session`].
 ///
@@ -303,9 +296,8 @@ impl SymEngine {
 pub struct SymSession<'e> {
     engine: &'e SymEngine,
     n: u32,
-    counter: Option<Arc<CounterGraph>>,
-    /// Representative graphs by width.
-    reps: HashMap<u32, Arc<RepGraph>>,
+    /// Materialized structures by width.
+    graphs: HashMap<u32, Arc<RepGraph>>,
 }
 
 impl SymSession<'_> {
@@ -314,46 +306,42 @@ impl SymSession<'_> {
         self.n
     }
 
-    /// Seeds the session with a pre-materialized counter graph —
-    /// typically one obtained from [`SymSession::counter_arc`] of an
-    /// earlier session (or a cache of such graphs, like
-    /// `icstar-serve`'s), avoiding re-exploration.
+    /// Seeds the session with a pre-materialized width-`width` structure
+    /// — typically one obtained from [`SymSession::graph_arc`] of an
+    /// earlier session (or a cache of such structures, like
+    /// `icstar-serve`'s), avoiding a rebuild.
     ///
-    /// The graph must be the counter graph of the *same* engine
-    /// (template and spec) at the *same* size; seeding anything else
-    /// makes later answers meaningless.
-    pub fn seed_counter(&mut self, counter: Arc<CounterGraph>) -> &mut Self {
-        self.counter = Some(counter);
+    /// The structure must be the one of the *same* engine (template and
+    /// spec) at the *same* size and width; seeding anything else makes
+    /// later answers meaningless.
+    pub fn seed(&mut self, width: u32, graph: Arc<RepGraph>) -> &mut Self {
+        self.graphs.insert(width, graph);
         self
     }
 
-    /// Seeds the session with a pre-materialized representative graph of
-    /// the given width; the same sharing contract as
-    /// [`SymSession::seed_counter`] applies (and the graph must have
-    /// been built with this `width`).
+    /// [`SymSession::seed`] at width 0, the counter structure.
+    pub fn seed_counter(&mut self, counter: Arc<RepGraph>) -> &mut Self {
+        self.seed(0, counter)
+    }
+
+    /// Forwards to [`SymSession::seed`].
     pub fn seed_representative(&mut self, width: u32, rep: Arc<RepGraph>) -> &mut Self {
-        self.reps.insert(width, rep);
-        self
+        self.seed(width, rep)
     }
 
-    /// The session's counter graph, materializing it on first use — as a
-    /// shared handle, suitable for caching and for seeding other
-    /// sessions at the same `(template, spec, n)`.
-    pub fn counter_arc(&mut self) -> Arc<CounterGraph> {
-        Arc::clone(self.counter_ref())
-    }
-
-    /// The session's width-`width` representative graph, materializing
-    /// it on first use — as a shared handle, suitable for caching and
-    /// for seeding other sessions at the same
-    /// `(template, spec, n, width)`.
+    /// The session's width-`width` structure, materializing it on first
+    /// use — as a shared handle, suitable for caching and for seeding
+    /// other sessions at the same `(template, spec, n, width)`.
     ///
     /// # Errors
     ///
-    /// [`SymError::EmptyFamily`] at `n = 0`; [`SymError::BadRepWidth`]
-    /// unless `1 ≤ width ≤ n`.
-    pub fn representative_arc(&mut self, width: u32) -> Result<Arc<RepGraph>, SymError> {
-        self.representative_ref(width).map(Arc::clone)
+    /// As for [`SymEngine::graph`].
+    pub fn graph_arc(&mut self, width: u32) -> Result<Arc<RepGraph>, SymError> {
+        let graph = match self.graphs.entry(width) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(Arc::new(self.engine.graph(self.n, width)?)),
+        };
+        Ok(Arc::clone(graph))
     }
 
     /// Checks any supported closed formula, dispatching as
@@ -416,7 +404,7 @@ impl SymSession<'_> {
             // fragment the checker supports under fairness.
             fair_fragment_depth(f)?;
         }
-        let g = self.counter_ref();
+        let g = self.graph_arc(0)?;
         Ok(Checker::with_fairness(&g.kripke, &g.fairness).holds(f)?)
     }
 
@@ -448,48 +436,24 @@ impl SymSession<'_> {
         // props *outside* the template are fine — they are false on the
         // explicit composition and on the representative alike.
         self.engine.validate_plain_atoms(&used)?;
-        if self.n == 0 {
-            let expanded = icstar_mc::expand(f, &[]);
-            let g = self.counter_arc();
-            let holds = Checker::with_fairness(&g.kripke, &g.fairness).holds(&expanded)?;
-            return Ok(CheckRun {
-                holds,
-                rep_width: 0,
-                fair,
-            });
-        }
         // The smallest sufficient width: one tracked copy per quantifier
         // nesting level, capped at the family size (beyond n there is no
         // n-th distinct copy to track). Quantifier-free formulas routed
         // here still get one representative — its structure carries the
-        // counting atoms too.
-        let width = depth.clamp(1, self.n);
-        let rep = self.representative_arc(width)?;
+        // counting atoms too. At n = 0 the width is 0: quantifiers range
+        // over the empty index set, on the counter structure.
+        let width = depth.max(1).min(self.n);
+        let g = self.graph_arc(width)?;
         // Expand quantifiers over the canonical representative tuples
         // (distinct-index case split), then model-check the closed
         // constant-indexed formula on the width-`width` structure.
         let expanded = expand_representatives(f, width);
-        let holds = Checker::with_fairness(rep.kripke.kripke(), &rep.fairness).holds(&expanded)?;
+        let holds = Checker::with_fairness(&g.kripke, &g.fairness).holds(&expanded)?;
         Ok(CheckRun {
             holds,
             rep_width: width,
             fair,
         })
-    }
-
-    fn counter_ref(&mut self) -> &Arc<CounterGraph> {
-        if self.counter.is_none() {
-            self.counter = Some(Arc::new(self.engine.counter_graph(self.n)));
-        }
-        self.counter.as_ref().expect("just materialized")
-    }
-
-    fn representative_ref(&mut self, width: u32) -> Result<&Arc<RepGraph>, SymError> {
-        if !self.reps.contains_key(&width) {
-            let rep = Arc::new(self.engine.representative_graph(self.n, width)?);
-            self.reps.insert(width, rep);
-        }
-        Ok(self.reps.get(&width).expect("just materialized"))
     }
 }
 
@@ -685,7 +649,7 @@ mod tests {
         assert!(s
             .check(&parse_state("exists i. EF try[i]").unwrap())
             .unwrap());
-        assert_eq!(s.reps.len(), 2, "one structure each for widths 1 and 2");
+        assert_eq!(s.graphs.len(), 2, "one structure each for widths 1 and 2");
     }
 
     #[test]
@@ -745,8 +709,8 @@ mod tests {
             assert!(s.check(&parse_state(src).unwrap()).unwrap(), "{src}");
         }
         // Both structures were materialized exactly once and retained.
-        assert!(s.counter.is_some());
-        assert_eq!(s.reps.len(), 1);
+        assert!(s.graphs.contains_key(&0));
+        assert_eq!(s.graphs.len(), 2);
         assert_eq!(s.size(), 50);
         // Session verdicts match one-shot engine verdicts.
         assert_eq!(
@@ -763,8 +727,8 @@ mod tests {
         assert!(first
             .check(&parse_state("exists i. EF crit[i]").unwrap())
             .unwrap());
-        let counter = first.counter_arc();
-        let rep = first.representative_arc(1).unwrap();
+        let counter = first.graph_arc(0).unwrap();
+        let rep = first.graph_arc(1).unwrap();
 
         // A second session seeded with the first's structures answers
         // identically without re-materializing (the Arcs are shared).
@@ -777,11 +741,11 @@ mod tests {
         assert!(second
             .check(&parse_state("forall i. AG(try[i] -> EF crit[i])").unwrap())
             .unwrap());
-        assert!(std::sync::Arc::ptr_eq(&counter, &second.counter_arc()));
         assert!(std::sync::Arc::ptr_eq(
-            &rep,
-            &second.representative_arc(1).unwrap()
+            &counter,
+            &second.graph_arc(0).unwrap()
         ));
+        assert!(std::sync::Arc::ptr_eq(&rep, &second.graph_arc(1).unwrap()));
     }
 
     #[test]

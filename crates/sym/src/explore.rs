@@ -23,10 +23,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use icstar_kripke::Kripke;
+use icstar_kripke::{Index, IndexedKripke, Kripke};
 use icstar_telemetry::{FlightRecorder, Registry, SpanContext, TraceScope};
 
 use crate::counter::{respond_into, CounterPacking, CounterState};
+use crate::error::SymError;
 use crate::labels::CountingSpec;
 use crate::rep::{self, Lift};
 use crate::template::GuardedTemplate;
@@ -82,13 +83,13 @@ impl CounterSystem {
         self
     }
 
-    /// Attaches a causal-trace parent: every materialization then records
-    /// its phases as spans under `parent` in `recorder`, on Chrome lane
-    /// `tid` — `explore` (the BFS, labels included) and `freeze` (atom
-    /// interning and the CSR freeze), plus `fairness` when
-    /// [`crate::fairness::counter_graph`] compiles a fair template's
-    /// requirements. Without this, exploration records no spans — only
-    /// the aggregate `sym.explore.*` metrics.
+    /// Attaches a causal-trace parent: every materialization, at any
+    /// width, then records its phases as spans under `parent` in
+    /// `recorder`, on Chrome lane `tid` — `explore` (the sweep and the
+    /// rows, labels included) and `freeze` (atom interning and the CSR
+    /// freeze), plus `fairness` when [`crate::fairness::rep_graph`]
+    /// compiles a fair template's requirements. Without this, builds
+    /// record no spans — only the aggregate metrics.
     #[must_use]
     pub fn with_trace(mut self, recorder: FlightRecorder, parent: SpanContext, tid: u32) -> Self {
         self.trace = Some((recorder, parent, tid));
@@ -226,50 +227,81 @@ impl CounterSystem {
     /// polynomial in `n` for a fixed template — instead of the `|Q|^n`
     /// states of the explicit composition.
     pub fn kripke(&self, spec: &CountingSpec) -> Kripke {
-        self.build(spec, |_, _, _| {}).0
+        self.kripke_with_states(spec).0
     }
 
     /// [`CounterSystem::kripke`] plus the occupancy vector of every
     /// state, indexed by [`StateId`](icstar_kripke::StateId) (position
     /// `i` is the vector of state `i`).
     pub fn kripke_with_states(&self, spec: &CountingSpec) -> (Kripke, Vec<CounterState>) {
-        let (kripke, lift) = self.build(spec, |_, _, _| {});
+        let (kripke, lift) = self
+            .build(spec, 0, |_, _, _| {})
+            .expect("width 0 fits every n");
         let states = (lift.counters.states())
             .map(|counts| CounterState::new(counts.to_vec()))
             .collect();
-        (kripke, states)
+        (kripke.into_kripke(), states)
     }
 
-    /// Builds the counter structure: the width-0 lift of the reachability
-    /// sweep ([`rep::write_rows`]), calling `on_edge(from, to, (src,
-    /// tgt))` for every move, then frozen. A state's id is its discovery
-    /// position, so the structure comes out byte-identical to a
+    /// The one build behind every structure: the width-`width` lift of
+    /// the reachability sweep ([`rep::write_rows`]), calling
+    /// `on_edge(from, to, (src, tgt))` for every lifted move, then frozen
+    /// with the index set `1..=width` (empty at width 0, the counter
+    /// structure). A state's id is its position in the lift, so the
+    /// counter structure comes out byte-identical to a
     /// [`KripkeBuilder`](icstar_kripke::KripkeBuilder) fed the same BFS.
+    ///
+    /// Records the `explore` and `freeze` phase spans under an attached
+    /// trace ([`CounterSystem::with_trace`]). Width 0 bumps the
+    /// `sym.explore.*` metrics, a wider build `sym.rep.builds` and
+    /// `sym.rep.w{width}.build_ns`.
+    ///
+    /// # Errors
+    ///
+    /// [`SymError::EmptyFamily`] for a width ≥ 1 at `n = 0`;
+    /// [`SymError::BadRepWidth`] for a width above `n`.
     pub(crate) fn build(
         &self,
         spec: &CountingSpec,
+        width: u32,
         on_edge: impl FnMut(u32, u32, (u32, u32)),
-    ) -> (Kripke, Lift) {
+    ) -> Result<(IndexedKripke, Lift), SymError> {
+        match (self.n, width) {
+            (0, 1..) => return Err(SymError::EmptyFamily),
+            (n, _) if width > n => return Err(SymError::BadRepWidth { width, n }),
+            _ => {}
+        }
         let started = Instant::now();
         let explore = self.phase("explore");
-        let (rows, lift) = rep::write_rows(self, spec, 0, on_edge);
-        // Exploration telemetry is flushed once after the rows are
-        // written: the hot loops touch no atomics. `states` vs `arrivals`
-        // (edges) gives the dedup ratio, `build_ns` over `states`
-        // states/sec.
+        let (rows, lift) = rep::write_rows(self, spec, width, on_edge);
+        // Telemetry is flushed once per build: the hot loops touch no
+        // atomics. `states` vs `arrivals` (edges) gives the dedup ratio,
+        // `build_ns` over `states` states/sec.
         let t = &self.telemetry;
-        t.counter("sym.explore.builds").inc();
-        t.counter("sym.explore.states")
-            .add(lift.counters.len() as u64);
-        t.counter("sym.explore.arrivals")
-            .add(rows.num_edges() as u64);
-        t.histogram("sym.explore.build_ns")
-            .record_duration(started.elapsed());
-        t.gauge("sym.explore.frontier_peak")
-            .set_max(lift.frontier_peak as i64);
+        if width == 0 {
+            t.counter("sym.explore.builds").inc();
+            t.counter("sym.explore.states")
+                .add(lift.counters.len() as u64);
+            t.counter("sym.explore.arrivals")
+                .add(rows.num_edges() as u64);
+            t.histogram("sym.explore.build_ns")
+                .record_duration(started.elapsed());
+            t.gauge("sym.explore.frontier_peak")
+                .set_max(lift.frontier_peak as i64);
+        }
         drop(explore);
-        let _freeze = self.phase("freeze");
-        (rows.freeze(), lift)
+        let freeze = self.phase("freeze");
+        let indices = (0..width).map(|c| rep::REPRESENTATIVE_INDEX + c as Index);
+        let kripke = IndexedKripke::new(rows.freeze(), indices.collect());
+        drop(freeze);
+        if width > 0 {
+            // Width is part of the name: it is bounded by the quantifier
+            // nesting depth of real formulas, so cardinality stays tiny.
+            t.counter("sym.rep.builds").inc();
+            t.histogram(&format!("sym.rep.w{width}.build_ns"))
+                .record_duration(started.elapsed());
+        }
+        Ok((kripke, lift))
     }
 }
 

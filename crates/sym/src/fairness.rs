@@ -24,16 +24,16 @@
 //! differential battery in `tests/fair.rs` checks precisely this
 //! against [`check_fair_explicit`].
 //!
-//! [`counter_graph`] / [`rep_graph`] bundle each structure with its
-//! compiled [`TransFairness`] — the unit the engine caches and checks.
-//! Both filter the edges the one row writer emits (the counter structure
-//! being its width-0 case) through the same per-declaration filter, so
-//! no build enumerates its moves a second time.
+//! [`rep_graph`] bundles a structure of any width with its compiled
+//! [`TransFairness`] — the unit the engine caches and checks. The
+//! counter structure is its width-0 case, with an empty index set. The
+//! requirements are filtered from the edges the one row writer emits,
+//! so no build enumerates its moves a second time.
 
 use std::collections::{BTreeSet, HashMap};
 
 use icstar_kripke::bits::BitSet;
-use icstar_kripke::{IndexedKripke, Kripke};
+use icstar_kripke::IndexedKripke;
 use icstar_logic::StateFormula;
 use icstar_mc::expand;
 use icstar_mc::fair::{FairReq, TransFairness};
@@ -45,53 +45,36 @@ use crate::crosscheck::{full_relabel, guarded_interleave_with_states, occupancy}
 use crate::error::SymError;
 use crate::explore::CounterSystem;
 use crate::labels::CountingSpec;
-use crate::rep::build_rep;
 use crate::template::{FairnessDecl, GuardedTemplate};
 
-/// The counter structure of a system bundled with its compiled fairness
-/// requirements — everything a fair (or plain) check over counting atoms
-/// needs.
-#[derive(Clone, Debug)]
-pub struct CounterGraph {
-    /// The reachable counter structure ([`CounterSystem::kripke`]).
-    pub kripke: Kripke,
-    /// The template's fairness declarations compiled onto `kripke`;
-    /// unconstrained when the template declares none.
-    pub fairness: TransFairness,
-}
-
-/// A width-`k` representative structure bundled with its compiled
-/// fairness requirements.
+/// A width-`k` structure of the family bundled with its compiled
+/// fairness requirements — everything a fair (or plain) check needs. At
+/// width 0 it is the counter structure, with an empty index set.
 #[derive(Clone, Debug)]
 pub struct RepGraph {
-    /// The representative structure ([`crate::representative`]).
+    /// The structure: the counter structure at width 0
+    /// ([`CounterSystem::kripke`]), the representative structure
+    /// ([`crate::representative`]) above. It reads as a plain
+    /// [`Kripke`](icstar_kripke::Kripke) through `Deref`.
     pub kripke: IndexedKripke,
     /// The template's fairness declarations compiled onto `kripke`;
     /// unconstrained when the template declares none.
     pub fairness: TransFairness,
 }
 
-/// Builds the counter structure together with its fairness requirements,
-/// filtered from the moves of its edges as the row writer emits them.
+/// Builds the width-`width` structure, `0 ≤ width ≤ n`, together with
+/// its fairness requirements, filtered from the moves of its edges as
+/// the row writer emits them. Width 0 builds at every `n`, `n = 0`
+/// included (the single stuttering `empty` state).
 ///
 /// On a traced system ([`CounterSystem::with_trace`]) a fair template's
 /// requirements record a `fairness` span next to the build's `explore`
 /// and `freeze` spans.
-pub fn counter_graph(sys: &CounterSystem, spec: &CountingSpec) -> CounterGraph {
-    let decls = sys.template().fairness();
-    let mut edges = vec![BTreeSet::new(); decls.len()];
-    let (kripke, _) = sys.build(spec, |from, to, mv| take(decls, &mut edges, from, to, mv));
-    let _span = sys.template().is_fair().then(|| sys.phase("fairness"));
-    let fairness = requirements(edges, kripke.num_states());
-    CounterGraph { kripke, fairness }
-}
-
-/// Builds the width-`width` representative structure together with its
-/// fairness requirements, filtered from the moves of its lifted edges.
 ///
 /// # Errors
 ///
-/// As for [`crate::representative`].
+/// [`SymError::EmptyFamily`] for a width ≥ 1 at `n = 0`;
+/// [`SymError::BadRepWidth`] for a width above `n`.
 pub fn rep_graph(
     sys: &CounterSystem,
     spec: &CountingSpec,
@@ -99,11 +82,18 @@ pub fn rep_graph(
 ) -> Result<RepGraph, SymError> {
     let decls = sys.template().fairness();
     let mut edges = vec![BTreeSet::new(); decls.len()];
-    let (kripke, _) = build_rep(sys, spec, width, |from, to, mv| {
+    let (kripke, _) = sys.build(spec, width, |from, to, mv| {
         take(decls, &mut edges, from, to, mv);
     })?;
-    let fairness = requirements(edges, kripke.kripke().num_states());
+    let _span = sys.template().is_fair().then(|| sys.phase("fairness"));
+    let fairness = requirements(edges, kripke.num_states());
     Ok(RepGraph { kripke, fairness })
+}
+
+/// The counter structure with its fairness requirements: [`rep_graph`]
+/// at width 0.
+pub fn counter_graph(sys: &CounterSystem, spec: &CountingSpec) -> RepGraph {
+    rep_graph(sys, spec, 0).expect("width 0 builds at every n")
 }
 
 /// Compiles the template's fairness declarations onto a counter

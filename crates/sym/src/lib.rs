@@ -121,7 +121,7 @@ pub use cutoff::{
 pub use engine::{required_rep_width, CheckRun, SymEngine, SymSession};
 pub use error::SymError;
 pub use explore::CounterSystem;
-pub use fairness::{check_fair_explicit, counter_graph, rep_graph, CounterGraph, RepGraph};
+pub use fairness::{check_fair_explicit, counter_graph, rep_graph, RepGraph};
 pub use labels::CountingSpec;
 pub use rep::{representative, representative_with_states, RepState, REPRESENTATIVE_INDEX};
 pub use template::{

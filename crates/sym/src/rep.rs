@@ -119,7 +119,14 @@ pub fn representative_with_states(
     spec: &CountingSpec,
     width: u32,
 ) -> Result<(IndexedKripke, Vec<RepState>), SymError> {
-    let (kripke, lift) = build_rep(sys, spec, width, |_, _, _| {})?;
+    let n = sys.size();
+    if width == 0 {
+        return Err(match n {
+            0 => SymError::EmptyFamily,
+            _ => SymError::BadRepWidth { width, n },
+        });
+    }
+    let (kripke, lift) = sys.build(spec, width, |_, _, _| {})?;
     let states = (0..lift.counters.len())
         .flat_map(|i| lift.range(i).map(move |s| (i, s)))
         .map(|(i, s)| {
@@ -213,30 +220,6 @@ impl Lift {
         debug_assert_eq!(self.tuple(lo), tuple, "a fitting tuple");
         lo
     }
-}
-
-/// Builds the width-`width` structure ([`write_rows`]) and freezes it,
-/// returning it with its id map.
-///
-/// # Errors
-///
-/// As for [`representative`].
-pub(crate) fn build_rep(
-    sys: &CounterSystem,
-    spec: &CountingSpec,
-    width: u32,
-    on_edge: impl FnMut(u32, u32, (u32, u32)),
-) -> Result<(IndexedKripke, Lift), SymError> {
-    let n = sys.size();
-    if n == 0 {
-        return Err(SymError::EmptyFamily);
-    }
-    if width == 0 || width > n {
-        return Err(SymError::BadRepWidth { width, n });
-    }
-    let (rows, lift) = write_rows(sys, spec, width, on_edge);
-    let indices = (0..width).map(|c| REPRESENTATIVE_INDEX + c as Index);
-    Ok((IndexedKripke::new(rows.freeze(), indices.collect()), lift))
 }
 
 /// The one row writer. Sweeps `sys` once ([`build::sweep`]), numbers the

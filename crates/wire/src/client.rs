@@ -325,7 +325,6 @@ impl WireClient {
                 "cached_abstract_states" => s.cached_abstract_states = value,
                 "cache_evictions" => s.cache_evictions = value,
                 "evicted_abstract_states" => s.evicted_abstract_states = value,
-                "sharded_explorations" => s.sharded_explorations = value,
                 "cutoffs_certified" => s.cutoffs_certified = value,
                 "cutoff_answers" => s.cutoff_answers = value,
                 "p50_total_ns" => s.p50_total_ns = value,

@@ -1076,7 +1076,6 @@ fn stats_text(shared: &Shared) -> String {
     let _ = writeln!(out, "cached_abstract_states {}", s.cached_abstract_states);
     let _ = writeln!(out, "cache_evictions {}", s.cache_evictions);
     let _ = writeln!(out, "evicted_abstract_states {}", s.evicted_abstract_states);
-    let _ = writeln!(out, "sharded_explorations {}", s.sharded_explorations);
     let _ = writeln!(out, "cutoffs_certified {}", s.cutoffs_certified);
     let _ = writeln!(out, "cutoff_answers {}", s.cutoff_answers);
     let _ = writeln!(out, "p50_total_ns {}", s.p50_total_ns);

@@ -486,7 +486,6 @@ fn stats_key_set_is_pinned() {
             "cached_abstract_states",
             "cache_evictions",
             "evicted_abstract_states",
-            "sharded_explorations",
             "cutoffs_certified",
             "cutoff_answers",
             "p50_total_ns",

@@ -7,8 +7,10 @@
 //!
 //! 1. **One causal tree per job** — a single `job` root span, with
 //!    `queue_wait`, `cache_lookup`, `build`, and `check` as children.
-//! 2. **Build phases** — the counter build's `explore` (BFS plus labels)
-//!    and `freeze` (atom interning plus CSR) spans hang under the
+//! 2. **Build phases** — every build is traced alike: the counter
+//!    build (`kind=counter`) and the width-1 representative build
+//!    (`kind=representative`) each hang `explore` (sweep, rows and
+//!    labels) and `freeze` (atom interning plus CSR) spans under their
 //!    `build` span, on the lane of the worker that paid for it.
 //! 3. **Wire round-trip** — `WireClient::trace_chrome` parses the
 //!    server's JSON back into the exact typed [`SpanEvent`]s, and the
@@ -67,33 +69,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{name} must hang off the job root"
         );
     }
-    let build = spans
-        .iter()
-        .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "kind" && v == "counter"))
-        .expect("the counter build span");
-    let phases: Vec<&SpanEvent> = spans
-        .iter()
-        .filter(|s| s.parent == Some(build.id))
-        .collect();
-    for phase in ["explore", "freeze"] {
-        assert!(
-            phases.iter().any(|s| s.name == phase && s.tid == build.tid),
-            "{phase} must hang off the build, on its worker's lane"
+    for kind in ["counter", "representative"] {
+        let build = spans
+            .iter()
+            .find(|s| s.name == "build" && s.attrs.iter().any(|(k, v)| k == "kind" && v == kind))
+            .unwrap_or_else(|| panic!("the {kind} build span"));
+        let phases: Vec<&SpanEvent> = spans
+            .iter()
+            .filter(|s| s.parent == Some(build.id))
+            .collect();
+        for phase in ["explore", "freeze"] {
+            assert!(
+                phases.iter().any(|s| s.name == phase && s.tid == build.tid),
+                "{phase} must hang off the {kind} build, on its worker's lane"
+            );
+        }
+        let phase_ms = |name: &str| {
+            phases
+                .iter()
+                .find(|s| s.name == name)
+                .map_or(0.0, |s| s.dur_ns as f64 / 1e6)
+        };
+        println!(
+            "{kind} build {:.1}ms (explore {:.1}ms, freeze {:.1}ms)",
+            build.dur_ns as f64 / 1e6,
+            phase_ms("explore"),
+            phase_ms("freeze")
         );
     }
-    let phase_ms = |name: &str| {
-        phases
-            .iter()
-            .find(|s| s.name == name)
-            .map_or(0.0, |s| s.dur_ns as f64 / 1e6)
-    };
-    println!(
-        "trace: {} spans, build {:.1}ms (explore {:.1}ms, freeze {:.1}ms)",
-        spans.len(),
-        build.dur_ns as f64 / 1e6,
-        phase_ms("explore"),
-        phase_ms("freeze")
-    );
+    println!("trace: {} spans", spans.len());
 
     // ---- HEALTH agrees with the evidence ----
     let health = client.health()?;

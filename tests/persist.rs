@@ -172,22 +172,22 @@ proptest! {
 
         let store = SpillStore::open(&dir).unwrap();
         let counter = engine.counter_graph(n);
-        store.spill_counter(&template, &spec, n, &counter);
+        store.spill(&template, &spec, n, 0, &counter);
         let rep = engine.representative_graph(n, 1).ok();
         if let Some(rep) = &rep {
-            store.spill_rep(&template, &spec, n, 1, rep);
+            store.spill(&template, &spec, n, 1, rep);
         }
 
         // A fresh store over the same directory: what a restart sees.
         let reopened = SpillStore::open(&dir).unwrap();
         let restored = reopened
-            .restore_counter(&template, &spec, n)
+            .restore(&template, &spec, n, 0)
             .expect("counter restores");
         assert_kripke_eq(&counter.kripke, &restored.kripke);
         assert_fairness_eq(&counter.fairness, &restored.fairness);
         if let Some(rep) = &rep {
             let restored = reopened
-                .restore_rep(&template, &spec, n, 1)
+                .restore(&template, &spec, n, 1)
                 .expect("rep restores");
             prop_assert_eq!(rep.kripke.indices(), restored.kripke.indices());
             assert_kripke_eq(rep.kripke.kripke(), restored.kripke.kripke());
@@ -212,8 +212,8 @@ proptest! {
         let dir = temp_dir("defect");
 
         let store = SpillStore::open(&dir).unwrap();
-        store.spill_counter(&template, &spec, n, &engine.counter_graph(n));
-        let path = store.counter_path(&template, &spec, n);
+        store.spill(&template, &spec, n, 0, &engine.counter_graph(n));
+        let path = store.path(&template, &spec, n, 0);
         let mut bytes = std::fs::read(&path).unwrap();
         if flip {
             let mid = bytes.len() / 2;
@@ -225,10 +225,12 @@ proptest! {
 
         let cache = GraphCache::with_store(1, u64::MAX, Some(SpillStore::open(&dir).unwrap()));
         let built = std::cell::Cell::new(false);
-        let graph = cache.counter(&template, &spec, n, || {
-            built.set(true);
-            engine.counter_graph(n)
-        });
+        let graph = cache
+            .get(&template, &spec, n, 0, || {
+                built.set(true);
+                Ok(engine.counter_graph(n))
+            })
+            .unwrap();
         prop_assert!(built.get(), "defective file must fall back to a build");
         assert_kripke_eq(&graph.kripke, &engine.counter_graph(n).kripke);
         prop_assert_eq!(cache.spill_store().unwrap().rejects(), 1);
@@ -260,20 +262,20 @@ fn fair_and_unfair_twins_never_alias_on_disk() {
     let fair_spec = CountingSpec::standard(&fair);
     let unfair_spec = CountingSpec::standard(&unfair);
     assert_ne!(
-        store.counter_path(&fair, &fair_spec, n),
-        store.counter_path(&unfair, &unfair_spec, n),
+        store.path(&fair, &fair_spec, n, 0),
+        store.path(&unfair, &unfair_spec, n, 0),
         "twin workloads must spill to distinct files"
     );
     let fair_graph = SymEngine::with_spec(fair.clone(), fair_spec.clone()).counter_graph(n);
     let unfair_graph = SymEngine::with_spec(unfair.clone(), unfair_spec.clone()).counter_graph(n);
-    store.spill_counter(&fair, &fair_spec, n, &fair_graph);
-    store.spill_counter(&unfair, &unfair_spec, n, &unfair_graph);
+    store.spill(&fair, &fair_spec, n, 0, &fair_graph);
+    store.spill(&unfair, &unfair_spec, n, 0, &unfair_graph);
     assert_eq!(store.spills(), 2);
 
     let reopened = SpillStore::open(&dir).unwrap();
     assert_eq!(reopened.warm_files(), 2);
-    let fair_back = reopened.restore_counter(&fair, &fair_spec, n).unwrap();
-    let unfair_back = reopened.restore_counter(&unfair, &unfair_spec, n).unwrap();
+    let fair_back = reopened.restore(&fair, &fair_spec, n, 0).unwrap();
+    let unfair_back = reopened.restore(&unfair, &unfair_spec, n, 0).unwrap();
     assert!(!fair_back.fairness.is_empty(), "fair twin keeps its reqs");
     assert!(
         unfair_back.fairness.is_empty(),

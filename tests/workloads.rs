@@ -290,8 +290,8 @@ fn spill_restored_fair_counter_graphs_keep_the_liveness_verdicts() {
             let before: Vec<_> = (counting.iter())
                 .map(|(_, f)| chk.sat(f).unwrap())
                 .collect();
-            store.spill_counter(&fair_t, engine.spec(), n, &original);
-            let restored = (store.restore_counter(&fair_t, engine.spec(), n))
+            store.spill(&fair_t, engine.spec(), n, 0, &original);
+            let restored = (store.restore(&fair_t, engine.spec(), n, 0))
                 .unwrap_or_else(|| panic!("{name}: no restore at n = {n}"));
             let mut chk = Checker::with_fairness(&restored.kripke, &restored.fairness);
             for ((src, f), sat) in counting.iter().zip(&before) {
