@@ -40,7 +40,8 @@
 //! build (and re-spills it, healing the file). Corruption can cost a
 //! rebuild, never a wrong answer. Writes go through a temp file +
 //! atomic rename so a crashed writer leaves no half-written spill under
-//! the final name.
+//! the final name. [`SpillStore::open`] deletes version-1 files (named
+//! `c-…`/`r-…`), which nothing reads any more.
 
 use std::fs;
 use std::io::Write;
@@ -484,6 +485,33 @@ fn verified_payload<'a>(bytes: &'a [u8], key: &CacheKey) -> Option<&'a [u8]> {
 // The store.
 // ---------------------------------------------------------------------
 
+/// Whether `name` has a version-1 spill file's shape:
+/// `c-<16 hex>-<16 hex>-n<n>.spill` (counter) or
+/// `r-<16 hex>-<16 hex>-n<n>-w<w>.spill` (representative).
+fn is_v1_spill_name(name: &str) -> bool {
+    let Some(stem) = name.strip_suffix(".spill") else {
+        return false;
+    };
+    let (rest, fields) = if let Some(rest) = stem.strip_prefix("c-") {
+        (rest, 3)
+    } else if let Some(rest) = stem.strip_prefix("r-") {
+        (rest, 4)
+    } else {
+        return false;
+    };
+    let parts: Vec<&str> = rest.split('-').collect();
+    let fp = |p: &str| p.len() == 16 && p.bytes().all(|b| b.is_ascii_hexdigit());
+    let num = |p: &str, tag: char| {
+        p.strip_prefix(tag)
+            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+    };
+    parts.len() == fields
+        && fp(parts[0])
+        && fp(parts[1])
+        && num(parts[2], 'n')
+        && (fields == 3 || num(parts[3], 'w'))
+}
+
 /// A directory of spill files the [`GraphCache`](crate::GraphCache)
 /// persists materialized structures into. See the module docs for the
 /// file format and rejection rules. All methods are `&self` and
@@ -507,16 +535,20 @@ impl SpillStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        // Only this format's files: version-1 `c-`/`r-` files are never
-        // read, so they are no warm-start inventory.
-        let warm_files = fs::read_dir(&dir)?
-            .filter_map(Result::ok)
-            .filter(|e| {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("g-") && name.ends_with(".spill")
-            })
-            .count() as u64;
+        // Only this format's files are warm-start inventory. Version-1
+        // `c-`/`r-` files are never read, so they are removed rather than
+        // kept as a second copy of every spilled structure; a failed
+        // removal is ignored, as failed writes are.
+        let mut warm_files = 0;
+        for entry in fs::read_dir(&dir)?.filter_map(Result::ok) {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if is_v1_spill_name(&name) {
+                let _ = fs::remove_file(entry.path());
+            } else if name.starts_with("g-") && name.ends_with(".spill") {
+                warm_files += 1;
+            }
+        }
         Ok(SpillStore {
             dir,
             spills: Counter::detached(),
@@ -902,14 +934,22 @@ mod tests {
             spill_mutex(&store, 4);
             spill_mutex(&store, 5);
         }
-        // A version-1 counter file is never read, so it is not counted.
-        fs::write(
+        // Version-1 counter and representative files are never read:
+        // open removes them and does not count them. Unrelated files stay.
+        let stale = [
             dir.join("c-0000000000000001-0000000000000002-n4.spill"),
-            b"",
-        )
-        .unwrap();
+            dir.join("r-0000000000000001-0000000000000002-n4-w1.spill"),
+        ];
+        for path in &stale {
+            fs::write(path, b"").unwrap();
+        }
+        fs::write(dir.join("notes.txt"), b"keep").unwrap();
         let reopened = SpillStore::open(&dir).unwrap();
         assert_eq!(reopened.warm_files(), 2);
+        for path in &stale {
+            assert!(!path.exists(), "{} survived open", path.display());
+        }
+        assert!(dir.join("notes.txt").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

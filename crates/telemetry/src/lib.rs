@@ -1,8 +1,7 @@
 //! Dependency-free observability core for the icstar verification
 //! stack: monotonic [`Counter`]s, signed [`Gauge`]s, log₂-bucketed
-//! latency [`Histogram`]s, RAII [`SpanTimer`]s, and a namespaced
-//! [`Registry`] that freezes everything into one coherent
-//! [`TelemetrySnapshot`].
+//! latency [`Histogram`]s, and a namespaced [`Registry`] that freezes
+//! everything into one coherent [`TelemetrySnapshot`].
 //!
 //! Design constraints, in order:
 //!
@@ -11,20 +10,18 @@
 //!    Exploration loops at `n = 10⁶` record millions of events — they
 //!    must never contend.
 //! 2. **No dependencies.** Like the rest of the workspace, the crate
-//!    is `std`-only: JSON is hand-rolled (the criterion shim's
-//!    `BENCH_JSON` idiom), Prometheus exposition is plain text.
+//!    is `std`-only: Prometheus exposition and the Chrome trace JSON
+//!    are hand-rolled plain text.
 //! 3. **Bounded error.** The histograms trade precision for a fixed
 //!    64-bucket footprint: any quantile estimate is within a factor
 //!    of 2 of the truth, which is enough to see a regression without
 //!    enough to argue about.
 //!
-//! Two snapshot wire forms feed the service front-end: Prometheus text
-//! for the `METRICS` wire command ([`TelemetrySnapshot::to_prometheus`]
-//! / [`TelemetrySnapshot::parse_prometheus`]) and a JSON dump
-//! ([`TelemetrySnapshot::to_json`] / [`TelemetrySnapshot::from_json`]).
-//! A registry with a trace sink ([`Registry::set_trace_sink`];
-//! `ICSTAR_TRACE=<path>` seeds [`Registry::global`]'s) additionally
-//! streams every finished [`Registry::span`] timer as a JSON line.
+//! A snapshot has one wire form, Prometheus text, which the `METRICS`
+//! wire command serves ([`TelemetrySnapshot::to_prometheus`] /
+//! [`TelemetrySnapshot::parse_prometheus`]). A region is timed into a
+//! histogram with an [`Instant`](std::time::Instant) and
+//! [`Histogram::record_duration`].
 //!
 //! On top of the aggregates sits per-job **causal tracing**: the
 //! [`FlightRecorder`] ring buffer retains recent [`SpanEvent`]s keyed
@@ -38,7 +35,6 @@
 mod metrics;
 mod registry;
 mod snapshot;
-mod span;
 mod trace;
 
 pub use metrics::{
@@ -46,7 +42,6 @@ pub use metrics::{
 };
 pub use registry::Registry;
 pub use snapshot::{wire_name, MetricValue, TelemetrySnapshot};
-pub use span::{SpanTimer, TRACE_ENV};
 pub use trace::{
     current_context, parse_chrome_trace, to_chrome_trace, to_text_tree, FlightRecorder,
     SpanContext, SpanEvent, SpanId, TraceId, TraceScope, DEFAULT_TRACE_CAPACITY,

@@ -10,12 +10,10 @@
 //! with [`Registry::new`].
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{MetricValue, TelemetrySnapshot};
-use crate::span::{SpanTimer, TraceSink, TRACE_ENV};
 
 /// One registered metric, by kind.
 #[derive(Clone, Debug)]
@@ -38,16 +36,14 @@ impl Metric {
 #[derive(Debug, Default)]
 struct Inner {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    trace_sink: Mutex<Option<TraceSink>>,
 }
 
 /// A namespaced collection of metrics. Clones share the same
 /// underlying store.
 ///
 /// Metric names are dotted paths (`serve.jobs.submitted`) restricted to
-/// lowercase ASCII letters, digits, `.` and `_` — this keeps both the
-/// JSON dump and the Prometheus mangling (`.` → `_`, `icstar_` prefix)
-/// unambiguous.
+/// lowercase ASCII letters, digits, `.` and `_` — this keeps the
+/// Prometheus mangling (`.` → `_`, `icstar_` prefix) unambiguous.
 ///
 /// # Examples
 ///
@@ -71,24 +67,9 @@ impl Registry {
 
     /// The process-wide registry. Library components default to this
     /// unless handed an explicit registry.
-    ///
-    /// If `ICSTAR_TRACE=<path>` is set when the global registry is
-    /// first touched, its trace sink defaults to that file. The env
-    /// var seeds *only* this registry and only as a default — an
-    /// explicit [`Registry::set_trace_sink`] call (on any registry,
-    /// this one included) always wins, and fresh [`Registry::new`]
-    /// registries never consult the environment.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let registry = Registry::new();
-            if let Some(path) = std::env::var_os(TRACE_ENV) {
-                // A bad path disables the default sink; tracing never
-                // takes the process down.
-                let _ = registry.set_trace_sink(path);
-            }
-            registry
-        })
+        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Whether two handles address the same underlying registry.
@@ -183,34 +164,6 @@ impl Registry {
             ),
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
-    }
-
-    /// Directs this registry's span trace log to `path` (append
-    /// mode), replacing any previous sink. In-flight [`SpanTimer`]s
-    /// keep the sink they started with; new ones pick up the
-    /// replacement.
-    ///
-    /// Precedence: this call always wins over the `ICSTAR_TRACE`
-    /// environment variable, which only seeds [`Registry::global`]'s
-    /// sink as a default (see there).
-    pub fn set_trace_sink(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let sink = TraceSink::open(path.as_ref())?;
-        *self.0.trace_sink.lock().unwrap() = Some(sink);
-        Ok(())
-    }
-
-    /// Whether this registry currently has a trace sink, i.e. whether
-    /// [`Registry::span`] timers will write JSON lines.
-    pub fn trace_enabled(&self) -> bool {
-        self.0.trace_sink.lock().unwrap().is_some()
-    }
-
-    /// Starts a [`SpanTimer`] recording into `histogram`, bound to
-    /// this registry's trace sink: if one is set, the finished span is
-    /// appended to it as a JSON line.
-    pub fn span(&self, name: impl Into<String>, histogram: Histogram) -> SpanTimer {
-        let sink = self.0.trace_sink.lock().unwrap().clone();
-        SpanTimer::start(name, histogram).with_sink(sink)
     }
 
     /// A coherent point-in-time copy of every registered metric. The

@@ -1,7 +1,6 @@
-//! Coherent point-in-time snapshots and their two wire forms: a
-//! hand-rolled JSON dump (same spirit as the criterion shim's
-//! `BENCH_JSON` output — no serde anywhere in the workspace) and
-//! Prometheus-style text exposition for the `METRICS` wire command.
+//! Coherent point-in-time snapshots and their one wire form:
+//! Prometheus-style text exposition, which the `METRICS` wire command
+//! serves and [`TelemetrySnapshot::parse_prometheus`] reads back.
 
 use std::fmt::Write as _;
 
@@ -59,90 +58,6 @@ impl TelemetrySnapshot {
             _ => None,
         }
     }
-
-    // ---- JSON ----
-
-    /// Serializes the snapshot as one JSON object. Histogram buckets
-    /// are sparse `[index, count]` pairs, so an idle histogram costs a
-    /// handful of bytes, not 64 zeroes.
-    ///
-    /// ```text
-    /// {"metrics":[
-    ///   {"name":"serve.jobs.submitted","kind":"counter","value":3},
-    ///   {"name":"serve.job.total_ns","kind":"histogram",
-    ///    "count":5,"sum":1234,"buckets":[[7,2],[9,3]]}
-    /// ]}
-    /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{v}}}"
-                    );
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":{v}}}"
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{name}\",\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"buckets\":[",
-                        h.count, h.sum
-                    );
-                    let mut first = true;
-                    for (idx, &c) in h.buckets.iter().enumerate() {
-                        if c != 0 {
-                            if !first {
-                                out.push(',');
-                            }
-                            first = false;
-                            let _ = write!(out, "[{idx},{c}]");
-                        }
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses the output of [`TelemetrySnapshot::to_json`] back into a
-    /// snapshot. `from_json(to_json(s)) == s` for every snapshot; the
-    /// proptest in this module pins that.
-    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-        let mut p = JsonCursor::new(text);
-        p.expect('{')?;
-        p.expect_string("metrics")?;
-        p.expect(':')?;
-        p.expect('[')?;
-        let mut metrics = Vec::new();
-        if !p.peek_is(']') {
-            loop {
-                metrics.push(p.metric()?);
-                if p.peek_is(',') {
-                    p.expect(',')?;
-                } else {
-                    break;
-                }
-            }
-        }
-        p.expect(']')?;
-        p.expect('}')?;
-        p.end()?;
-        Ok(TelemetrySnapshot { metrics })
-    }
-
-    // ---- Prometheus text exposition ----
 
     /// Renders the snapshot in Prometheus text format. Dots in metric
     /// names become underscores and everything gains an `icstar_`
@@ -298,170 +213,6 @@ fn suffixed_value(line: &str, expected: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad value {v:?} for {expected:?}"))
 }
 
-/// A minimal cursor over the exact JSON grammar [`TelemetrySnapshot::to_json`]
-/// emits — the same hand-rolled style as `icstar-wire`'s report parser.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&(c as u8))
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_owned())?
-                    .to_owned();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escapes are not used in telemetry JSON".to_owned());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn expect_string(&mut self, want: &str) -> Result<(), String> {
-        let got = self.string()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected key {want:?}, got {got:?}"))
-        }
-    }
-
-    fn integer(&mut self) -> Result<i128, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("expected an integer at byte {start}"))
-    }
-
-    fn u64_value(&mut self) -> Result<u64, String> {
-        u64::try_from(self.integer()?).map_err(|_| "value out of u64 range".to_owned())
-    }
-
-    fn metric(&mut self) -> Result<(String, MetricValue), String> {
-        self.expect('{')?;
-        self.expect_string("name")?;
-        self.expect(':')?;
-        let name = self.string()?;
-        self.expect(',')?;
-        self.expect_string("kind")?;
-        self.expect(':')?;
-        let kind = self.string()?;
-        self.expect(',')?;
-        let value = match kind.as_str() {
-            "counter" => {
-                self.expect_string("value")?;
-                self.expect(':')?;
-                MetricValue::Counter(self.u64_value()?)
-            }
-            "gauge" => {
-                self.expect_string("value")?;
-                self.expect(':')?;
-                let v = self.integer()?;
-                MetricValue::Gauge(
-                    i64::try_from(v).map_err(|_| "gauge out of i64 range".to_owned())?,
-                )
-            }
-            "histogram" => {
-                self.expect_string("count")?;
-                self.expect(':')?;
-                let count = self.u64_value()?;
-                self.expect(',')?;
-                self.expect_string("sum")?;
-                self.expect(':')?;
-                let sum = self.u64_value()?;
-                self.expect(',')?;
-                self.expect_string("buckets")?;
-                self.expect(':')?;
-                self.expect('[')?;
-                let mut h = HistogramSnapshot {
-                    count,
-                    sum,
-                    buckets: [0; BUCKETS],
-                };
-                if !self.peek_is(']') {
-                    loop {
-                        self.expect('[')?;
-                        let idx = self.u64_value()? as usize;
-                        if idx >= BUCKETS {
-                            return Err(format!("bucket index {idx} out of range"));
-                        }
-                        self.expect(',')?;
-                        h.buckets[idx] = self.u64_value()?;
-                        self.expect(']')?;
-                        if self.peek_is(',') {
-                            self.expect(',')?;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.expect(']')?;
-                MetricValue::Histogram(Box::new(h))
-            }
-            other => return Err(format!("unknown metric kind {other:?}")),
-        };
-        self.expect('}')?;
-        Ok((name, value))
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing input at byte {}", self.pos))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,43 +227,6 @@ mod tests {
             h.record(v);
         }
         r.snapshot()
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let snap = sample();
-        let json = snap.to_json();
-        assert_eq!(TelemetrySnapshot::from_json(&json).unwrap(), snap);
-        // The empty snapshot round-trips too.
-        let empty = TelemetrySnapshot::default();
-        assert_eq!(
-            TelemetrySnapshot::from_json(&empty.to_json()).unwrap(),
-            empty
-        );
-    }
-
-    #[test]
-    fn json_is_the_documented_shape() {
-        let r = Registry::new();
-        r.counter("a").add(1);
-        assert_eq!(
-            r.snapshot().to_json(),
-            "{\"metrics\":[{\"name\":\"a\",\"kind\":\"counter\",\"value\":1}]}"
-        );
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        for bad in [
-            "",
-            "{",
-            "{\"metrics\":}",
-            "{\"metrics\":[]} trailing",
-            "{\"metrics\":[{\"name\":\"a\",\"kind\":\"marimba\",\"value\":1}]}",
-            "{\"metrics\":[{\"name\":\"a\",\"kind\":\"histogram\",\"count\":1,\"sum\":1,\"buckets\":[[99,1]]}]}",
-        ] {
-            assert!(TelemetrySnapshot::from_json(bad).is_err(), "accepted {bad:?}");
-        }
     }
 
     #[test]

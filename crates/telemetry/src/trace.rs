@@ -324,12 +324,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Opens a root span in an existing trace (e.g. a client-supplied
-    /// trace id): no parent, nesting for this thread starts here.
-    pub fn scope_in(&self, trace: TraceId, name: impl Into<String>) -> TraceScope {
-        self.open(trace, None, name)
-    }
-
     /// Opens a span under an explicit parent context — the cross-thread
     /// form, also used wherever a callee is handed its parent (a
     /// build's phases attach under the `build` span this way).
@@ -894,16 +888,6 @@ mod tests {
         scope.cancel();
         assert_eq!(current_context(), None);
         assert!(rec.is_empty());
-    }
-
-    #[test]
-    fn scope_in_roots_a_client_supplied_trace() {
-        let rec = FlightRecorder::new();
-        let t = TraceId::parse_hex("c0ffee").unwrap();
-        drop(rec.scope_in(t, "cmd"));
-        let spans = rec.spans_for(t);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].parent, None);
     }
 
     #[test]

@@ -12,21 +12,18 @@
 //! 2. **Wire** — the same registry is fetched over a real TCP socket via
 //!    the `METRICS` command and parsed back from the Prometheus text
 //!    exposition; the wire view must agree with the in-process one.
-//! 3. **Trace** — when `ICSTAR_TRACE=<path>` is set in the environment,
-//!    the demo points the service registry's trace sink at that path
-//!    (`Registry::set_trace_sink` — sinks are per-registry; the env var
-//!    alone seeds only `Registry::global()`), so every span additionally
-//!    lands in that JSON-lines file.
+//! 3. **Span tree** — the cold job's trace, read back from the service's
+//!    flight recorder (`VerifyService::recorder`), must hold the `job`,
+//!    `cache_lookup`, `build`, `explore` and `check` spans, with
+//!    `explore` parented under `build`.
 //!
 //! Run with: `cargo run --release --example telemetry_demo`
-//! (optionally `ICSTAR_TRACE=/tmp/icstar-trace.jsonl` to watch spans).
 
 use std::time::Instant;
 
 use icstar::{ServeConfig, VerifyJob, VerifyService};
 use icstar_logic::parse_state;
 use icstar_sym::mutex_template;
-use icstar_telemetry::TRACE_ENV;
 use icstar_wire::{WireClient, WireServer};
 
 const BIG: u32 = 100_000;
@@ -35,16 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== observability at n = {BIG} ==\n");
 
     // ---- Phase 1: a large job, metered at every layer ----
-    let config = ServeConfig::default();
-    // Trace sinks are per-registry; the env var only seeds the global
-    // registry, so wire it to this service's fresh registry explicitly.
-    let tracing = if let Ok(path) = std::env::var(TRACE_ENV) {
-        config.telemetry.set_trace_sink(&path)?;
-        Some(path)
-    } else {
-        None
-    };
-    let service = VerifyService::start(config);
+    let service = VerifyService::start(ServeConfig::default());
     let job = VerifyJob::new(mutex_template())
         .at_size(BIG)
         .formula("mutual exclusion", parse_state("AG !crit_ge2")?)
@@ -53,7 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             parse_state("forall i. AG(try[i] -> EF crit[i])")?,
         );
     let started = Instant::now();
-    assert!(service.submit(job.clone()).wait()?.all_hold());
+    let cold = service.submit(job.clone());
+    let cold_trace = cold.trace;
+    assert!(cold.wait()?.all_hold());
     println!("job 1 (cold): verified in {:.2?}", started.elapsed());
     let started = Instant::now();
     assert!(service.submit(job).wait()?.all_hold());
@@ -91,6 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Phase 2: the same registry over TCP, Prometheus-encoded ----
+    // The server takes the service; keep a handle on its recorder.
+    let recorder = service.recorder().clone();
     let server = WireServer::bind("127.0.0.1:0", service)?;
     let mut client = WireClient::connect(server.local_addr())?;
     let wire = client.metrics()?;
@@ -114,19 +106,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.quit()?;
     server.shutdown();
 
-    // ---- Phase 3: span tracing, if requested ----
-    if let Some(path) = tracing {
-        let log = std::fs::read_to_string(&path)?;
-        let events = log.lines().count();
-        assert!(events > 0, "enabled tracing must have recorded spans");
+    // ---- Phase 3: the cold job's span tree, from the flight recorder ----
+    let spans = recorder.spans_for(cold_trace);
+    for name in ["job", "cache_lookup", "build", "explore", "check"] {
         assert!(
-            log.lines().all(|l| l.starts_with("{\"span\":\"")),
-            "every trace line is a span event"
+            spans.iter().any(|s| s.name == name),
+            "the cold job's trace holds a {name:?} span"
         );
-        println!("trace: {events} span events appended to {path}");
-    } else {
-        println!("trace: off (set ICSTAR_TRACE=<path> to record span events)");
     }
+    let builds: Vec<_> = spans.iter().filter(|s| s.name == "build").collect();
+    assert!(
+        spans
+            .iter()
+            .filter(|s| s.name == "explore")
+            .all(|e| builds.iter().any(|b| e.parent == Some(b.id))),
+        "every explore span is parented under a build span"
+    );
+    println!(
+        "trace: the cold job recorded {} spans, explore under build",
+        spans.len()
+    );
     println!("\ndone: every layer metered, exported, and verified at n = {BIG}.");
     Ok(())
 }
