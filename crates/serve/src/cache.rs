@@ -2,73 +2,61 @@
 //!
 //! Materializing an abstract structure is the expensive step of every
 //! verification — everything after it is graph traversal. The cache maps
-//! `(template, spec, n, width)` to the materialized [`RepGraph`] bundle
-//! (the Kripke structure *plus* its compiled fairness conditions, which
-//! are a per-state artifact of the same exploration) behind an [`Arc`],
-//! so concurrent jobs over the same family share one copy and repeated
+//! `(workload, n, width)` to the materialized [`RepGraph`] bundle (the
+//! Kripke structure *plus* its compiled fairness conditions, which are a
+//! per-state artifact of the same exploration) behind an [`Arc`], so
+//! concurrent jobs over the same family share one copy and repeated
 //! queries are near-free. The counter structure is width 0; a
 //! representative structure carries its number of tracked copies, so
 //! structures of different widths of the same family never collide, and
-//! one map, one weight and one LRU order serve them all. Fairness
-//! declarations are part of the template fingerprint, so a fair template
-//! and its unconstrained twin never share an entry either.
+//! one map, one weight and one LRU order serve them all.
 //!
-//! Identity is **structural, verified**: entries are bucketed by the
-//! fast 64-bit [`CacheKey`] ([`GuardedTemplate::fingerprint`] /
-//! [`CountingSpec::fingerprint`]), but a hit is only declared after a
-//! full structural equality check of the template and spec — a
-//! fingerprint collision costs one extra bucket entry, never a wrong
-//! structure. (A verification service must not return confidently wrong
-//! verdicts because two workloads happened to share a hash.)
+//! Identity is **exact**: a [`CacheKey`] carries the workload's
+//! canonical bytes ([`WorkloadKey`], an injective encoding of template
+//! and spec, fairness declarations included), so equal keys are equal
+//! workloads and distinct workloads never share an entry. There are no
+//! hash buckets and no second structural compare. (A verification
+//! service must not return confidently wrong verdicts because two
+//! workloads happened to share a hash.)
 //!
 //! Growth is **bounded, by weight**: an optional budget caps the total
 //! abstract-state count across materialized entries
-//! ([`GraphCache::with_budget`]). When an insertion pushes the cache
+//! ([`GraphCache::new`]). When an insertion pushes the cache
 //! over budget, least-recently-used entries are evicted until it fits.
-//! The structure just built is exempt from its *own* builder's
-//! enforcement pass (evicting it immediately would thrash the hot
-//! entry); a concurrent insertion elsewhere may still pick it as the
-//! LRU victim, which costs a rebuild later but never a wrong answer —
-//! outstanding [`Arc`] handles keep an evicted structure alive until
-//! their holders drop it; eviction only forgets the cache's copy.
-//! Weight is states, not entries — one `n = 10⁶` counter structure
-//! outweighs thousands of small ones, which is exactly how the memory
-//! footprint behaves. Recency is stamped by a global logical clock on
-//! every hit, and the precise LRU scan runs under the shard locks one
-//! shard at a time — approximate under concurrency, exact when
-//! quiescent — gated behind a lock-free resident-weight estimate so
-//! requests far under budget pay one atomic load, not a scan.
+//! The structure just built is exempt from its own insertion's eviction
+//! pass (evicting it immediately would thrash the hot entry); the next
+//! insertion may evict it. Outstanding [`Arc`] handles keep an evicted
+//! structure alive until their holders drop it; eviction only forgets
+//! the cache's copy. Weight is states, not entries — one `n = 10⁶`
+//! counter structure outweighs thousands of small ones, which is exactly
+//! how the memory footprint behaves. Recency is a logical clock stamped
+//! on every lookup, and the resident weight is kept exactly, so LRU
+//! order and the budget test are exact.
 //!
-//! Concurrency is two-layered:
-//!
-//! * the key space is split across `shards` independent
-//!   [`Mutex`]-protected maps (hash-picked), so unrelated lookups never
-//!   contend;
-//! * each entry holds an [`OnceLock`] slot inserted *before* building.
-//!   The map lock is held only for the bucket scan; the build itself runs
-//!   outside it. A second worker requesting a structure mid-build finds
-//!   the slot and blocks on the `OnceLock` until the first build lands —
-//!   every structure is built **exactly once**, and builds of different
-//!   structures proceed in parallel.
+//! Concurrency: one [`Mutex`] guards the map, the resident weight and
+//! the clock, and is held only for a lookup or an eviction pass — never
+//! for a build, and never while an evicted structure is freed (the pass
+//! hands its victims back, and they drop after the unlock). Each entry
+//! holds an [`OnceLock`] slot inserted *before* building: a second
+//! worker requesting a structure mid-build finds the slot and blocks on
+//! the `OnceLock` until the first build lands — every structure is built
+//! **exactly once**, and builds of different structures proceed in
+//! parallel.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use icstar_sym::{CountingSpec, GuardedTemplate, RepGraph, SymError};
+use icstar_sym::{CountingSpec, GuardedTemplate, RepGraph, SymError, WorkloadKey};
 use icstar_telemetry::{Counter, Registry};
 
 use crate::spill::SpillStore;
 
-/// The bucket key of one structure: fingerprints plus size and width
-/// (0 = the counter structure). Fast to hash and compare; entries under
-/// one key are disambiguated structurally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The identity of one structure: the workload, its size, and its width
+/// (0 = the counter structure).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// [`GuardedTemplate::fingerprint`] of the template.
-    pub template: u64,
-    /// [`CountingSpec::fingerprint`] of the labeling.
-    pub spec: u64,
+    /// The template and spec, as their canonical bytes.
+    pub workload: WorkloadKey,
     /// The family size.
     pub n: u32,
     /// Distinguished copies tracked by the structure: 0 for the counter
@@ -81,8 +69,7 @@ impl CacheKey {
     /// width `width`.
     pub fn of(template: &GuardedTemplate, spec: &CountingSpec, n: u32, width: u32) -> Self {
         CacheKey {
-            template: template.fingerprint(),
-            spec: spec.fingerprint(),
+            workload: WorkloadKey::of(template, spec),
             n,
             width,
         }
@@ -92,26 +79,23 @@ impl CacheKey {
 /// A build-once slot: filled exactly once, then shared.
 type Slot = Arc<OnceLock<Result<Arc<RepGraph>, SymError>>>;
 
-/// One verified entry: the workload it is for, its slot, and when it was
-/// last returned (logical clock; drives LRU eviction).
+/// One entry: its slot, when it was last returned (drives LRU eviction),
+/// and its weight once its builder has accounted it — 0 while building
+/// or after a build error, and only weighted entries are evictable.
 struct Entry {
-    template: GuardedTemplate,
-    spec: CountingSpec,
     slot: Slot,
     last_used: u64,
+    weight: u64,
 }
 
-/// The sharded key→bucket map.
+/// Everything the cache lock guards.
+#[derive(Default)]
 struct Memo {
-    shards: Vec<Mutex<HashMap<CacheKey, Vec<Entry>>>>,
-}
-
-fn shard_index(key: &CacheKey, shards: usize) -> usize {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % shards as u64) as usize
+    entries: HashMap<CacheKey, Entry>,
+    /// Sum of the entries' weights.
+    resident: u64,
+    /// Logical clock stamping entry recency.
+    clock: u64,
 }
 
 /// A bundle's eviction weight: abstract states of its structure (the
@@ -121,148 +105,41 @@ fn weight(g: &RepGraph) -> u64 {
 }
 
 impl Memo {
-    fn new(shards: usize) -> Self {
-        Memo {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+    /// Removes least-recently-used weighted entries other than `keep`
+    /// until the resident weight fits `budget`, and returns them so the
+    /// caller frees them after unlocking.
+    fn evict_over(&mut self, budget: u64, keep: &CacheKey) -> Vec<Entry> {
+        let mut victims = Vec::new();
+        if self.resident <= budget {
+            return victims;
         }
-    }
-
-    /// The verified slot for the workload, and whether this call created
-    /// it. Fingerprint-colliding workloads get separate bucket entries.
-    /// Stamps the entry's recency with `now`.
-    fn slot(
-        &self,
-        key: CacheKey,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        now: u64,
-    ) -> (Slot, bool) {
-        let shard = shard_index(&key, self.shards.len());
-        let mut map = self.shards[shard].lock().expect("cache shard poisoned");
-        let bucket = map.entry(key).or_default();
-        for entry in bucket.iter_mut() {
-            if entry.template == *template && entry.spec == *spec {
-                entry.last_used = now;
-                return (Arc::clone(&entry.slot), false);
+        let mut lru: Vec<(u64, CacheKey)> = (self.entries.iter())
+            .filter(|(key, e)| e.weight > 0 && *key != keep)
+            .map(|(key, e)| (e.last_used, key.clone()))
+            .collect();
+        lru.sort_unstable_by_key(|&(stamp, _)| stamp);
+        for (_, key) in lru {
+            if self.resident <= budget {
+                break;
             }
+            let entry = self.entries.remove(&key).expect("listed above");
+            self.resident -= entry.weight;
+            victims.push(entry);
         }
-        let slot: Slot = Arc::new(OnceLock::new());
-        bucket.push(Entry {
-            template: template.clone(),
-            spec: spec.clone(),
-            slot: Arc::clone(&slot),
-            last_used: now,
-        });
-        (slot, true)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Sums the weight of every *materialized* entry (slots still
-    /// building, or filled with a build error, count zero).
-    fn total_weight(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .values()
-                    .flatten()
-                    .filter_map(|e| e.slot.get())
-                    .filter_map(|r| r.as_ref().ok())
-                    .map(|g| weight(g))
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// The least-recently-used *materialized* entry other than `keep`:
-    /// its stamp and key. In-flight and errored slots are never
-    /// candidates (they weigh nothing, and evicting an in-flight build
-    /// would lose the build-once guarantee).
-    fn lru_candidate(&self, keep: CacheKey) -> Option<(u64, CacheKey)> {
-        let mut best: Option<(u64, CacheKey)> = None;
-        for shard in &self.shards {
-            let map = shard.lock().expect("cache shard poisoned");
-            for (key, bucket) in map.iter() {
-                if *key == keep {
-                    continue;
-                }
-                for entry in bucket {
-                    if matches!(entry.slot.get(), Some(Ok(_)))
-                        && best.is_none_or(|(stamp, _)| entry.last_used < stamp)
-                    {
-                        best = Some((entry.last_used, *key));
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes the materialized entry under `key` stamped `stamp`,
-    /// returning its weight. `None` if a racing lookup re-stamped or a
-    /// racing eviction already removed it.
-    fn remove_stamped(&self, key: CacheKey, stamp: u64) -> Option<u64> {
-        let shard = shard_index(&key, self.shards.len());
-        let mut map = self.shards[shard].lock().expect("cache shard poisoned");
-        let bucket = map.get_mut(&key)?;
-        let idx = bucket
-            .iter()
-            .position(|e| e.last_used == stamp && matches!(e.slot.get(), Some(Ok(_))))?;
-        let entry = bucket.remove(idx);
-        if bucket.is_empty() {
-            map.remove(&key);
-        }
-        Some(
-            entry
-                .slot
-                .get()
-                .and_then(|r| r.as_ref().ok())
-                .map_or(0, |g| weight(g)),
-        )
+        victims
     }
 }
 
 /// The service-wide structure cache: the structures of every width,
-/// identified by workload (template + spec + size + width), optionally
-/// bounded by an abstract-state budget with LRU eviction.
+/// identified by [`CacheKey`], optionally bounded by an abstract-state
+/// budget with LRU eviction.
 pub struct GraphCache {
-    memo: Memo,
+    memo: Mutex<Memo>,
     hits: Counter,
     misses: Counter,
     /// Maximum total abstract states across materialized entries;
     /// `u64::MAX` means unbounded.
     budget_states: u64,
-    /// Logical clock stamping entry recency.
-    clock: AtomicU64,
-    /// Lock-free estimate of the resident materialized weight (abstract
-    /// states): incremented once per materialized entry, decremented on
-    /// eviction. May drift transiently negative under races (an entry
-    /// evicted before its inserter's add lands), which is why the
-    /// eviction loop re-reads the precise total under the shard locks —
-    /// the estimate only gates whether that scan runs at all.
-    resident: AtomicI64,
-    /// Set when an enforcement pass found the cache over budget with
-    /// nothing evictable (a single oversized resident entry): further
-    /// accesses skip the precise scan entirely until the entry set
-    /// changes (the next materialization clears it). Best-effort — a
-    /// racing set/clear costs at most a deferred scan, never a wrong
-    /// answer.
-    over_budget_pinned: AtomicBool,
     evictions: Counter,
     evicted_states: Counter,
     /// Optional disk persistence: probed before building on a memory
@@ -272,43 +149,33 @@ pub struct GraphCache {
 }
 
 impl GraphCache {
-    /// An unbounded cache with `shards` independent lock domains
-    /// (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        Self::with_budget(shards, u64::MAX)
-    }
-
     /// A cache evicting least-recently-used structures once the total
     /// abstract-state count of materialized entries exceeds
     /// `budget_states` (a budget of 0 caches nothing durably: every
-    /// insertion immediately becomes evictable). Pass `u64::MAX` for
-    /// unbounded.
-    pub fn with_budget(shards: usize, budget_states: u64) -> Self {
-        Self::with_store(shards, budget_states, None)
-    }
-
-    /// A budgeted cache backed by an optional [`SpillStore`]: memory
-    /// misses probe the store before building (a verified restore skips
-    /// the exploration entirely — this is how restarts and replicas
+    /// insertion evicts the one before it; pass `u64::MAX` for
+    /// unbounded), backed by an optional [`SpillStore`]: memory misses
+    /// probe the store before building (a verified restore skips the
+    /// exploration entirely — this is how restarts and replicas
     /// warm-start), and every successful build is spilled back. Memory
-    /// hit/miss accounting is unchanged: a disk restore still counts as
-    /// a cache miss, with the `serve.cache.restores` counter recording
-    /// that the rebuild was answered from disk. Spilled files survive
-    /// LRU eviction, so an evicted structure's next request restores
-    /// instead of re-exploring.
-    pub fn with_store(shards: usize, budget_states: u64, store: Option<SpillStore>) -> Self {
+    /// hit/miss accounting is unchanged: a disk restore still counts as a
+    /// cache miss, with the `serve.cache.restores` counter recording that
+    /// the rebuild was answered from disk. Spilled files survive LRU
+    /// eviction, so an evicted structure's next request restores instead
+    /// of re-exploring.
+    pub fn new(budget_states: u64, store: Option<SpillStore>) -> Self {
         GraphCache {
-            memo: Memo::new(shards),
+            memo: Mutex::default(),
             hits: Counter::detached(),
             misses: Counter::detached(),
             budget_states,
-            clock: AtomicU64::new(0),
-            resident: AtomicI64::new(0),
-            over_budget_pinned: AtomicBool::new(false),
             evictions: Counter::detached(),
             evicted_states: Counter::detached(),
             store,
         }
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().expect("cache lock poisoned")
     }
 
     /// Publishes the cache's counters into `registry` under the
@@ -332,12 +199,11 @@ impl GraphCache {
         }
     }
 
-    /// The width-`width` structure bundle (structure + compiled
-    /// fairness) of `template`/`spec` at size `n` — the counter
-    /// structure at width 0 — building it with `build` on the first
-    /// request and sharing the result afterwards. Build failures (e.g.
-    /// [`SymError::BadRepWidth`]) are cached and replayed like
-    /// successes, under their own key, so they never poison another
+    /// The structure bundle (structure + compiled fairness) under `key`
+    /// — the counter structure at width 0 — building it with `build` on
+    /// the first request and sharing the result afterwards. Build
+    /// failures (e.g. [`SymError::BadRepWidth`]) are cached and replayed
+    /// like successes, under their own key, so they never poison another
     /// width. With a [`SpillStore`] attached, a memory miss probes the
     /// disk first (a verified restore skips `build`) and a fresh build
     /// is spilled back.
@@ -347,28 +213,47 @@ impl GraphCache {
     /// Whatever `build` returned when the slot was first filled.
     pub fn get(
         &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        width: u32,
+        key: &CacheKey,
         build: impl FnOnce() -> Result<RepGraph, SymError>,
     ) -> Result<Arc<RepGraph>, SymError> {
-        let key = CacheKey::of(template, spec, n, width);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let (slot, created) = self.memo.slot(key, template, spec, now);
+        let (slot, created) = {
+            let mut memo = self.memo();
+            memo.clock += 1;
+            let now = memo.clock;
+            match memo.entries.get_mut(key) {
+                Some(entry) => {
+                    entry.last_used = now;
+                    (Arc::clone(&entry.slot), false)
+                }
+                None => {
+                    let slot = Slot::default();
+                    let entry = Entry {
+                        slot: Arc::clone(&slot),
+                        last_used: now,
+                        weight: 0,
+                    };
+                    memo.entries.insert(key.clone(), entry);
+                    (slot, true)
+                }
+            }
+        };
         // Either already materialized or being materialized by a peer
         // right now — both share the work, both are hits.
         if created { &self.misses } else { &self.hits }.inc();
+        // Whichever caller fills the slot accounts its weight: usually
+        // the one that created the entry, but a peer when that caller's
+        // build panicked and left the slot empty.
+        let mut filled = false;
         let out = slot
             .get_or_init(|| {
-                let restored =
-                    (self.store.as_ref()).and_then(|s| s.restore(template, spec, n, width));
-                let graph = match restored {
+                filled = true;
+                let store = self.store.as_ref();
+                let graph = match store.and_then(|s| s.restore(key)) {
                     Some(g) => g,
                     None => {
                         let g = build()?;
-                        if let Some(store) = &self.store {
-                            store.spill(template, spec, n, width, &g);
+                        if let Some(store) = store {
+                            store.spill(key, &g);
                         }
                         g
                     }
@@ -376,56 +261,24 @@ impl GraphCache {
                 Ok(Arc::new(graph))
             })
             .clone();
-        if created {
-            // Exactly one accounting add per entry: the inserter's (the
-            // slot may have been *filled* by a peer, but only one caller
-            // saw created == true). Estimate only — the eviction loop
-            // re-reads the precise total under the locks.
-            if let Ok(g) = &out {
-                self.resident.fetch_add(weight(g) as i64, Ordering::Relaxed);
-            }
-            // The entry set changed: a pinned over-budget verdict may
-            // have new victims now.
-            self.over_budget_pinned.store(false, Ordering::Relaxed);
-        }
-        self.enforce_budget(key);
-        out
-    }
-
-    /// Evicts LRU entries until the materialized weight fits the budget.
-    /// The enforcement pass never evicts `just_used` — the entry *this
-    /// caller* just built or fetched (evicting it would thrash the hot
-    /// structure); a concurrent caller's pass exempts its own entry
-    /// instead, so under contention a just-built structure can still be
-    /// chosen as someone else's LRU victim (costing a later rebuild,
-    /// never a wrong answer — the holder's `Arc` stays valid).
-    fn enforce_budget(&self, just_used: CacheKey) {
-        if self.budget_states == u64::MAX {
-            return;
-        }
-        // Cheap gates: far under budget (the common case), or pinned
-        // over budget by a single unevictable entry — either way one
-        // atomic load decides and no shard is locked, no entry scanned.
-        if self.resident.load(Ordering::Relaxed).max(0) as u64 <= self.budget_states {
-            return;
-        }
-        if self.over_budget_pinned.load(Ordering::Relaxed) {
-            return;
-        }
-        while self.abstract_states() > self.budget_states {
-            let Some((stamp, key)) = self.memo.lru_candidate(just_used) else {
-                // Nothing evictable besides the entry in use: stop
-                // scanning until the entry set changes.
-                self.over_budget_pinned.store(true, Ordering::Relaxed);
-                break;
+        // Only an accounted entry counts toward the budget, so only now
+        // can the cache go over it.
+        if let (true, Ok(g)) = (filled, &out) {
+            let victims = {
+                let mut memo = self.memo();
+                let w = weight(g);
+                if let Some(entry) = memo.entries.get_mut(key) {
+                    entry.weight = w;
+                    memo.resident += w;
+                }
+                memo.evict_over(self.budget_states, key)
             };
-            // `None`: raced with a lookup; rescan.
-            if let Some(weight) = self.memo.remove_stamped(key, stamp) {
-                self.resident.fetch_sub(weight as i64, Ordering::Relaxed);
+            for victim in &victims {
                 self.evictions.inc();
-                self.evicted_states.add(weight);
+                self.evicted_states.add(victim.weight);
             }
         }
+        out
     }
 
     /// Requests answered from an existing (or in-flight) slot.
@@ -452,7 +305,7 @@ impl GraphCache {
 
     /// Number of cached structures, of every width.
     pub fn len(&self) -> usize {
-        self.memo.len()
+        self.memo().entries.len()
     }
 
     /// Total abstract states held by the cache, across all materialized
@@ -464,7 +317,7 @@ impl GraphCache {
     /// families are resident, `abstract_states` how much memory-shaped
     /// weight they carry (states dominate the footprint).
     pub fn abstract_states(&self) -> u64 {
-        self.memo.total_weight()
+        self.memo().resident
     }
 
     /// Whether nothing has been cached yet.
@@ -473,7 +326,7 @@ impl GraphCache {
     }
 
     /// The disk persistence layer, when one is attached
-    /// ([`GraphCache::with_store`]) — its spill/restore/reject counters
+    /// ([`GraphCache::new`]) — its spill/restore/reject counters
     /// are the warm-start observability surface.
     pub fn spill_store(&self) -> Option<&SpillStore> {
         self.store.as_ref()
@@ -484,6 +337,7 @@ impl GraphCache {
 mod tests {
     use super::*;
     use icstar_sym::{mutex_template, SymEngine};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn std_spec() -> CountingSpec {
         CountingSpec::standard(&mutex_template())
@@ -497,12 +351,14 @@ mod tests {
         n: u32,
         build: impl FnOnce() -> RepGraph,
     ) -> Arc<RepGraph> {
-        cache.get(t, s, n, 0, || Ok(build())).unwrap()
+        cache
+            .get(&CacheKey::of(t, s, n, 0), || Ok(build()))
+            .unwrap()
     }
 
     #[test]
     fn second_request_is_a_hit_and_shares_the_arc() {
-        let cache = GraphCache::new(4);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let a = counter(&cache, &t, &s, 5, || engine.counter_graph(5));
@@ -514,7 +370,7 @@ mod tests {
 
     #[test]
     fn distinct_sizes_are_distinct_entries() {
-        let cache = GraphCache::new(4);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let a = counter(&cache, &t, &s, 3, || engine.counter_graph(3));
@@ -530,21 +386,27 @@ mod tests {
         // representative structures of the *same* (template, spec, n)
         // must never collide — a collision would answer nested queries
         // on a structure that tracks too few copies.
-        let cache = GraphCache::new(4);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let r1 = cache
-            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&CacheKey::of(&t, &s, 6, 1), || {
+                engine.representative_graph(6, 1)
+            })
             .unwrap();
         let r2 = cache
-            .get(&t, &s, 6, 2, || engine.representative_graph(6, 2))
+            .get(&CacheKey::of(&t, &s, 6, 2), || {
+                engine.representative_graph(6, 2)
+            })
             .unwrap();
         assert!(!Arc::ptr_eq(&r1, &r2));
         assert_eq!(r1.kripke.indices(), &[1]);
         assert_eq!(r2.kripke.indices(), &[1, 2]);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         // And each width hits its own entry afterwards.
-        let r1b = cache.get(&t, &s, 6, 1, || unreachable!("cached")).unwrap();
+        let r1b = cache
+            .get(&CacheKey::of(&t, &s, 6, 1), || unreachable!("cached"))
+            .unwrap();
         assert!(Arc::ptr_eq(&r1, &r1b));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
@@ -554,15 +416,19 @@ mod tests {
         // Regression: a nonsensical width-(n + 1) request caches its
         // BadRepWidth error under its *own* key; the legitimate width-1
         // structure must still build and be served.
-        let cache = GraphCache::new(4);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let err = cache
-            .get(&t, &s, 6, 7, || engine.representative_graph(6, 7))
+            .get(&CacheKey::of(&t, &s, 6, 7), || {
+                engine.representative_graph(6, 7)
+            })
             .unwrap_err();
         assert!(matches!(err, icstar_sym::SymError::BadRepWidth { .. }));
         let r1 = cache
-            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&CacheKey::of(&t, &s, 6, 1), || {
+                engine.representative_graph(6, 1)
+            })
             .unwrap();
         assert_eq!(r1.kripke.indices(), &[1]);
         assert_eq!(cache.misses(), 2, "separate entries, no poisoning");
@@ -573,7 +439,7 @@ mod tests {
         // A lone oversized entry pins the cache over budget (nothing
         // evictable); the next insertion must clear the pin so eviction
         // resumes.
-        let cache = GraphCache::with_budget(2, 10);
+        let cache = GraphCache::new(10, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let _a = counter(&cache, &t, &s, 30, || engine.counter_graph(30));
@@ -589,10 +455,31 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_filled_after_a_panicked_build_is_weighed_and_evictable() {
+        // The creating caller's build panics and leaves the slot empty;
+        // the caller that fills it later must account the weight, or the
+        // entry would sit outside the budget forever.
+        let cache = GraphCache::new(50, None);
+        let engine = SymEngine::new(mutex_template());
+        let (t, s) = (mutex_template(), std_spec());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            counter(&cache, &t, &s, 20, || panic!("build failed"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.abstract_states(), 0);
+        let _a = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
+        assert_eq!(cache.abstract_states(), 41);
+        // n = 22 (45 states) pushes the total to 86 > 50: n = 20 goes.
+        let _b = counter(&cache, &t, &s, 22, || engine.counter_graph(22));
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.evicted_states(), 41);
+        assert_eq!(cache.abstract_states(), 45);
+    }
+
+    #[test]
     fn structurally_different_workloads_never_share_a_slot() {
-        // Same fingerprint bucket or not, a differing template or spec
-        // must build its own structure.
-        let cache = GraphCache::new(4);
+        // A differing template or spec must build its own structure.
+        let cache = GraphCache::new(u64::MAX, None);
         let t = mutex_template();
         let s1 = std_spec();
         let s2 = CountingSpec::new().with_zero("crit");
@@ -626,11 +513,11 @@ mod tests {
         let plain = stutter(false);
         let fair = stutter(true);
         assert_ne!(
-            plain.fingerprint(),
-            fair.fingerprint(),
-            "fairness must be fingerprinted"
+            WorkloadKey::of(&plain, &CountingSpec::standard(&plain)),
+            WorkloadKey::of(&fair, &CountingSpec::standard(&plain)),
+            "fairness must be part of the key"
         );
-        let cache = GraphCache::new(2);
+        let cache = GraphCache::new(u64::MAX, None);
         let spec = CountingSpec::standard(&plain);
         let ep = SymEngine::with_spec(plain.clone(), spec.clone());
         let ef = SymEngine::with_spec(fair.clone(), spec.clone());
@@ -644,11 +531,10 @@ mod tests {
 
     #[test]
     fn broadcast_response_maps_never_collide_in_the_cache() {
-        // Regression: template fingerprints must incorporate broadcast
-        // moves. Two templates differing *only* in a broadcast response
-        // map are different workloads — they must land in different
-        // buckets (distinct fingerprints) and each must build its own
-        // structure (two misses, no hit).
+        // Regression: workload keys must incorporate broadcast moves.
+        // Two templates differing *only* in a broadcast response map are
+        // different workloads — they must get distinct keys and each
+        // must build its own structure (two misses, no hit).
         use icstar_sym::GuardedBuilder;
         let with_response = |resp: u32| {
             let mut b = GuardedBuilder::new();
@@ -664,11 +550,11 @@ mod tests {
         let t1 = with_response(0);
         let t2 = with_response(2);
         assert_ne!(
-            t1.fingerprint(),
-            t2.fingerprint(),
-            "response maps must be fingerprinted"
+            WorkloadKey::of(&t1, &CountingSpec::standard(&t1)),
+            WorkloadKey::of(&t2, &CountingSpec::standard(&t1)),
+            "response maps must be part of the key"
         );
-        let cache = GraphCache::new(2);
+        let cache = GraphCache::new(u64::MAX, None);
         let spec = CountingSpec::standard(&t1);
         let e1 = SymEngine::with_spec(t1.clone(), spec.clone());
         let e2 = SymEngine::with_spec(t2.clone(), spec.clone());
@@ -676,7 +562,7 @@ mod tests {
         let b = counter(&cache, &t2, &spec, 4, || e2.counter_graph(4));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // And asking again for each is a verified hit on its own entry.
+        // And asking again for each is a hit on its own entry.
         let a2 = counter(&cache, &t1, &spec, 4, || unreachable!("cached"));
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
@@ -684,7 +570,7 @@ mod tests {
 
     #[test]
     fn abstract_states_sum_over_materialized_entries() {
-        let cache = GraphCache::new(4);
+        let cache = GraphCache::new(u64::MAX, None);
         assert_eq!(cache.abstract_states(), 0);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
@@ -695,7 +581,9 @@ mod tests {
             (a.kripke.num_states() + b.kripke.num_states()) as u64
         );
         // A cached build *error* occupies an entry but weighs nothing.
-        let _ = cache.get(&t, &s, 0, 1, || engine.representative_graph(0, 1));
+        let _ = cache.get(&CacheKey::of(&t, &s, 0, 1), || {
+            engine.representative_graph(0, 1)
+        });
         assert_eq!(cache.len(), 3);
         assert_eq!(
             cache.abstract_states(),
@@ -705,14 +593,16 @@ mod tests {
 
     #[test]
     fn representative_errors_are_cached() {
-        let cache = GraphCache::new(2);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let e1 = cache
-            .get(&t, &s, 0, 1, || engine.representative_graph(0, 1))
+            .get(&CacheKey::of(&t, &s, 0, 1), || {
+                engine.representative_graph(0, 1)
+            })
             .unwrap_err();
         let e2 = cache
-            .get(&t, &s, 0, 1, || unreachable!("cached error"))
+            .get(&CacheKey::of(&t, &s, 0, 1), || unreachable!("cached error"))
             .unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -723,7 +613,7 @@ mod tests {
         // mutex counter graphs have 2n + 1 states. Budget 100: n = 20
         // (41) + n = 22 (45) fit; adding n = 24 (49) must evict — and the
         // victim is the stalest entry, not the newcomer.
-        let cache = GraphCache::with_budget(4, 100);
+        let cache = GraphCache::new(100, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let a = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
@@ -748,7 +638,7 @@ mod tests {
         // (evicting it would return an Arc the cache just forgot, and the
         // next request would rebuild — thrashing); it is evicted as soon
         // as another insertion supersedes it.
-        let cache = GraphCache::with_budget(2, 10);
+        let cache = GraphCache::new(10, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let _a = counter(&cache, &t, &s, 30, || engine.counter_graph(30));
@@ -761,14 +651,16 @@ mod tests {
 
     #[test]
     fn eviction_spans_counter_and_representative_entries() {
-        let cache = GraphCache::with_budget(4, 60);
+        let cache = GraphCache::new(60, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         // Rep at n = 10 (width 1): mutex rep has ~4n states; counter at
         // n = 20 has 41. Together they exceed 60, so the rep (older) is
         // evicted when the counter lands.
         let rep = cache
-            .get(&t, &s, 10, 1, || engine.representative_graph(10, 1))
+            .get(&CacheKey::of(&t, &s, 10, 1), || {
+                engine.representative_graph(10, 1)
+            })
             .unwrap();
         let rep_states = rep.kripke.kripke().num_states() as u64;
         let _c = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
@@ -780,7 +672,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let cache = GraphCache::new(2);
+        let cache = GraphCache::new(u64::MAX, None);
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         for n in 1..=30u32 {
@@ -792,7 +684,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_build_once() {
-        let cache = Arc::new(GraphCache::new(4));
+        let cache = Arc::new(GraphCache::new(u64::MAX, None));
         let engine = Arc::new(SymEngine::new(mutex_template()));
         let builds = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
@@ -832,14 +724,14 @@ mod tests {
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         let built = {
-            let cache = GraphCache::with_store(2, u64::MAX, Some(store));
+            let cache = GraphCache::new(u64::MAX, Some(store));
             let g = counter(&cache, &t, &s, 8, || engine.counter_graph(8));
             assert_eq!(cache.spill_store().unwrap().spills(), 1);
             g.kripke.num_states()
         };
         // A fresh cache over the same directory — the restart/replica
         // case — restores from disk: the build closure must never run.
-        let cache = GraphCache::with_store(2, u64::MAX, Some(SpillStore::open(&dir).unwrap()));
+        let cache = GraphCache::new(u64::MAX, Some(SpillStore::open(&dir).unwrap()));
         let g = counter(&cache, &t, &s, 8, || unreachable!("must restore from disk"));
         assert_eq!(g.kripke.num_states(), built);
         assert_eq!(cache.spill_store().unwrap().restores(), 1);
@@ -854,7 +746,7 @@ mod tests {
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
         // Budget fits one mutex counter graph at a time (2n + 1 states).
-        let cache = GraphCache::with_store(2, 50, Some(store));
+        let cache = GraphCache::new(50, Some(store));
         let _a = counter(&cache, &t, &s, 20, || engine.counter_graph(20));
         let _b = counter(&cache, &t, &s, 22, || engine.counter_graph(22));
         assert!(cache.evictions() >= 1, "n = 20 was evicted");
@@ -872,13 +764,17 @@ mod tests {
         let (dir, store) = temp_store("errs");
         let engine = SymEngine::new(mutex_template());
         let (t, s) = (mutex_template(), std_spec());
-        let cache = GraphCache::with_store(2, u64::MAX, Some(store));
+        let cache = GraphCache::new(u64::MAX, Some(store));
         let _ = cache
-            .get(&t, &s, 0, 1, || engine.representative_graph(0, 1))
+            .get(&CacheKey::of(&t, &s, 0, 1), || {
+                engine.representative_graph(0, 1)
+            })
             .unwrap_err();
         assert_eq!(cache.spill_store().unwrap().spills(), 0);
         let ok = cache
-            .get(&t, &s, 6, 1, || engine.representative_graph(6, 1))
+            .get(&CacheKey::of(&t, &s, 6, 1), || {
+                engine.representative_graph(6, 1)
+            })
             .unwrap();
         assert_eq!(cache.spill_store().unwrap().spills(), 1);
         assert_eq!(ok.kripke.indices(), &[1]);
@@ -890,7 +786,7 @@ mod tests {
         // Hammer a small budget from several threads: no deadlock, no
         // panic, and the resident weight ends within budget + the
         // largest single entry (the just-built exemption).
-        let cache = Arc::new(GraphCache::with_budget(4, 120));
+        let cache = Arc::new(GraphCache::new(120, None));
         let engine = Arc::new(SymEngine::new(mutex_template()));
         std::thread::scope(|scope| {
             for t in 0..4 {

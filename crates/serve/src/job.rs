@@ -10,7 +10,8 @@ use icstar_sym::{CountingSpec, GuardedTemplate, SymError};
 /// Jobs are self-contained (they own their template), so any number of
 /// callers can submit overlapping workloads; the service deduplicates the
 /// expensive part — materialized counter graphs — structurally, through
-/// the [fingerprint](GuardedTemplate::fingerprint)-keyed cache.
+/// a cache keyed on the workload's canonical bytes
+/// ([`WorkloadKey`](icstar_sym::WorkloadKey)).
 ///
 /// # Examples
 ///

@@ -17,8 +17,8 @@
 //!                            ▼
 //!                      ┌─ worker pool ─┐          ┌───────────────────┐
 //!                      │ worker 0      │◀──hit────│    GraphCache     │
-//!                      │ worker 1      │──miss───▶│ (template fp,     │
-//!                      │   …           │  build   │  spec fp, n) ↦    │
+//!                      │ worker 1      │──miss───▶│ (workload bytes,  │
+//!                      │   …           │  build   │  n, width) ↦      │
 //!                      └───────┬───────┘          │  Arc<structure>   │
 //!                              │                  └───────────────────┘
 //!                              ▼ on miss
@@ -35,19 +35,21 @@
 //!   [`VerdictReport`] back through its handle. Submission never blocks
 //!   on verification.
 //! * **Cache.** Workers obtain materialized structures through
-//!   [`GraphCache`], keyed **structurally** by
-//!   `(`[`GuardedTemplate::fingerprint`]`, `[`CountingSpec::fingerprint`]`, n)`
-//!   — so independently-built but equal workloads share entries. Entries
-//!   are built exactly once (concurrent requesters block on the in-flight
-//!   build, then share the [`Arc`](std::sync::Arc)); hit/miss counts are
-//!   reported in [`StatsSnapshot`].
+//!   [`GraphCache`], keyed **exactly** by [`CacheKey`]: the workload's
+//!   canonical bytes ([`WorkloadKey`](icstar_sym::WorkloadKey), computed
+//!   once per job), the size and the width — so independently-built but
+//!   equal workloads share entries, and distinct ones never do. The
+//!   certificate store keys on the same bytes. Entries are built exactly
+//!   once (concurrent requesters block on the in-flight build, then share
+//!   the [`Arc`](std::sync::Arc)); hit/miss counts are reported in
+//!   [`StatsSnapshot`].
 //! * **Engine.** Checking runs on [`icstar_sym::SymSession`]s seeded with
 //!   the cached structures; misses materialize with the sequential BFS
 //!   builder ([`icstar_sym::CounterSystem::kripke`]), whose cost stays
 //!   close to bare reachability.
 //! * **Persistence.** With [`ServeConfig::cache_dir`] set, the cache is
 //!   backed by a [`SpillStore`]: materialized structures spill to
-//!   versioned, checksummed files keyed by workload fingerprints, and a
+//!   versioned, checksummed files named by a hash of the same key, and a
 //!   memory miss probes the disk before exploring — restarts and
 //!   horizontally-scaled replicas warm-start instead of re-exploring
 //!   (metered as `serve.cache.{spills,restores,restore_rejects}`).
@@ -80,9 +82,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! [`GuardedTemplate::fingerprint`]: icstar_sym::GuardedTemplate::fingerprint
-//! [`CountingSpec::fingerprint`]: icstar_sym::CountingSpec::fingerprint
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,12 +8,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use icstar_logic::{has_index_quantifier, StateFormula};
-use icstar_sym::{required_rep_width, CountingSpec, RepGraph, SymEngine, SymError};
+use icstar_sym::{required_rep_width, CountingSpec, RepGraph, SymEngine, SymError, WorkloadKey};
 use icstar_telemetry::{
     FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId, TraceScope,
 };
 
-use crate::cache::GraphCache;
+use crate::cache::{CacheKey, GraphCache};
 use crate::certs::CertStore;
 use crate::job::{JobVerdict, VerdictReport, VerifyJob};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -23,8 +23,6 @@ use crate::stats::{ServiceStats, StatsSnapshot};
 pub struct ServeConfig {
     /// Worker threads draining the job queue.
     pub workers: usize,
-    /// Independent lock domains of the structure cache.
-    pub cache_shards: usize,
     /// Ignored: every build runs the sequential BFS. Kept so existing
     /// configurations compile.
     pub exploration_shards: usize,
@@ -34,7 +32,7 @@ pub struct ServeConfig {
     /// Abstract-state budget of the structure cache: once the total
     /// state count of materialized cached structures exceeds this,
     /// least-recently-used entries are evicted (weighted by state
-    /// count — see [`GraphCache::with_budget`]). `u64::MAX` (the
+    /// count — see [`GraphCache::new`]). `u64::MAX` (the
     /// default) disables eviction.
     pub cache_budget_states: u64,
     /// The registry this service's metrics land in (`serve.*`, plus the
@@ -60,15 +58,14 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Workers sized to the machine (at least 2) and 16 cache shards.
-    /// Each build runs on the worker that needs it; structurally equal
-    /// workloads never build twice (the cache deduplicates in-flight
-    /// builds).
+    /// Workers sized to the machine (at least 2), an unbounded in-memory
+    /// cache, and a fresh registry and flight recorder. Each build runs
+    /// on the worker that needs it; structurally equal workloads never
+    /// build twice (the cache deduplicates in-flight builds).
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         ServeConfig {
             workers: cores.max(2),
-            cache_shards: 16,
             exploration_shards: 1,
             sharded_threshold: u32::MAX,
             cache_budget_states: u64::MAX,
@@ -216,7 +213,7 @@ impl VerifyService {
             .cache_dir
             .as_ref()
             .and_then(|dir| crate::SpillStore::open(dir).ok());
-        let cache = GraphCache::with_store(config.cache_shards, config.cache_budget_states, store);
+        let cache = GraphCache::new(config.cache_budget_states, store);
         cache.publish_metrics(&config.telemetry);
         let stats = ServiceStats::register(&config.telemetry);
         stats.workers_total.set(config.workers.max(1) as i64);
@@ -520,6 +517,9 @@ fn process(
         formulas,
     } = job;
     let spec = spec.unwrap_or_else(|| CountingSpec::standard(&template));
+    // The job's identity in the cache and the certificate store,
+    // encoded once for all its lookups.
+    let workload = WorkloadKey::of(&template, &spec);
     let engine =
         SymEngine::with_spec(template, spec).with_telemetry(inner.config.telemetry.clone());
     let mut build_time = Duration::ZERO;
@@ -550,13 +550,16 @@ fn process(
             let mut lookup = recorder.scope_under(root, "cache_lookup");
             lookup.set_tid(worker);
             tag(&mut lookup, n, width);
+            let key = CacheKey {
+                workload: workload.clone(),
+                n,
+                width,
+            };
             let (graph, dur, built) = timed_fetch(&inner.stats, |built| {
-                inner
-                    .cache
-                    .get(engine.template(), engine.spec(), n, width, || {
-                        built.set(true);
-                        materialize(inner, &engine, n, width, root, worker)
-                    })
+                inner.cache.get(&key, || {
+                    built.set(true);
+                    materialize(inner, &engine, n, width, root, worker)
+                })
             });
             lookup.attr("outcome", if built { "miss" } else { "hit" });
             drop(lookup);
@@ -597,6 +600,7 @@ fn process(
         process_unbounded(
             inner,
             &engine,
+            &workload,
             lo,
             &formulas,
             root,
@@ -629,6 +633,7 @@ fn process(
 fn process_unbounded(
     inner: &Inner,
     engine: &SymEngine,
+    workload: &WorkloadKey,
     lo: u32,
     formulas: &[(String, StateFormula)],
     root: SpanContext,
@@ -641,7 +646,7 @@ fn process_unbounded(
         let mut certify = recorder.scope_under(root, "certify");
         certify.set_tid(worker);
         certify.attr("formula", i.to_string());
-        let outcome = inner.certs.get_or_certify(engine, f, &inner.stats);
+        let outcome = (inner.certs).get_or_certify(engine, workload, f, &inner.stats);
         certify.attr(
             "outcome",
             if outcome.is_ok() {
@@ -748,7 +753,6 @@ mod tests {
     fn small_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            cache_shards: 4,
             cache_budget_states: u64::MAX,
             telemetry: Registry::new(), // isolated: exact counts below
             ..ServeConfig::default()

@@ -3,54 +3,54 @@
 //!
 //! A [`SpillStore`] is a directory of spill files, one per materialized
 //! [`RepGraph`] of any width (the counter structure is width 0), named
-//! by the workload's cache key: `g-<template fp>-<spec fp>-n<n>-w<width>.spill`.
-//! On a cache miss the store is probed first; a valid file reconstructs
-//! the bundle without re-exploration — restarts and horizontally-scaled
-//! replicas warm-start from the same directory instead of re-building
-//! multi-million-state structures.
+//! by the structure's [`CacheKey`]: `g-<fnv>-n<n>-w<width>.spill`, where
+//! `<fnv>` is the FNV-1a of the workload's canonical bytes
+//! ([`WorkloadKey`](icstar_sym::WorkloadKey)). On a cache miss the store
+//! is probed first; a valid file reconstructs the bundle without
+//! re-exploration — restarts and horizontally-scaled replicas warm-start
+//! from the same directory instead of re-building multi-million-state
+//! structures.
 //!
-//! The on-disk format (version 2) is **versioned and checksummed**:
+//! The on-disk format (version 3) is **versioned and checksummed**:
 //!
 //! ```text
 //! magic    8 bytes  "ICSPILL!"
-//! version  u32 LE   bumped on any incompatible layout change
-//! key      u64 template fp · u64 spec fp · u32 n · u32 width
+//! version  u32 LE   bumped on any incompatible layout or naming change
+//! key      u64 FNV-1a of the workload bytes · u32 n · u32 width
 //! length   u64 LE   payload byte count
 //! payload  workload bytes · graph bytes      (see below)
 //! checksum u64 LE   FNV-1a over the payload
 //! ```
 //!
-//! The payload starts with a **canonical encoding of the workload**
-//! (template and spec, injectively serialized), not just its
-//! fingerprints: on restore the stored workload bytes are compared to
-//! the requested workload's encoding, so a fingerprint collision can
-//! cost a rejected file but never a wrong structure — the same
-//! verified-identity invariant the in-memory cache maintains. The graph
-//! bytes then encode the Kripke structure (state names, sorted label
-//! atoms, successor lists, initial state), the index set (empty at
-//! width 0), and the compiled [`TransFairness`] (per-requirement state
-//! bit sets and transition edge sets, both over the structure's dense
-//! state ids — state creation order is preserved on decode, so the
-//! indices stay valid).
+//! The payload starts with the workload's canonical bytes themselves,
+//! not just their hash: on restore they are compared to the requested
+//! key's bytes, so a hash collision can cost a rejected file but never a
+//! wrong structure — the same exact identity the in-memory cache keys
+//! on. The graph bytes then encode the Kripke structure (state names,
+//! sorted label atoms, successor lists, initial state), the index set
+//! (empty at width 0), and the compiled [`TransFairness`]
+//! (per-requirement state bit sets and transition edge sets, both over
+//! the structure's dense state ids — state creation order is preserved
+//! on decode, so the indices stay valid).
 //!
-//! **Any** defect — truncation, checksum mismatch, unknown version
-//! (version 1 files, which kept counter and representative structures
-//! apart, included), wrong key, workload mismatch, malformed graph
-//! bytes — rejects the file silently: the caller falls back to a fresh
-//! build (and re-spills it, healing the file). Corruption can cost a
-//! rebuild, never a wrong answer. Writes go through a temp file +
-//! atomic rename so a crashed writer leaves no half-written spill under
-//! the final name. [`SpillStore::open`] deletes version-1 files (named
-//! `c-…`/`r-…`), which nothing reads any more.
+//! **Any** defect — truncation, checksum mismatch, unknown version,
+//! wrong key, workload mismatch, malformed graph bytes — rejects the
+//! file silently: the caller falls back to a fresh build (and re-spills
+//! it, healing the file). Corruption can cost a rebuild, never a wrong
+//! answer. Writes go through a temp file + atomic rename so a crashed
+//! writer leaves no half-written spill under the final name.
+//! [`SpillStore::open`] reads the header of every `*.spill` file and
+//! deletes those of another format version, which nothing reads any
+//! more.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use icstar_kripke::bits::BitSet;
 use icstar_kripke::{Atom, IndexedKripke, Kripke, KripkeBuilder, StateId, CANONICAL_INDEX};
 use icstar_mc::fair::{FairReq, TransFairness};
-use icstar_sym::{CountingSpec, Guard, GuardedTemplate, RepGraph};
+use icstar_sym::RepGraph;
 use icstar_telemetry::Counter;
 
 use crate::cache::CacheKey;
@@ -59,7 +59,7 @@ use crate::cache::CacheKey;
 pub const SPILL_MAGIC: &[u8; 8] = b"ICSPILL!";
 
 /// The current on-disk format version. Readers reject any other value.
-pub const SPILL_VERSION: u32 = 2;
+pub const SPILL_VERSION: u32 = 3;
 
 /// Decode-side sanity cap on any single element count (states, edges,
 /// atoms). Far above any graph the engine can materialize; prevents a
@@ -143,128 +143,6 @@ impl<'a> Cursor<'a> {
     fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
-}
-
-// ---------------------------------------------------------------------
-// Canonical workload encoding (injective: equal bytes ⇔ equal workload).
-// ---------------------------------------------------------------------
-
-fn encode_guard(out: &mut Vec<u8>, g: &Guard) {
-    match g {
-        Guard::AtMost(p, k) => {
-            put_u8(out, 0);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::AtLeast(p, k) => {
-            put_u8(out, 1);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::StateAtMost(q, k) => {
-            put_u8(out, 2);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::StateAtLeast(q, k) => {
-            put_u8(out, 3);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::Equals(p, k) => {
-            put_u8(out, 4);
-            put_str(out, p);
-            put_u32(out, *k);
-        }
-        Guard::InRange(p, lo, hi) => {
-            put_u8(out, 5);
-            put_str(out, p);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-        Guard::StateEquals(q, k) => {
-            put_u8(out, 6);
-            put_u32(out, *q);
-            put_u32(out, *k);
-        }
-        Guard::StateInRange(q, lo, hi) => {
-            put_u8(out, 7);
-            put_u32(out, *q);
-            put_u32(out, *lo);
-            put_u32(out, *hi);
-        }
-    }
-}
-
-/// The canonical byte encoding of a workload (template + spec), used
-/// for verified restore. Injective: every field of the template —
-/// states, labels, guarded edges, broadcasts with response maps,
-/// fairness declarations — and of the spec is serialized with length
-/// prefixes, so distinct workloads never encode to the same bytes.
-pub fn workload_bytes(template: &GuardedTemplate, spec: &CountingSpec) -> Vec<u8> {
-    let mut out = Vec::new();
-    let n = template.num_states() as u32;
-    put_u32(&mut out, n);
-    put_u32(&mut out, template.initial());
-    for q in 0..n {
-        put_str(&mut out, template.state_name(q));
-        let labels = template.labels(q);
-        put_u32(&mut out, labels.len() as u32);
-        for l in labels {
-            put_str(&mut out, l);
-        }
-        let succs = template.successors(q);
-        put_u32(&mut out, succs.len() as u32);
-        for (k, &s) in succs.iter().enumerate() {
-            put_u32(&mut out, s);
-            let guards = template.guards(q, k);
-            put_u32(&mut out, guards.len() as u32);
-            for g in guards {
-                encode_guard(&mut out, g);
-            }
-        }
-    }
-    let broadcasts = template.broadcasts();
-    put_u32(&mut out, broadcasts.len() as u32);
-    for b in broadcasts {
-        put_u32(&mut out, b.source());
-        put_u32(&mut out, b.target());
-        put_u32(&mut out, b.guards().len() as u32);
-        for g in b.guards() {
-            encode_guard(&mut out, g);
-        }
-        put_u32(&mut out, b.response().len() as u32);
-        for &r in b.response() {
-            put_u32(&mut out, r);
-        }
-    }
-    let fairness = template.fairness();
-    put_u32(&mut out, fairness.len() as u32);
-    for f in fairness {
-        put_str(&mut out, f.name());
-        put_u32(&mut out, f.moves().len() as u32);
-        for &(a, b) in f.moves() {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-        }
-    }
-    let at_least: Vec<_> = spec.at_least_entries().collect();
-    put_u32(&mut out, at_least.len() as u32);
-    for (p, k) in at_least {
-        put_str(&mut out, p);
-        put_u32(&mut out, k);
-    }
-    let zero: Vec<_> = spec.zero_props().collect();
-    put_u32(&mut out, zero.len() as u32);
-    for p in zero {
-        put_str(&mut out, p);
-    }
-    let one: Vec<_> = spec.exactly_one_props().collect();
-    put_u32(&mut out, one.len() as u32);
-    for p in one {
-        put_str(&mut out, p);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -448,8 +326,7 @@ fn assemble(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 64);
     out.extend_from_slice(SPILL_MAGIC);
     put_u32(&mut out, SPILL_VERSION);
-    put_u64(&mut out, key.template);
-    put_u64(&mut out, key.spec);
+    put_u64(&mut out, fnv1a(key.workload.bytes()));
     put_u32(&mut out, key.n);
     put_u32(&mut out, key.width);
     put_u64(&mut out, payload.len() as u64);
@@ -465,11 +342,7 @@ fn verified_payload<'a>(bytes: &'a [u8], key: &CacheKey) -> Option<&'a [u8]> {
     if c.bytes(8)? != SPILL_MAGIC || c.u32()? != SPILL_VERSION {
         return None;
     }
-    if c.u64()? != key.template
-        || c.u64()? != key.spec
-        || c.u32()? != key.n
-        || c.u32()? != key.width
-    {
+    if c.u64()? != fnv1a(key.workload.bytes()) || c.u32()? != key.n || c.u32()? != key.width {
         return None;
     }
     let len = usize::try_from(c.u64()?).ok()?;
@@ -484,33 +357,6 @@ fn verified_payload<'a>(bytes: &'a [u8], key: &CacheKey) -> Option<&'a [u8]> {
 // ---------------------------------------------------------------------
 // The store.
 // ---------------------------------------------------------------------
-
-/// Whether `name` has a version-1 spill file's shape:
-/// `c-<16 hex>-<16 hex>-n<n>.spill` (counter) or
-/// `r-<16 hex>-<16 hex>-n<n>-w<w>.spill` (representative).
-fn is_v1_spill_name(name: &str) -> bool {
-    let Some(stem) = name.strip_suffix(".spill") else {
-        return false;
-    };
-    let (rest, fields) = if let Some(rest) = stem.strip_prefix("c-") {
-        (rest, 3)
-    } else if let Some(rest) = stem.strip_prefix("r-") {
-        (rest, 4)
-    } else {
-        return false;
-    };
-    let parts: Vec<&str> = rest.split('-').collect();
-    let fp = |p: &str| p.len() == 16 && p.bytes().all(|b| b.is_ascii_hexdigit());
-    let num = |p: &str, tag: char| {
-        p.strip_prefix(tag)
-            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
-    };
-    parts.len() == fields
-        && fp(parts[0])
-        && fp(parts[1])
-        && num(parts[2], 'n')
-        && (fields == 3 || num(parts[3], 'w'))
-}
 
 /// A directory of spill files the [`GraphCache`](crate::GraphCache)
 /// persists materialized structures into. See the module docs for the
@@ -535,18 +381,26 @@ impl SpillStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        // Only this format's files are warm-start inventory. Version-1
-        // `c-`/`r-` files are never read, so they are removed rather than
-        // kept as a second copy of every spilled structure; a failed
-        // removal is ignored, as failed writes are.
+        // Only this format's files are warm-start inventory. Spill files
+        // of another version are never read, so they are removed rather
+        // than kept as a second copy of every spilled structure; a failed
+        // removal is ignored, as failed writes are. Files without the
+        // magic are not ours and stay.
         let mut warm_files = 0;
         for entry in fs::read_dir(&dir)?.filter_map(Result::ok) {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if is_v1_spill_name(&name) {
-                let _ = fs::remove_file(entry.path());
-            } else if name.starts_with("g-") && name.ends_with(".spill") {
+            let path = entry.path();
+            if path.extension().is_none_or(|e| e != "spill") {
+                continue;
+            }
+            let mut head = [0u8; 12];
+            let read = fs::File::open(&path).and_then(|mut f| f.read_exact(&mut head));
+            if read.is_err() || &head[..8] != SPILL_MAGIC {
+                continue;
+            }
+            if head[8..] == SPILL_VERSION.to_le_bytes() {
                 warm_files += 1;
+            } else {
+                let _ = fs::remove_file(&path);
             }
         }
         Ok(SpillStore {
@@ -590,22 +444,13 @@ impl SpillStore {
         (&self.spills, &self.restores, &self.rejects)
     }
 
-    /// The file the width-`width` spill of this workload lives at.
-    /// Fingerprints name the file, so fair/unfair or otherwise distinct
-    /// templates never alias; colliding fingerprints are caught by the
+    /// The file the structure under `key` spills to. The hash of the
+    /// workload bytes names the file, so fair/unfair or otherwise
+    /// distinct templates never alias; a hash collision is caught by the
     /// stored workload bytes on restore.
-    pub fn path(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        width: u32,
-    ) -> PathBuf {
-        self.dir.join(format!(
-            "g-{:016x}-{:016x}-n{n}-w{width}.spill",
-            template.fingerprint(),
-            spec.fingerprint(),
-        ))
+    pub fn path(&self, key: &CacheKey) -> PathBuf {
+        let fnv = fnv1a(key.workload.bytes());
+        (self.dir).join(format!("g-{fnv:016x}-n{}-w{}.spill", key.n, key.width))
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -618,52 +463,37 @@ impl SpillStore {
         fs::rename(&tmp, path)
     }
 
-    /// Writes the width-`width` `graph` to disk. Write failures
-    /// (permissions, full disk) are swallowed — persistence is an
-    /// optimization, never load-bearing.
-    pub fn spill(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        width: u32,
-        graph: &RepGraph,
-    ) {
+    /// Writes `graph`, the structure under `key`, to disk. Write
+    /// failures (permissions, full disk) are swallowed — persistence is
+    /// an optimization, never load-bearing.
+    pub fn spill(&self, key: &CacheKey, graph: &RepGraph) {
         let mut payload = Vec::new();
-        let workload = workload_bytes(template, spec);
+        let workload = key.workload.bytes();
         put_u32(&mut payload, workload.len() as u32);
-        payload.extend_from_slice(&workload);
+        payload.extend_from_slice(workload);
         encode_kripke(&mut payload, &graph.kripke);
         put_u32(&mut payload, graph.kripke.indices().len() as u32);
         for &i in graph.kripke.indices() {
             put_u32(&mut payload, i);
         }
         encode_fairness(&mut payload, &graph.fairness);
-        let bytes = assemble(&CacheKey::of(template, spec, n, width), &payload);
-        if (self.write_atomic(&self.path(template, spec, n, width), &bytes)).is_ok() {
+        let bytes = assemble(key, &payload);
+        if self.write_atomic(&self.path(key), &bytes).is_ok() {
             self.spills.inc();
         }
     }
 
-    /// Restores the width-`width` structure of this workload from disk,
-    /// or `None`: absent, or rejected per the module rules (each
-    /// rejection counts in [`SpillStore::rejects`]).
-    pub fn restore(
-        &self,
-        template: &GuardedTemplate,
-        spec: &CountingSpec,
-        n: u32,
-        width: u32,
-    ) -> Option<RepGraph> {
-        let bytes = fs::read(self.path(template, spec, n, width)).ok()?;
-        let key = CacheKey::of(template, spec, n, width);
-        let graph = verified_payload(&bytes, &key).and_then(|payload| {
-            // The stored workload bytes must equal the requested
-            // workload's canonical encoding — the on-disk analogue of the
-            // cache's verified structural identity.
+    /// Restores the structure under `key` from disk, or `None`: absent,
+    /// or rejected per the module rules (each rejection counts in
+    /// [`SpillStore::rejects`]).
+    pub fn restore(&self, key: &CacheKey) -> Option<RepGraph> {
+        let bytes = fs::read(self.path(key)).ok()?;
+        let graph = verified_payload(&bytes, key).and_then(|payload| {
+            // The stored workload bytes must equal the requested key's —
+            // the on-disk form of the cache's exact identity.
             let mut c = Cursor::new(payload);
             let len = c.count()? as usize;
-            if c.bytes(len)? != workload_bytes(template, spec).as_slice() {
+            if c.bytes(len)? != key.workload.bytes() {
                 return None;
             }
             let kripke = decode_kripke(&mut c)?;
@@ -690,7 +520,7 @@ mod tests {
     use super::*;
     use icstar_sym::{
         barrier_template, msi_template, mutex_template, ring_station_template, wakeup_template,
-        GuardedBuilder, SymEngine,
+        CountingSpec, GuardedBuilder, GuardedTemplate, SymEngine,
     };
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -772,18 +602,19 @@ mod tests {
                 expected += 1;
                 let what = format!("{:?} fair {}, width {width}", t.state_name(0), t.is_fair());
                 let built = engine.graph(n, width).unwrap();
-                store.spill(&t, &s, n, width, &built);
-                let restored = store.restore(&t, &s, n, width).expect("restores");
+                let key = CacheKey::of(&t, &s, n, width);
+                store.spill(&key, &built);
+                let restored = store.restore(&key).expect("restores");
                 assert_same(&built, &restored, &what);
                 assert_same(&engine.graph(n, width).unwrap(), &restored, &what);
                 // A file written under one width's key is refused under
                 // another's.
-                let other = (width + 1) % 3;
-                fs::copy(store.path(&t, &s, n, width), store.path(&t, &s, n, other)).unwrap();
+                let other = CacheKey::of(&t, &s, n, (width + 1) % 3);
+                fs::copy(store.path(&key), store.path(&other)).unwrap();
                 let rejects = store.rejects();
-                assert!(store.restore(&t, &s, n, other).is_none(), "{what}");
+                assert!(store.restore(&other).is_none(), "{what}");
                 assert_eq!(store.rejects(), rejects + 1, "{what}");
-                fs::remove_file(store.path(&t, &s, n, other)).unwrap();
+                fs::remove_file(store.path(&other)).unwrap();
             }
         }
         assert_eq!(store.restores(), expected);
@@ -804,13 +635,14 @@ mod tests {
     fn spill_mutex(store: &SpillStore, n: u32) -> PathBuf {
         let t = mutex_template();
         let s = CountingSpec::standard(&t);
-        store.spill(&t, &s, n, 0, &SymEngine::new(t.clone()).counter_graph(n));
-        store.path(&t, &s, n, 0)
+        let key = CacheKey::of(&t, &s, n, 0);
+        store.spill(&key, &SymEngine::new(t.clone()).counter_graph(n));
+        store.path(&key)
     }
 
     fn restore_mutex(store: &SpillStore, n: u32) -> Option<RepGraph> {
         let t = mutex_template();
-        store.restore(&t, &CountingSpec::standard(&t), n, 0)
+        store.restore(&CacheKey::of(&t, &CountingSpec::standard(&t), n, 0))
     }
 
     #[test]
@@ -865,14 +697,14 @@ mod tests {
         let t = mutex_template();
         let s = CountingSpec::standard(&t);
         let mut payload = Vec::new();
-        let workload = workload_bytes(&t, &s);
+        let key = CacheKey::of(&t, &s, n, 0);
+        let workload = key.workload.bytes();
         put_u32(&mut payload, workload.len() as u32);
-        payload.extend_from_slice(&workload);
+        payload.extend_from_slice(workload);
         encode_kripke(&mut payload, k);
         put_u32(&mut payload, 0);
         payload.extend_from_slice(fairness);
-        let bytes = assemble(&CacheKey::of(&t, &s, n, 0), &payload);
-        fs::write(store.path(&t, &s, n, 0), bytes).unwrap();
+        fs::write(store.path(&key), assemble(&key, &payload)).unwrap();
     }
 
     #[test]
@@ -934,22 +766,35 @@ mod tests {
             spill_mutex(&store, 4);
             spill_mutex(&store, 5);
         }
-        // Version-1 counter and representative files are never read:
-        // open removes them and does not count them. Unrelated files stay.
+        // Spill files of another version are never read: open removes
+        // them by their header and does not count them — version-1
+        // counter and representative files, and version-2 files named by
+        // the two fingerprints. Files without the spill magic stay,
+        // whatever their name.
+        let header = |version: u32| [&SPILL_MAGIC[..], &version.to_le_bytes()].concat();
         let stale = [
-            dir.join("c-0000000000000001-0000000000000002-n4.spill"),
-            dir.join("r-0000000000000001-0000000000000002-n4-w1.spill"),
+            (dir.join("c-0000000000000001-0000000000000002-n4.spill"), 1),
+            (
+                dir.join("r-0000000000000001-0000000000000002-n4-w1.spill"),
+                1,
+            ),
+            (
+                dir.join("g-0000000000000001-0000000000000002-n4-w0.spill"),
+                2,
+            ),
         ];
-        for path in &stale {
-            fs::write(path, b"").unwrap();
+        for (path, version) in &stale {
+            fs::write(path, header(*version)).unwrap();
         }
         fs::write(dir.join("notes.txt"), b"keep").unwrap();
+        fs::write(dir.join("foreign.spill"), b"not a spill file").unwrap();
         let reopened = SpillStore::open(&dir).unwrap();
         assert_eq!(reopened.warm_files(), 2);
-        for path in &stale {
+        for (path, _) in &stale {
             assert!(!path.exists(), "{} survived open", path.display());
         }
         assert!(dir.join("notes.txt").exists());
+        assert!(dir.join("foreign.spill").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

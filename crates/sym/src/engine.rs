@@ -6,17 +6,18 @@
 //!
 //! * **counting formulas** — plain CTL* over counting atoms
 //!   (`crit_ge2`, `try_eq0`, `one(crit)`, …) are checked on the
-//!   materialized counter graph ([`SymEngine::check_counting`]); the
-//!   abstraction is exact, so even the nexttime operator is allowed here;
+//!   materialized counter graph; the abstraction is exact, so even the
+//!   nexttime operator is allowed here;
 //! * **indexed formulas** — closed *k-restricted* ICTL* with (possibly
 //!   nested) quantifiers `forall i.`/`exists j.` is checked on the
 //!   multi-representative structure whose width `k` is the formula's
-//!   quantifier nesting depth, capped at `n`
-//!   ([`SymEngine::check_indexed`]); see [`crate::rep`] for why the
-//!   restriction is the soundness boundary;
-//! * [`SymEngine::check`] dispatches between the two;
-//!   [`SymSession::check_described`] additionally reports the chosen
-//!   width ([`CheckRun`]).
+//!   quantifier nesting depth, capped at `n` ([`required_rep_width`]);
+//!   see [`crate::rep`] for why the restriction is the soundness
+//!   boundary.
+//!
+//! One entry point serves both: [`SymSession::check_described`] routes
+//! the formula and reports the chosen width ([`CheckRun`]);
+//! [`SymEngine::check`] and [`SymSession::check`] return its verdict.
 //!
 //! [`SymEngine::cross_check`] runs the bisimulation oracle of
 //! [`crate::crosscheck`] at a small `n`, mechanically auditing the
@@ -154,8 +155,8 @@ impl SymEngine {
     /// Materializes the width-`width` structure at size `n` bundled with
     /// the template's compiled fairness requirements — the unit sessions
     /// cache and checks run on: the counter structure at width 0, the
-    /// distinguished-copies construction behind
-    /// [`SymEngine::check_indexed`] above. For templates without
+    /// distinguished-copies construction indexed formulas are checked
+    /// on above it. For templates without
     /// fairness declarations the bundle carries an unconstrained
     /// [`icstar_mc::fair::TransFairness`] at no extra cost.
     ///
@@ -204,39 +205,9 @@ impl SymEngine {
     ///
     /// # Errors
     ///
-    /// As [`SymEngine::check_counting`] / [`SymEngine::check_indexed`].
+    /// As [`SymSession::check_described`].
     pub fn check(&self, n: u32, f: &StateFormula) -> Result<bool, SymError> {
         self.session(n).check(f)
-    }
-
-    /// Checks a quantifier-free CTL* formula over counting atoms on the
-    /// counter structure at size `n`.
-    ///
-    /// The abstraction is exact (a strong bisimulation quotient), so the
-    /// whole of CTL* — including `X` — transfers to the explicit
-    /// `n`-process composition.
-    ///
-    /// # Errors
-    ///
-    /// [`SymError::UnknownAtom`] if the formula uses an indexed atom or an
-    /// atom outside the active spec; [`SymError::Mc`] on checker failures.
-    pub fn check_counting(&self, n: u32, f: &StateFormula) -> Result<bool, SymError> {
-        self.session(n).check_counting(f)
-    }
-
-    /// Checks a closed **restricted** ICTL* formula at size `n` through
-    /// the representative construction.
-    ///
-    /// At `n = 0` quantifiers are expanded over the empty index set
-    /// (`forall` ⇒ true, `exists` ⇒ false) and the rest is checked on
-    /// the counter structure.
-    ///
-    /// # Errors
-    ///
-    /// [`SymError::NotRestricted`] outside the sound fragment;
-    /// [`SymError::UnknownAtom`] for atoms the structures cannot carry.
-    pub fn check_indexed(&self, n: u32, f: &StateFormula) -> Result<bool, SymError> {
-        self.session(n).check_indexed(f)
     }
 
     /// Runs the bisimulation oracle at a small, explicitly-buildable `n`:
@@ -350,7 +321,7 @@ impl SymSession<'_> {
     ///
     /// # Errors
     ///
-    /// As [`SymSession::check_counting`] / [`SymSession::check_indexed`].
+    /// As [`SymSession::check_described`].
     pub fn check(&mut self, f: &StateFormula) -> Result<bool, SymError> {
         self.check_described(f).map(|run| run.holds)
     }
@@ -359,22 +330,27 @@ impl SymSession<'_> {
     /// went through: [`CheckRun::rep_width`] is the number of
     /// distinguished copies tracked (`0` for the counter structure).
     ///
+    /// Quantifier-free formulas over counting atoms are checked on the
+    /// counter structure; the abstraction is exact (a strong bisimulation
+    /// quotient), so the whole of CTL* — `X` included — transfers to the
+    /// explicit `n`-process composition. Closed k-restricted ICTL* goes
+    /// through the representative structure of width
+    /// [`required_rep_width`], its quantifiers expanded over the
+    /// canonical representative tuples. At `n = 0` quantifiers range over
+    /// the empty index set (`forall` ⇒ true, `exists` ⇒ false) on the
+    /// counter structure.
+    ///
     /// # Errors
     ///
-    /// As [`SymSession::check_counting`] / [`SymSession::check_indexed`].
+    /// [`SymError::UnknownAtom`] for an indexed atom outside every index
+    /// quantifier or an atom outside the active spec;
+    /// [`SymError::NotRestricted`] outside the sound fragment (on fair
+    /// templates, outside its CTL slice); [`SymError::Mc`] on checker
+    /// failures.
     pub fn check_described(&mut self, f: &StateFormula) -> Result<CheckRun, SymError> {
         let check_ns = self.engine.telemetry.histogram("sym.check.ns");
         let started = Instant::now();
-        let run = if has_index_quantifier(f) {
-            self.check_indexed_described(f)
-        } else {
-            let fair = self.engine.template.is_fair();
-            self.check_counting(f).map(|holds| CheckRun {
-                holds,
-                rep_width: 0,
-                fair,
-            })
-        };
+        let run = self.run(f);
         // Failed checks stay out of the latency distribution.
         if run.is_ok() {
             check_ns.record_duration(started.elapsed());
@@ -382,71 +358,36 @@ impl SymSession<'_> {
         run
     }
 
-    /// Checks a quantifier-free CTL* formula over counting atoms; see
-    /// [`SymEngine::check_counting`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SymEngine::check_counting`].
-    pub fn check_counting(&mut self, f: &StateFormula) -> Result<bool, SymError> {
+    fn run(&mut self, f: &StateFormula) -> Result<CheckRun, SymError> {
+        let quantified = has_index_quantifier(f);
         let used = used_atoms(f);
-        if let Some(v) = used.indexed.iter().next() {
+        if let (false, Some(v)) = (quantified, used.indexed.iter().next()) {
             return Err(SymError::UnknownAtom(format!(
-                "{}[..] (indexed atoms need check_indexed)",
+                "{}[..] (indexed atoms need an index quantifier)",
                 v.0
             )));
         }
-        self.engine.validate_plain_atoms(&used)?;
-        if self.engine.template.is_fair() {
-            // Path quantifiers range over fair paths: gate to the CTL
-            // fragment the checker supports under fairness.
+        let fair = self.engine.template.is_fair();
+        if fair {
+            // Under fairness the checker is CTL-shaped, so the fragment
+            // gate tightens to the CTL slice (which still admits the
+            // liveness shapes weak fairness exists for: AF, AG AF, fair
+            // EG, and their quantified forms).
             fair_fragment_depth(f)?;
         }
-        let g = self.graph_arc(0)?;
-        Ok(Checker::with_fairness(&g.kripke, &g.fairness).holds(f)?)
-    }
-
-    /// Checks a closed k-restricted ICTL* formula through the
-    /// multi-representative construction; see
-    /// [`SymEngine::check_indexed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SymEngine::check_indexed`].
-    pub fn check_indexed(&mut self, f: &StateFormula) -> Result<bool, SymError> {
-        self.check_indexed_described(f).map(|run| run.holds)
-    }
-
-    fn check_indexed_described(&mut self, f: &StateFormula) -> Result<CheckRun, SymError> {
-        let fair = self.engine.template.is_fair();
-        // Under fairness the checker is CTL-shaped, so the fragment gate
-        // tightens from k-restricted ICTL* to its CTL slice (which still
-        // admits the liveness shapes weak fairness exists for: AF,
-        // AG AF, fair EG, and their quantified forms).
-        let depth = if fair {
-            fair_fragment_depth(f)? as u32
-        } else {
-            restricted_depth(f)? as u32
-        };
-        let used = used_atoms(f);
+        let width = required_rep_width(f, self.n)?;
         // Plain atoms must come from the spec (a missing threshold atom
         // would silently read as false and give wrong answers); indexed
         // props *outside* the template are fine — they are false on the
         // explicit composition and on the representative alike.
         self.engine.validate_plain_atoms(&used)?;
-        // The smallest sufficient width: one tracked copy per quantifier
-        // nesting level, capped at the family size (beyond n there is no
-        // n-th distinct copy to track). Quantifier-free formulas routed
-        // here still get one representative — its structure carries the
-        // counting atoms too. At n = 0 the width is 0: quantifiers range
-        // over the empty index set, on the counter structure.
-        let width = depth.max(1).min(self.n);
         let g = self.graph_arc(width)?;
-        // Expand quantifiers over the canonical representative tuples
-        // (distinct-index case split), then model-check the closed
-        // constant-indexed formula on the width-`width` structure.
-        let expanded = expand_representatives(f, width);
-        let holds = Checker::with_fairness(&g.kripke, &g.fairness).holds(&expanded)?;
+        let mut checker = Checker::with_fairness(&g.kripke, &g.fairness);
+        let holds = if quantified {
+            checker.holds(&expand_representatives(f, width))?
+        } else {
+            checker.holds(f)?
+        };
         Ok(CheckRun {
             holds,
             rep_width: width,
@@ -519,23 +460,17 @@ mod tests {
     fn counting_checks_at_scale() {
         let e = engine();
         for n in [1u32, 2, 10, 100] {
+            assert!(e.check(n, &parse_state("AG !crit_ge2").unwrap()).unwrap());
             assert!(e
-                .check_counting(n, &parse_state("AG !crit_ge2").unwrap())
+                .check(n, &parse_state("AG (try_ge1 -> EF crit_ge1)").unwrap())
                 .unwrap());
             assert!(e
-                .check_counting(n, &parse_state("AG (try_ge1 -> EF crit_ge1)").unwrap())
-                .unwrap());
-            assert!(e
-                .check_counting(n, &parse_state("AG (crit_ge1 -> one(crit))").unwrap())
+                .check(n, &parse_state("AG (crit_ge1 -> one(crit))").unwrap())
                 .unwrap());
         }
         // With >= 2 processes, two copies *can* be trying at once.
-        assert!(e
-            .check_counting(2, &parse_state("EF try_ge2").unwrap())
-            .unwrap());
-        assert!(!e
-            .check_counting(1, &parse_state("EF try_ge2").unwrap())
-            .unwrap());
+        assert!(e.check(2, &parse_state("EF try_ge2").unwrap()).unwrap());
+        assert!(!e.check(1, &parse_state("EF try_ge2").unwrap()).unwrap());
     }
 
     #[test]
@@ -654,24 +589,24 @@ mod tests {
     fn unknown_atoms_rejected() {
         let e = engine();
         assert!(matches!(
-            e.check_counting(2, &parse_state("AG bogus").unwrap()),
+            e.check(2, &parse_state("AG bogus").unwrap()),
             Err(SymError::UnknownAtom(_))
         ));
         assert!(matches!(
-            e.check_counting(2, &parse_state("AG crit_ge3").unwrap()),
+            e.check(2, &parse_state("AG crit_ge3").unwrap()),
             Err(SymError::UnknownAtom(_))
         ));
         assert!(matches!(
-            e.check_counting(2, &parse_state("AG crit[1]").unwrap()),
+            e.check(2, &parse_state("AG crit[1]").unwrap()),
             Err(SymError::UnknownAtom(_))
         ));
         // Indexed props outside the template are *not* errors: they are
         // false everywhere, exactly as on the explicit composition.
         assert!(!e
-            .check_indexed(2, &parse_state("exists i. EF bogus[i]").unwrap())
+            .check(2, &parse_state("exists i. EF bogus[i]").unwrap())
             .unwrap());
         assert!(matches!(
-            e.check_counting(2, &parse_state("AG one(bogus)").unwrap()),
+            e.check(2, &parse_state("AG one(bogus)").unwrap()),
             Err(SymError::UnknownAtom(_))
         ));
     }
@@ -681,9 +616,7 @@ mod tests {
         // Exactness means X is fine for counting formulas: from the
         // initial mutex state the first move sends some copy to `try`.
         let e = engine();
-        assert!(e
-            .check_counting(3, &parse_state("AX try_ge1").unwrap())
-            .unwrap());
+        assert!(e.check(3, &parse_state("AX try_ge1").unwrap()).unwrap());
     }
 
     #[test]
@@ -861,12 +794,10 @@ mod tests {
         let t = mutex_template();
         let spec = CountingSpec::new().with_at_least("crit", 5);
         let e = SymEngine::with_spec(t, spec);
-        assert!(!e
-            .check_counting(10, &parse_state("EF crit_ge5").unwrap())
-            .unwrap());
+        assert!(!e.check(10, &parse_state("EF crit_ge5").unwrap()).unwrap());
         // The standard atoms are gone under the custom spec.
         assert!(matches!(
-            e.check_counting(10, &parse_state("EF crit_ge2").unwrap()),
+            e.check(10, &parse_state("EF crit_ge2").unwrap()),
             Err(SymError::UnknownAtom(_))
         ));
     }

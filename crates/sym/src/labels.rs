@@ -21,7 +21,6 @@ use icstar_kripke::Atom;
 use icstar_logic::{build, StateFormula};
 
 use crate::counter::CounterState;
-use crate::fingerprint::Fnv;
 use crate::template::{Check, GuardedTemplate};
 
 /// The plain atom `p_ge{k}` meaning `#p ≥ k`.
@@ -198,27 +197,6 @@ impl CountingSpec {
         at_least.chain(zero).chain(one)
     }
 
-    /// A stable 64-bit structural fingerprint: equal for equal specs,
-    /// across processes and runs. Combined with
-    /// [`GuardedTemplate::fingerprint`] and the family size, it keys the
-    /// `icstar-serve` memo cache.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u32(self.at_least.len() as u32);
-        for (p, k) in &self.at_least {
-            h.str(p).u32(*k);
-        }
-        h.u32(self.zero.len() as u32);
-        for p in &self.zero {
-            h.str(p);
-        }
-        h.u32(self.exactly_one.len() as u32);
-        for p in &self.exactly_one {
-            h.str(p);
-        }
-        h.finish()
-    }
-
     /// The atoms labeling the abstract state `counts` of `template`.
     pub fn atoms_for_counter(
         &self,
@@ -261,6 +239,7 @@ impl LabelTable {
 mod tests {
     use super::*;
     use crate::template::mutex_template;
+    use crate::WorkloadKey;
 
     #[test]
     fn atom_names() {
@@ -319,17 +298,18 @@ mod tests {
     #[test]
     fn spec_fingerprint_tracks_equality() {
         let t = mutex_template();
+        let key = |s: CountingSpec| WorkloadKey::of(&t, &s);
         assert_eq!(
-            CountingSpec::standard(&t).fingerprint(),
-            CountingSpec::standard(&t).fingerprint()
+            key(CountingSpec::standard(&t)),
+            key(CountingSpec::standard(&t))
         );
         assert_ne!(
-            CountingSpec::standard(&t).fingerprint(),
-            CountingSpec::exhaustive(&t, 4).fingerprint()
+            key(CountingSpec::standard(&t)),
+            key(CountingSpec::exhaustive(&t, 4))
         );
         assert_ne!(
-            CountingSpec::new().with_zero("p").fingerprint(),
-            CountingSpec::new().with_exactly_one("p").fingerprint()
+            key(CountingSpec::new().with_zero("p")),
+            key(CountingSpec::new().with_exactly_one("p"))
         );
     }
 

@@ -58,10 +58,11 @@
 //! ([`icstar_logic::restricted_depth`]: quantifiers nest freely but stay
 //! outside `U`/`R`/`F`/`G` operands, no nexttime, no constant indices)
 //! syntactically guarantees quantifiers are evaluated only there, so
-//! that fragment is exactly what [`SymEngine::check_indexed`] accepts,
-//! with `k` the nesting depth (capped at `n`). Formulas like
-//! `AG (exists i. c[i])`, whose quantifier would be evaluated at
-//! non-symmetric states, are rejected rather than answered unsoundly.
+//! that fragment is exactly what [`SymEngine::check`] accepts for
+//! indexed formulas, with `k` the nesting depth (capped at `n`).
+//! Formulas like `AG (exists i. c[i])`, whose quantifier would be
+//! evaluated at non-symmetric states, are rejected rather than answered
+//! unsoundly.
 //!
 //! Everything above is *mechanically audited*: [`verify_counter_abstraction`]
 //! rebuilds the explicit composition for a small `n`, relabels it with
@@ -99,7 +100,7 @@ mod cutoff;
 mod engine;
 mod error;
 mod explore;
-mod fingerprint;
+mod key;
 mod rep;
 mod template;
 mod workloads;
@@ -122,6 +123,7 @@ pub use engine::{required_rep_width, CheckRun, SymEngine, SymSession};
 pub use error::SymError;
 pub use explore::CounterSystem;
 pub use fairness::{check_fair_explicit, counter_graph, rep_graph, RepGraph};
+pub use key::WorkloadKey;
 pub use labels::CountingSpec;
 pub use rep::{representative, representative_with_states, RepState, REPRESENTATIVE_INDEX};
 pub use template::{

@@ -14,7 +14,6 @@
 use icstar_nets::{ProcessTemplate, TemplateBuilder};
 
 use crate::counter::CounterState;
-use crate::fingerprint::Fnv;
 
 /// A counting constraint on one local transition, evaluated on the
 /// occupancy vector of all copies (before the move).
@@ -111,39 +110,6 @@ impl Guard {
             | Guard::StateEquals(q, _)
             | Guard::StateInRange(q, _, _) => Some(*q),
             Guard::AtMost(..) | Guard::AtLeast(..) | Guard::Equals(..) | Guard::InRange(..) => None,
-        }
-    }
-
-    /// Feeds the guard into a fingerprint hasher. Discriminant tags are
-    /// append-only (never renumbered): fingerprints key the
-    /// `icstar-serve` memo cache, so two distinct guards must never hash
-    /// identically across versions of this enum.
-    fn hash_into(&self, h: &mut Fnv) {
-        match self {
-            Guard::AtMost(p, b) => {
-                h.u32(0).str(p).u32(*b);
-            }
-            Guard::AtLeast(p, b) => {
-                h.u32(1).str(p).u32(*b);
-            }
-            Guard::StateAtMost(s, b) => {
-                h.u32(2).u32(*s).u32(*b);
-            }
-            Guard::StateAtLeast(s, b) => {
-                h.u32(3).u32(*s).u32(*b);
-            }
-            Guard::Equals(p, b) => {
-                h.u32(4).str(p).u32(*b);
-            }
-            Guard::InRange(p, lo, hi) => {
-                h.u32(5).str(p).u32(*lo).u32(*hi);
-            }
-            Guard::StateEquals(s, b) => {
-                h.u32(6).u32(*s).u32(*b);
-            }
-            Guard::StateInRange(s, lo, hi) => {
-                h.u32(7).u32(*s).u32(*lo).u32(*hi);
-            }
         }
     }
 }
@@ -542,64 +508,6 @@ impl GuardedTemplate {
     pub fn broadcast_enabled(&self, counts: &CounterState, b: &Broadcast) -> bool {
         b.enabled_at(counts.counts())
     }
-
-    /// A stable 64-bit structural fingerprint: equal for structurally
-    /// identical templates (states, names, labels, transitions, guards,
-    /// broadcasts), across processes and runs. Used as a cache key
-    /// component by the `icstar-serve` memo cache; any two templates that
-    /// differ in *any* construct — a guard bound, a broadcast response
-    /// entry — must fingerprint differently with overwhelming
-    /// probability (collisions only cost a verified bucket entry, never
-    /// a wrong structure, but they must stay rare).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u32(self.num_states() as u32).u32(self.initial());
-        for q in 0..self.num_states() as u32 {
-            h.str(self.base.state_name(q));
-            let labels = self.base.labels(q);
-            h.u32(labels.len() as u32);
-            for p in labels {
-                h.str(p);
-            }
-            let succs = self.base.successors(q);
-            h.u32(succs.len() as u32);
-            for (k, &q2) in succs.iter().enumerate() {
-                h.u32(q2);
-                let guards = self.guards(q, k);
-                h.u32(guards.len() as u32);
-                for g in guards {
-                    g.hash_into(&mut h);
-                }
-            }
-        }
-        h.u32(self.broadcasts.len() as u32);
-        for b in &self.broadcasts {
-            h.u32(b.source).u32(b.target);
-            h.u32(b.guards.len() as u32);
-            for g in &b.guards {
-                g.hash_into(&mut h);
-            }
-            // The response map is total (length = num_states, already
-            // hashed), so the entries alone pin it.
-            for &t in &b.response {
-                h.u32(t);
-            }
-        }
-        // Fairness section, appended only when present so templates
-        // without fairness keep their pre-fairness fingerprints (the
-        // serve cache and wire transcript pins key on them).
-        if !self.fairness.is_empty() {
-            h.u32(self.fairness.len() as u32);
-            for d in &self.fairness {
-                h.str(&d.name);
-                h.u32(d.moves.len() as u32);
-                for &(s, t) in &d.moves {
-                    h.u32(s).u32(t);
-                }
-            }
-        }
-        h.finish()
-    }
 }
 
 fn states_with<'a>(props: &'a [(String, Vec<u32>)], prop: &str) -> &'a [u32] {
@@ -881,7 +789,13 @@ pub fn ring_station_template(stations: usize, cap: u32) -> GuardedTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CountingSpec, WorkloadKey};
     use icstar_nets::fig41_template;
+
+    /// The workload key of `t` under the empty spec.
+    fn key(t: &GuardedTemplate) -> WorkloadKey {
+        WorkloadKey::of(t, &CountingSpec::new())
+    }
 
     #[test]
     fn free_lifting_has_no_guards() {
@@ -1048,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_new_guards_and_broadcasts() {
+    fn workload_key_distinguishes_new_guards_and_broadcasts() {
         let build = |guard: Guard| {
             let mut b = GuardedBuilder::new();
             let a = b.state("a", ["p"]);
@@ -1056,7 +970,7 @@ mod tests {
             b.build(a)
         };
         // Same names and bounds, different guard kinds: all distinct.
-        let fps: Vec<u64> = [
+        let keys: Vec<WorkloadKey> = [
             Guard::at_most("p", 1),
             Guard::at_least("p", 1),
             Guard::equals("p", 1),
@@ -1067,16 +981,16 @@ mod tests {
             Guard::state_in_range(0, 1, 1),
         ]
         .into_iter()
-        .map(|g| build(g).fingerprint())
+        .map(|g| key(&build(g)))
         .collect();
-        for (i, a) in fps.iter().enumerate() {
-            for (j, b) in fps.iter().enumerate() {
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate() {
                 assert_eq!(a == b, i == j, "guard kinds {i} vs {j}");
             }
         }
 
         // Templates differing only in a broadcast (presence, guard, or
-        // response map) fingerprint differently.
+        // response map) get different keys.
         let with_bcast = |guards: Vec<Guard>, responses: Vec<(u32, u32)>| {
             let mut b = GuardedBuilder::new();
             let a = b.state("a", ["a"]);
@@ -1097,12 +1011,12 @@ mod tests {
         let identity = with_bcast(vec![], vec![]);
         let remap = with_bcast(vec![], vec![(1, 0)]);
         let guarded = with_bcast(vec![Guard::state_equals(0, 1)], vec![(1, 0)]);
-        assert_ne!(plain.fingerprint(), identity.fingerprint());
-        assert_ne!(identity.fingerprint(), remap.fingerprint());
-        assert_ne!(remap.fingerprint(), guarded.fingerprint());
+        assert_ne!(key(&plain), key(&identity));
+        assert_ne!(key(&identity), key(&remap));
+        assert_ne!(key(&remap), key(&guarded));
         assert_eq!(
-            with_bcast(vec![], vec![(1, 0)]).fingerprint(),
-            remap.fingerprint(),
+            key(&with_bcast(vec![], vec![(1, 0)])),
+            key(&remap),
             "deterministic"
         );
     }
@@ -1122,18 +1036,18 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_structure() {
-        let base = mutex_template().fingerprint();
-        assert_eq!(base, mutex_template().fingerprint(), "deterministic");
-        assert_ne!(base, ring_station_template(3, 1).fingerprint());
+    fn workload_key_distinguishes_structure() {
+        let base = key(&mutex_template());
+        assert_eq!(base, key(&mutex_template()), "deterministic");
+        assert_ne!(base, key(&ring_station_template(3, 1)));
         assert_ne!(
-            ring_station_template(3, 1).fingerprint(),
-            ring_station_template(3, 2).fingerprint(),
-            "guard bounds are part of the fingerprint"
+            key(&ring_station_template(3, 1)),
+            key(&ring_station_template(3, 2)),
+            "guard bounds are part of the key"
         );
         assert_ne!(
-            ring_station_template(3, 1).fingerprint(),
-            ring_station_template(4, 1).fingerprint()
+            key(&ring_station_template(3, 1)),
+            key(&ring_station_template(4, 1))
         );
         // An unguarded copy of the mutex cycle differs from the guarded one.
         let mut b = GuardedBuilder::new();
@@ -1143,7 +1057,7 @@ mod tests {
         b.edge(idle, trying);
         b.edge(trying, crit);
         b.edge(crit, idle);
-        assert_ne!(b.build(idle).fingerprint(), base);
+        assert_ne!(key(&b.build(idle)), base);
     }
 
     #[test]
@@ -1175,7 +1089,7 @@ mod tests {
         assert_eq!(fair.fairness().len(), 1);
         assert_eq!(fair.fairness()[0].name(), "release");
         // The fair variant is a different workload identity...
-        assert_ne!(plain.fingerprint(), fair.fingerprint());
+        assert_ne!(key(&plain), key(&fair));
         // ...but the structure is untouched.
         assert_eq!(plain.num_states(), fair.num_states());
         let twice = fair.with_fairness("enter", [(1, 2)]);
@@ -1235,7 +1149,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_fairness_but_only_when_present() {
+    fn workload_key_covers_fairness() {
         let make = |fair: bool| {
             let mut b = GuardedBuilder::new();
             let idle = b.state("idle", ["idle"]);
@@ -1250,8 +1164,8 @@ mod tests {
         };
         let plain = make(false);
         let fair = make(true);
-        assert_ne!(plain.fingerprint(), fair.fingerprint());
-        assert_eq!(fair.fingerprint(), make(true).fingerprint());
+        assert_ne!(key(&plain), key(&fair));
+        assert_eq!(key(&fair), key(&make(true)));
         // A different declaration name or move set changes the key too.
         let mut b = GuardedBuilder::new();
         let idle = b.state("idle", ["idle"]);
@@ -1260,7 +1174,7 @@ mod tests {
         b.edge(idle, done);
         b.edge(done, done);
         b.fair("other", [(idle, done)]);
-        assert_ne!(b.build(idle).fingerprint(), fair.fingerprint());
+        assert_ne!(key(&b.build(idle)), key(&fair));
     }
 
     #[test]

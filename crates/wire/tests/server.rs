@@ -14,7 +14,6 @@ use icstar_wire::{JobStatus, WireClient, WireError, WireServer};
 fn test_service() -> VerifyService {
     VerifyService::start(ServeConfig {
         workers: 2,
-        cache_shards: 4,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })
@@ -667,7 +666,6 @@ fn trace_transcript_is_byte_exact() {
     // timed) spans are drained out and replaced with hand-built events.
     let config = ServeConfig {
         workers: 1,
-        cache_shards: 4,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     };
@@ -770,7 +768,6 @@ fn large_job_leaves_a_full_metric_trail() {
         "127.0.0.1:0",
         VerifyService::start(ServeConfig {
             workers: 2,
-            cache_shards: 4,
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),

@@ -1,7 +1,7 @@
 //! Differential tests for the persistent graph cache: for randomized
 //! guarded/broadcast/fair templates, a spill→restore round trip must be
 //! a structural identity; defective spill files must be rejected and
-//! silently rebuilt; and fingerprint twins that differ only in fairness
+//! silently rebuilt; and template twins that differ only in fairness
 //! must never alias on disk.
 
 use std::path::PathBuf;
@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use icstar_kripke::Kripke;
 use icstar_mc::fair::TransFairness;
-use icstar_serve::{GraphCache, SpillStore};
+use icstar_serve::{CacheKey, GraphCache, SpillStore};
 use icstar_sym::{CountingSpec, Guard, GuardedBuilder, GuardedTemplate, SymEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -172,22 +172,22 @@ proptest! {
 
         let store = SpillStore::open(&dir).unwrap();
         let counter = engine.counter_graph(n);
-        store.spill(&template, &spec, n, 0, &counter);
+        store.spill(&CacheKey::of(&template, &spec, n, 0), &counter);
         let rep = engine.representative_graph(n, 1).ok();
         if let Some(rep) = &rep {
-            store.spill(&template, &spec, n, 1, rep);
+            store.spill(&CacheKey::of(&template, &spec, n, 1), rep);
         }
 
         // A fresh store over the same directory: what a restart sees.
         let reopened = SpillStore::open(&dir).unwrap();
         let restored = reopened
-            .restore(&template, &spec, n, 0)
+            .restore(&CacheKey::of(&template, &spec, n, 0))
             .expect("counter restores");
         assert_kripke_eq(&counter.kripke, &restored.kripke);
         assert_fairness_eq(&counter.fairness, &restored.fairness);
         if let Some(rep) = &rep {
             let restored = reopened
-                .restore(&template, &spec, n, 1)
+                .restore(&CacheKey::of(&template, &spec, n, 1))
                 .expect("rep restores");
             prop_assert_eq!(rep.kripke.indices(), restored.kripke.indices());
             assert_kripke_eq(rep.kripke.kripke(), restored.kripke.kripke());
@@ -212,8 +212,8 @@ proptest! {
         let dir = temp_dir("defect");
 
         let store = SpillStore::open(&dir).unwrap();
-        store.spill(&template, &spec, n, 0, &engine.counter_graph(n));
-        let path = store.path(&template, &spec, n, 0);
+        store.spill(&CacheKey::of(&template, &spec, n, 0), &engine.counter_graph(n));
+        let path = store.path(&CacheKey::of(&template, &spec, n, 0));
         let mut bytes = std::fs::read(&path).unwrap();
         if flip {
             let mid = bytes.len() / 2;
@@ -223,10 +223,10 @@ proptest! {
         }
         std::fs::write(&path, &bytes).unwrap();
 
-        let cache = GraphCache::with_store(1, u64::MAX, Some(SpillStore::open(&dir).unwrap()));
+        let cache = GraphCache::new(u64::MAX, Some(SpillStore::open(&dir).unwrap()));
         let built = std::cell::Cell::new(false);
         let graph = cache
-            .get(&template, &spec, n, 0, || {
+            .get(&CacheKey::of(&template, &spec, n, 0), || {
                 built.set(true);
                 Ok(engine.counter_graph(n))
             })
@@ -254,28 +254,30 @@ fn fair_and_unfair_twins_never_alias_on_disk() {
         fair: false,
         ..desc.clone()
     });
-    assert_ne!(fair.fingerprint(), unfair.fingerprint());
 
     let dir = temp_dir("twins");
     let store = SpillStore::open(&dir).unwrap();
     let n = 3;
     let fair_spec = CountingSpec::standard(&fair);
     let unfair_spec = CountingSpec::standard(&unfair);
+    let fair_key = CacheKey::of(&fair, &fair_spec, n, 0);
+    let unfair_key = CacheKey::of(&unfair, &unfair_spec, n, 0);
+    assert_ne!(fair_key.workload, unfair_key.workload);
     assert_ne!(
-        store.path(&fair, &fair_spec, n, 0),
-        store.path(&unfair, &unfair_spec, n, 0),
+        store.path(&fair_key),
+        store.path(&unfair_key),
         "twin workloads must spill to distinct files"
     );
     let fair_graph = SymEngine::with_spec(fair.clone(), fair_spec.clone()).counter_graph(n);
     let unfair_graph = SymEngine::with_spec(unfair.clone(), unfair_spec.clone()).counter_graph(n);
-    store.spill(&fair, &fair_spec, n, 0, &fair_graph);
-    store.spill(&unfair, &unfair_spec, n, 0, &unfair_graph);
+    store.spill(&fair_key, &fair_graph);
+    store.spill(&unfair_key, &unfair_graph);
     assert_eq!(store.spills(), 2);
 
     let reopened = SpillStore::open(&dir).unwrap();
     assert_eq!(reopened.warm_files(), 2);
-    let fair_back = reopened.restore(&fair, &fair_spec, n, 0).unwrap();
-    let unfair_back = reopened.restore(&unfair, &unfair_spec, n, 0).unwrap();
+    let fair_back = reopened.restore(&fair_key).unwrap();
+    let unfair_back = reopened.restore(&unfair_key).unwrap();
     assert!(!fair_back.fairness.is_empty(), "fair twin keeps its reqs");
     assert!(
         unfair_back.fairness.is_empty(),
@@ -301,7 +303,6 @@ fn warm_restart_answers_first_submit_from_disk() {
     let dir = temp_dir("warm-tcp");
     let config = |dir: &PathBuf| ServeConfig {
         workers: 1,
-        cache_shards: 1,
         cache_budget_states: u64::MAX,
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()

@@ -23,7 +23,6 @@ use rand::SeedableRng;
 fn small_service(workers: usize) -> VerifyService {
     VerifyService::start(ServeConfig {
         workers,
-        cache_shards: 8,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })

@@ -13,7 +13,6 @@ use icstar_wire::{WireClient, WireServer};
 fn test_service() -> VerifyService {
     VerifyService::start(ServeConfig {
         workers: 2,
-        cache_shards: 4,
         cache_budget_states: u64::MAX,
         ..ServeConfig::default()
     })

@@ -23,7 +23,6 @@ fn test_server() -> WireServer {
         "127.0.0.1:0",
         VerifyService::start(ServeConfig {
             workers: 1,
-            cache_shards: 1,
             cache_budget_states: u64::MAX,
             ..ServeConfig::default()
         }),

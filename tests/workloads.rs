@@ -10,10 +10,10 @@ use icstar::FamilyVerifier;
 use icstar_logic::parse_state;
 use icstar_mc::Checker;
 use icstar_nets::fig41_template;
-use icstar_serve::SpillStore;
+use icstar_serve::{CacheKey, SpillStore};
 use icstar_sym::{
     barrier_template, check_fair_explicit, msi_template, mutex_template, ring_station_template,
-    wakeup_template, GuardedTemplate, SymEngine,
+    wakeup_template, CountingSpec, GuardedTemplate, SymEngine, WorkloadKey,
 };
 
 /// Every guarded workload the repository ships, with its gallery
@@ -290,9 +290,10 @@ fn spill_restored_fair_counter_graphs_keep_the_liveness_verdicts() {
             let before: Vec<_> = (counting.iter())
                 .map(|(_, f)| chk.sat(f).unwrap())
                 .collect();
-            store.spill(&fair_t, engine.spec(), n, 0, &original);
-            let restored = (store.restore(&fair_t, engine.spec(), n, 0))
-                .unwrap_or_else(|| panic!("{name}: no restore at n = {n}"));
+            let key = CacheKey::of(&fair_t, engine.spec(), n, 0);
+            store.spill(&key, &original);
+            let restored =
+                (store.restore(&key)).unwrap_or_else(|| panic!("{name}: no restore at n = {n}"));
             let mut chk = Checker::with_fairness(&restored.kripke, &restored.fairness);
             for ((src, f), sat) in counting.iter().zip(&before) {
                 assert_eq!(chk.sat(f).unwrap(), *sat, "{name}: {src} at n = {n}");
@@ -305,6 +306,7 @@ fn spill_restored_fair_counter_graphs_keep_the_liveness_verdicts() {
 
 #[test]
 fn broadcast_workloads_are_not_free_and_fingerprint_distinctly() {
+    let key = |t: &GuardedTemplate| WorkloadKey::of(t, &CountingSpec::new());
     let all: Vec<(&str, GuardedTemplate)> = gallery()
         .into_iter()
         .map(|(name, t, _, _)| (name, t))
@@ -314,7 +316,7 @@ fn broadcast_workloads_are_not_free_and_fingerprint_distinctly() {
     }
     for (i, (na, a)) in all.iter().enumerate() {
         for (nb, b) in all.iter().skip(i + 1) {
-            assert_ne!(a.fingerprint(), b.fingerprint(), "{na} vs {nb}");
+            assert_ne!(key(a), key(b), "{na} vs {nb}");
         }
     }
     // The three new ones actually use broadcasts.
