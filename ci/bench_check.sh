@@ -6,15 +6,15 @@
 #   bash ci/bench_check.sh ci/baselines/BENCH_sym.json BENCH_sym.json
 #
 # A benchmark fails when its fastest sample (`min_ns`) exceeds the
-# baseline's fastest sample by more than the tolerance factor (default
-# 2.0, override with BENCH_TOLERANCE). The minimum is the sample least
-# disturbed by other load on the machine; a median of a millisecond row
-# moves past 2x with that load alone. The factor is deliberately loose:
-# baseline and CI run on different machines, and shared runners are
-# noisy — this gate catches algorithmic regressions (an accidental
-# O(n^2), a lock on the hot path), not single-digit-percent drift. Benchmarks present on only one side are
-# reported but never fatal, so adding or retiring a benchmark does not
-# require touching the baseline in the same commit.
+# baseline's fastest sample by more than a fixed factor of 2.0. The
+# minimum is the sample least disturbed by other load on the machine; a
+# median of a millisecond row moves past 2x with that load alone. The
+# factor is deliberately loose: baseline and CI run on different
+# machines, and shared runners are noisy — this gate catches
+# algorithmic regressions (an accidental O(n^2), a lock on the hot
+# path), not single-digit-percent drift. Benchmarks present on only one
+# side are reported but never fatal, so adding or retiring a benchmark
+# does not require touching the baseline in the same commit.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -23,7 +23,7 @@ if [ $# -ne 2 ]; then
 fi
 baseline=$1
 current=$2
-tolerance=${BENCH_TOLERANCE:-2.0}
+tolerance=2.0
 
 for f in "$baseline" "$current"; do
   if [ ! -f "$f" ]; then

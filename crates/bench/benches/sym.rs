@@ -10,7 +10,6 @@ use icstar::icstar_sym::{
 };
 use icstar::parse_state;
 use icstar_nets::{fig41_template, interleave};
-use icstar_serve::{VerifyJob, VerifyService};
 
 fn bench_counter_graph(c: &mut Criterion) {
     let mut group = c.benchmark_group("sym/counter-graph");
@@ -210,71 +209,6 @@ fn bench_cross_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cutoff_detect(c: &mut Criterion) {
-    // Certification cost: the scan that finds the stabilization point
-    // and the independent re-verification behind it. This is the *cold*
-    // price paid once per (template, formula) — the serve layer then
-    // answers every size from the certificate.
-    let mut group = c.benchmark_group("sym/cutoff-detect");
-    group.sample_size(10);
-    let mutex = SymEngine::new(mutex_template());
-    let mutex_f = parse_state("AG !crit_ge2").unwrap();
-    group.bench_function("mutex", |b| {
-        b.iter(|| {
-            let cert = mutex.certify_cutoff(&mutex_f).unwrap();
-            assert_eq!(cert.c, 2);
-            cert
-        })
-    });
-    let barrier = SymEngine::new(barrier_template());
-    let barrier_f = parse_state("AG (phase1_ge1 -> phase0_eq0)").unwrap();
-    group.bench_function("barrier", |b| {
-        b.iter(|| {
-            let cert = barrier.certify_cutoff(&barrier_f).unwrap();
-            assert_eq!(cert.c, 1);
-            cert
-        })
-    });
-    group.finish();
-}
-
-fn bench_cutoff_answer(c: &mut Criterion) {
-    // The O(1) certified path end to end: a warmed certificate answers
-    // the unbounded tail from n = 10^6 through the full submit/report
-    // round-trip without building any structure (bounded sizes are
-    // always checked directly). The median here is submission plumbing,
-    // not verification — that is the point.
-    let mut group = c.benchmark_group("serve/cutoff-answer");
-    group.sample_size(10);
-    let service = VerifyService::with_defaults();
-    let f = parse_state("AG !crit_ge2").unwrap();
-    let warm = service
-        .submit(
-            VerifyJob::new(mutex_template())
-                .all_sizes_from(1)
-                .formula("mutex", f.clone()),
-        )
-        .wait()
-        .unwrap();
-    assert!(warm.verdicts.iter().any(|v| v.cutoff.is_some()));
-    group.bench_function("mutex/1000000", |b| {
-        b.iter(|| {
-            let report = service
-                .submit(
-                    VerifyJob::new(mutex_template())
-                        .all_sizes_from(1_000_000)
-                        .formula("mutex", f.clone()),
-                )
-                .wait()
-                .unwrap();
-            assert_eq!(report.verdicts.len(), 1);
-            assert_eq!(report.verdicts[0].cutoff, Some(2));
-            report
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_counter_graph,
@@ -284,8 +218,6 @@ criterion_group!(
     bench_representative_width,
     bench_fair_check,
     bench_unfair_liveness,
-    bench_cross_check,
-    bench_cutoff_detect,
-    bench_cutoff_answer
+    bench_cross_check
 );
 criterion_main!(benches);

@@ -288,8 +288,7 @@ fn explosion() {
 }
 
 /// E9 — the Section 6 nesting-depth conjecture, swept by brute force:
-/// each formula checked on the free products above its depth
-/// (`SymEngine::certify_cutoff` is the decision procedure).
+/// each formula checked on the free products above its depth.
 fn conjecture() {
     println!("== E9: the Section 6 conjecture on free products ==");
     let sweep = |t: &ProcessTemplate, f: &StateFormula, sizes: RangeInclusive<u32>| {

@@ -121,13 +121,6 @@ pub struct Verdict {
     /// ([`icstar_sym::GuardedTemplate::is_fair`]). The explicit-transfer
     /// backend never applies fairness, so it always reports `false`.
     pub fair: bool,
-    /// `Some(c)` when this verdict is backed by a certified cutoff
-    /// ([`icstar_sym::CutoffCertificate`]) with stabilization point `c`:
-    /// the same truth value holds at **every** family size `≥ c`, and no
-    /// structure was built to answer it. `None` for directly-checked
-    /// verdicts (every path except the final verdict of
-    /// [`FamilyVerifier::verify_all_from`]).
-    pub cutoff: Option<u32>,
 }
 
 impl Verdict {
@@ -140,7 +133,6 @@ impl Verdict {
             holds,
             rep_width: 0,
             fair: false,
-            cutoff: None,
         }
     }
 }
@@ -352,7 +344,6 @@ impl<'a> FamilyVerifier<'a> {
                     holds: run.holds,
                     rep_width: run.rep_width,
                     fair: run.fair,
-                    cutoff: None,
                 })
             })
             .collect()
@@ -426,88 +417,11 @@ impl<'a> FamilyVerifier<'a> {
                             holds: *holds,
                             rep_width: v.rep_width,
                             fair: v.fair,
-                            cutoff: v.cutoff,
                         }),
                         Err(e) => Err(FamilyError::Sym(e.clone())),
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok((n, verdicts))
-            })
-            .collect()
-    }
-
-    /// Answers every registered formula at **every** family size
-    /// `n ≥ lo` through a shared [`VerifyService`] (counter-abstraction
-    /// backend only) — finitely many verdicts covering an infinite set
-    /// of sizes.
-    ///
-    /// The service certifies a stabilization point `c` per formula (see
-    /// [`icstar_sym::SymEngine::certify_cutoff`]), checks the sizes
-    /// `lo ≤ n < c` directly, and reports one certificate-backed verdict
-    /// at `max(lo, c)` whose [`Verdict::cutoff`] is `Some(c)` — that
-    /// verdict is the answer for every larger size, obtained without
-    /// building a single structure. Verdicts come back flat as
-    /// `(n, verdict)` pairs, formula-major.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use icstar::FamilyVerifier;
-    /// use icstar_logic::parse_state;
-    /// use icstar_serve::VerifyService;
-    /// use icstar_sym::mutex_template;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let service = VerifyService::with_defaults();
-    /// let mut verifier = FamilyVerifier::counter_abstracted(mutex_template());
-    /// verifier.add_formula("mutex", parse_state("AG !crit_ge2")?)?;
-    /// let verdicts = verifier.verify_all_from(&service, 1)?;
-    /// // Every size n ≥ 1 is covered; the last verdict carries the cutoff.
-    /// assert!(verdicts.iter().all(|(_, v)| v.holds));
-    /// assert!(verdicts.last().unwrap().1.cutoff.is_some());
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`FamilyError::BackendMismatch`] on an explicit-transfer verifier;
-    /// [`FamilyError::Serve`] if the service lost the job;
-    /// [`FamilyError::Sym`] if a formula could not be checked — including
-    /// [`SymError::CutoffRefused`] when no cutoff could be certified
-    /// (fairness, formulas outside the cutoff fragment, or a family that
-    /// does not stabilize within the scan horizon).
-    pub fn verify_all_from(
-        &self,
-        service: &VerifyService,
-        lo: u32,
-    ) -> Result<Vec<(u32, Verdict)>, FamilyError> {
-        let Backend::Counter { engine } = &self.backend else {
-            return Err(FamilyError::BackendMismatch("verify_all_from"));
-        };
-        let job = VerifyJob {
-            template: engine.template().clone(),
-            spec: Some(engine.spec().clone()),
-            sizes: Vec::new(),
-            all_from: Some(lo),
-            formulas: self.formulas.clone(),
-        };
-        let report = service.submit(job).wait().map_err(FamilyError::Serve)?;
-        report
-            .verdicts
-            .into_iter()
-            .map(|v| match v.result {
-                Ok(holds) => Ok((
-                    v.n,
-                    Verdict {
-                        name: v.name,
-                        holds,
-                        rep_width: v.rep_width,
-                        fair: v.fair,
-                        cutoff: v.cutoff,
-                    },
-                )),
-                Err(e) => Err(FamilyError::Sym(e)),
             })
             .collect()
     }
@@ -597,7 +511,6 @@ mod tests {
                 holds: true,
                 rep_width: 0,
                 fair: false,
-                cutoff: None,
             }]
         );
     }
@@ -780,51 +693,6 @@ mod tests {
         assert_eq!(
             explicit.verify_at_many(&service, &[3]).unwrap_err(),
             FamilyError::BackendMismatch("verify_at_many")
-        );
-    }
-
-    #[test]
-    fn verify_all_from_covers_every_size_with_one_cutoff_verdict() {
-        let service = VerifyService::with_defaults();
-        let mut v = FamilyVerifier::counter_abstracted(icstar_sym::mutex_template());
-        v.add_formula("mutex", parse_state("AG !crit_ge2").unwrap())
-            .unwrap();
-        let verdicts = v.verify_all_from(&service, 1).unwrap();
-        // Direct verdicts below the cutoff, then exactly one certified row.
-        let (last_n, last) = verdicts.last().unwrap();
-        let c = last.cutoff.expect("final verdict is certificate-backed");
-        assert_eq!(*last_n, c.max(1));
-        assert!(verdicts.iter().all(|(_, vd)| vd.holds));
-        assert!(verdicts[..verdicts.len() - 1]
-            .iter()
-            .all(|(n, vd)| vd.cutoff.is_none() && *n < c));
-        // Certified verdicts agree with direct checks at sizes beyond c.
-        for n in [c, c + 7, 500] {
-            let direct = v.verify_at(n).unwrap();
-            assert_eq!(direct[0].holds, last.holds, "n = {n}");
-        }
-        // Certificates pay once: the second request is a pure cache hit.
-        let before = service.stats().cutoffs_certified;
-        let again = v.verify_all_from(&service, 1).unwrap();
-        assert_eq!(again, verdicts);
-        assert_eq!(service.stats().cutoffs_certified, before);
-        assert!(service.stats().cutoff_answers >= 2);
-
-        // Refusals surface as CutoffRefused, not silent wrong answers.
-        let mut x = FamilyVerifier::counter_abstracted(icstar_sym::mutex_template());
-        x.add_formula("next", parse_state("AX try_ge1").unwrap())
-            .unwrap();
-        assert!(matches!(
-            x.verify_all_from(&service, 1).unwrap_err(),
-            FamilyError::Sym(SymError::CutoffRefused(_))
-        ));
-
-        // Explicit-transfer verifiers have no unbounded path.
-        let base = ring_mutex(2);
-        let explicit = FamilyVerifier::new(base.structure());
-        assert_eq!(
-            explicit.verify_all_from(&service, 1).unwrap_err(),
-            FamilyError::BackendMismatch("verify_all_from")
         );
     }
 

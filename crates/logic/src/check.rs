@@ -287,39 +287,6 @@ pub fn restricted_depth(f: &StateFormula) -> Result<usize, RestrictionError> {
     Ok(quantifier_depth(f))
 }
 
-/// Checks the fragment a *cutoff certificate* may cover and returns the
-/// formula's quantifier nesting depth.
-///
-/// Cutoff certification rests on correspondence (stuttering-style
-/// equivalence) between successive instance structures, which preserves
-/// exactly **CTL*∖X**: a nexttime operator can count abstract steps and
-/// genuinely distinguishes family sizes forever, so it is excluded even
-/// though the plain counting backend would accept it. Quantified
-/// formulas must additionally lie in the k-restricted fragment
-/// ([`restricted_depth`]) so that one width-k representative structure
-/// per size is the whole story. Depth 0 means quantifier-free (the
-/// counter structure alone decides the formula).
-///
-/// # Errors
-///
-/// [`RestrictionError::NextUsed`] for any nexttime use; otherwise the
-/// first k-restriction violation, as for [`restricted_depth`].
-pub fn cutoff_fragment_depth(f: &StateFormula) -> Result<usize, RestrictionError> {
-    if uses_next(f) {
-        return Err(RestrictionError::NextUsed);
-    }
-    if has_index_quantifier(f) {
-        return restricted_depth(f);
-    }
-    if let Some(v) = free_index_vars(f).into_iter().next() {
-        return Err(RestrictionError::FreeIndexVariable(v));
-    }
-    if has_const_index(f) {
-        return Err(RestrictionError::ConstantIndex);
-    }
-    Ok(0)
-}
-
 fn restricted_state(f: &StateFormula) -> Result<(), RestrictionError> {
     use StateFormula::*;
     match f {

@@ -50,9 +50,9 @@ pub mod nnf;
 
 pub use ast::{build, IndexTerm, PathFormula, StateFormula};
 pub use check::{
-    check_restricted, collapse_states, cutoff_fragment_depth, fair_fragment_depth, free_index_vars,
-    has_const_index, has_index_quantifier, is_closed, is_ctl, quantifier_depth, restricted_depth,
-    uses_next, uses_next_path, RestrictionError,
+    check_restricted, collapse_states, fair_fragment_depth, free_index_vars, has_const_index,
+    has_index_quantifier, is_closed, is_ctl, quantifier_depth, restricted_depth, uses_next,
+    uses_next_path, RestrictionError,
 };
 pub use nnf::{nnf_path, Nnf};
 pub use parse::{parse_path, parse_state, ParseError};

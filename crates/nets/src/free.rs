@@ -6,18 +6,15 @@
 //! operators and `M_n` is a Kripke structure obtained as a product of `n`
 //! identical processes, then f will hold in `M_n` for `n > k` if and only
 //! if f holds in `M_k`"* — easy for free (unsynchronized) products,
-//! conjectured in general *in the paper*. This repository has since
-//! outgrown the empirical sweep that used to live here: for
-//! template-defined families the claim is decided per formula by
-//! [`SymEngine::certify_cutoff`], which *certifies* a stabilization
-//! point `c` through the counter/representative equivalence machinery
-//! (with independent re-verification) or refuses with a reason — see
-//! `crates/sym/src/cutoff.rs`. The tests below keep the brute-force
-//! check of the claim on explicitly built free products: [`interleave`]
-//! plus [`icstar_mc::IndexedChecker`] at every size above the formula's
+//! conjectured in general *in the paper*. For template-defined families
+//! it is not decided here: agreement at a few small sizes does not
+//! imply a cutoff (the guard chain of `tests/cutoff.rs` flips at
+//! `n = 9`), so the service refuses unbounded size ranges until a
+//! proven route exists. The tests below keep the brute-force check of
+//! the claim on explicitly built free products: [`interleave`] plus
+//! [`icstar_mc::IndexedChecker`] at every size above the formula's
 //! depth.
 //!
-//! [`SymEngine::certify_cutoff`]: ../../icstar_sym/struct.SymEngine.html#method.certify_cutoff
 //! [`interleave`]: crate::template::interleave
 
 use crate::template::ProcessTemplate;

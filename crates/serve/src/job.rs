@@ -38,12 +38,10 @@ pub struct VerifyJob {
     /// The family sizes to check at, in order.
     pub sizes: Vec<u32>,
     /// An *unbounded* size request: `Some(lo)` asks for the verdict of
-    /// every formula at **every** `n ≥ lo`, answered via a certified
-    /// cutoff ([`icstar_sym::CutoffCertificate`]) — direct verdicts for
-    /// the sizes below the cutoff, then one certificate-backed verdict
-    /// covering the entire infinite tail. Formulas the engine refuses to
-    /// certify report [`SymError::CutoffRefused`]. Processed after the
-    /// explicit `sizes`.
+    /// every formula at **every** `n ≥ lo`. No proven cutoff exists yet,
+    /// so the service answers it with one [`SymError::NoProvenCutoff`]
+    /// verdict per formula at `n = lo`, after the explicit `sizes`.
+    /// Bounded sizes listed in `sizes` are checked directly.
     pub all_from: Option<u32>,
     /// `(name, formula)` pairs, each checked at every size.
     pub formulas: Vec<(String, StateFormula)>,
@@ -121,12 +119,6 @@ pub struct JobVerdict {
     /// ([`GuardedTemplate::is_fair`]) and the check
     /// succeeded; `false` on error.
     pub fair: bool,
-    /// `Some(c)` when this verdict is backed by a certified cutoff
-    /// ([`icstar_sym::CutoffCertificate`]) with stabilization point `c`:
-    /// the same verdict holds at **every** family size `≥ c`, and the
-    /// service answered without building any structure. `None` for
-    /// directly-checked verdicts.
-    pub cutoff: Option<u32>,
 }
 
 /// Everything the service has to say about one finished [`VerifyJob`]:
@@ -182,7 +174,6 @@ mod tests {
                     result: Ok(true),
                     rep_width: 0,
                     fair: false,
-                    cutoff: None,
                 },
                 JobVerdict {
                     name: "a".into(),
@@ -190,7 +181,6 @@ mod tests {
                     result: Ok(false),
                     rep_width: 1,
                     fair: true,
-                    cutoff: Some(3),
                 },
             ],
         };

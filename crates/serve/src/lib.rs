@@ -38,11 +38,10 @@
 //!   [`GraphCache`], keyed **exactly** by [`CacheKey`]: the workload's
 //!   canonical bytes ([`WorkloadKey`](icstar_sym::WorkloadKey), computed
 //!   once per job), the size and the width — so independently-built but
-//!   equal workloads share entries, and distinct ones never do. The
-//!   certificate store keys on the same bytes. Entries are built exactly
-//!   once (concurrent requesters block on the in-flight build, then share
-//!   the [`Arc`](std::sync::Arc)); hit/miss counts are reported in
-//!   [`StatsSnapshot`].
+//!   equal workloads share entries, and distinct ones never do. Entries
+//!   are built exactly once (concurrent requesters block on the
+//!   in-flight build, then share the [`Arc`](std::sync::Arc)); hit/miss
+//!   counts are reported in [`StatsSnapshot`].
 //! * **Engine.** Checking runs on [`icstar_sym::SymSession`]s seeded with
 //!   the cached structures; misses materialize with the sequential BFS
 //!   builder ([`icstar_sym::CounterSystem::kripke`]), whose cost stays
@@ -87,7 +86,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod certs;
 mod job;
 mod service;
 pub mod spill;

@@ -7,14 +7,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use icstar_logic::{has_index_quantifier, StateFormula};
+use icstar_logic::has_index_quantifier;
 use icstar_sym::{required_rep_width, CountingSpec, RepGraph, SymEngine, SymError, WorkloadKey};
 use icstar_telemetry::{
     FlightRecorder, Registry, SpanContext, SpanEvent, TelemetrySnapshot, TraceId, TraceScope,
 };
 
 use crate::cache::{CacheKey, GraphCache};
-use crate::certs::CertStore;
 use crate::job::{JobVerdict, VerdictReport, VerifyJob};
 use crate::stats::{ServiceStats, StatsSnapshot};
 
@@ -153,9 +152,6 @@ struct QueuedJob {
 /// Everything the workers share.
 struct Inner {
     cache: GraphCache,
-    /// Cutoff certificates (and refusals), one per (template, spec,
-    /// formula) triple — the O(1) answer path for `n ≥ c`.
-    certs: CertStore,
     stats: ServiceStats,
     config: ServeConfig,
     /// Where workers announce finished job ids (set by
@@ -219,7 +215,6 @@ impl VerifyService {
         stats.workers_total.set(config.workers.max(1) as i64);
         let inner = Arc::new(Inner {
             cache,
-            certs: CertStore::default(),
             stats,
             config: config.clone(),
             notify: Mutex::new(None),
@@ -409,8 +404,6 @@ impl VerifyService {
             cached_abstract_states: self.inner.cache.abstract_states(),
             cache_evictions: self.inner.cache.evictions(),
             evicted_abstract_states: self.inner.cache.evicted_states(),
-            cutoffs_certified: s.cutoffs_certified.get(),
-            cutoff_answers: s.cutoff_answers.get(),
             p50_total_ns: total.p50(),
             p99_total_ns: total.p99(),
         }
@@ -493,7 +486,9 @@ fn timed_fetch<T>(
 /// Runs one job: for every size, fetch-or-build the structures it
 /// needs through the cache — one per distinct width its formulas
 /// require, the counter structure being width 0 — then check every
-/// formula on a session seeded with them. Structure acquisition and
+/// formula on a session seeded with them. An unbounded tail
+/// ([`VerifyJob::all_from`]) gets one [`SymError::NoProvenCutoff`]
+/// verdict per formula and builds nothing. Structure acquisition and
 /// checking are timed separately into the per-job phase histograms
 /// (`serve.job.build_ns` / `serve.job.check_ns`, one sample per job).
 ///
@@ -517,16 +512,14 @@ fn process(
         formulas,
     } = job;
     let spec = spec.unwrap_or_else(|| CountingSpec::standard(&template));
-    // The job's identity in the cache and the certificate store,
-    // encoded once for all its lookups.
+    // The job's identity in the cache, encoded once for all its lookups.
     let workload = WorkloadKey::of(&template, &spec);
     let engine =
         SymEngine::with_spec(template, spec).with_telemetry(inner.config.telemetry.clone());
     let mut build_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
 
-    // Every bounded size gets a direct verdict: a cutoff certificate is
-    // sampled evidence, so it answers only the unbounded tail below.
+    // Every bounded size gets a direct verdict.
     let recorder = &inner.config.recorder;
     let mut verdicts = Vec::with_capacity(sizes.len() * formulas.len());
     for &n in &sizes {
@@ -592,117 +585,30 @@ fn process(
                 result,
                 rep_width,
                 fair,
-                cutoff: None,
             });
         }
     }
+    // The unbounded tail gets one refusal per formula at `lo`: agreement
+    // at a few small sizes does not imply a cutoff, so no size past the
+    // bounded ones is answered until a proven route exists.
     if let Some(lo) = all_from {
-        process_unbounded(
-            inner,
-            &engine,
-            &workload,
-            lo,
-            &formulas,
-            root,
-            worker,
-            &mut check_time,
-            &mut verdicts,
-        );
+        for (name, _) in &formulas {
+            inner.stats.formulas_checked.inc();
+            inner.stats.verdict_errors.inc();
+            verdicts.push(JobVerdict {
+                name: name.clone(),
+                n: lo,
+                result: Err(SymError::NoProvenCutoff),
+                rep_width: 0,
+                fair: false,
+            });
+        }
     }
     inner.stats.build_ns.record_duration(build_time);
     inner.stats.check_ns.record_duration(check_time);
     VerdictReport {
         job_id: id,
         verdicts,
-    }
-}
-
-/// Answers the unbounded (`all_from`) tail of a job: per formula,
-/// certify a cutoff `c` (or reuse the cached outcome), report direct
-/// verdicts for the finitely many sizes `lo ≤ n < c`, then one
-/// certificate-backed verdict at `max(lo, c)` that covers every larger
-/// size (its [`JobVerdict::cutoff`] field carries `c`). A refused
-/// formula reports a single [`SymError::CutoffRefused`] verdict at
-/// `lo`.
-///
-/// The below-cutoff sizes are checked on plain sessions rather than
-/// through the graph cache: they are bounded by the certification
-/// horizon (a handful of structures with tens of states), and polluting
-/// the cache's LRU with them would evict real workloads.
-#[allow(clippy::too_many_arguments)]
-fn process_unbounded(
-    inner: &Inner,
-    engine: &SymEngine,
-    workload: &WorkloadKey,
-    lo: u32,
-    formulas: &[(String, StateFormula)],
-    root: SpanContext,
-    worker: u32,
-    check_time: &mut Duration,
-    verdicts: &mut Vec<JobVerdict>,
-) {
-    let recorder = &inner.config.recorder;
-    for (i, (name, f)) in formulas.iter().enumerate() {
-        let mut certify = recorder.scope_under(root, "certify");
-        certify.set_tid(worker);
-        certify.attr("formula", i.to_string());
-        let outcome = (inner.certs).get_or_certify(engine, workload, f, &inner.stats);
-        certify.attr(
-            "outcome",
-            if outcome.is_ok() {
-                "certified"
-            } else {
-                "refused"
-            },
-        );
-        drop(certify);
-        match outcome {
-            Ok(cert) => {
-                for n in lo..cert.c {
-                    inner.stats.formulas_checked.inc();
-                    let check_started = Instant::now();
-                    let run = engine.session(n).check_described(f);
-                    *check_time += check_started.elapsed();
-                    let (result, rep_width, fair) = match run {
-                        Ok(run) => (Ok(run.holds), run.rep_width, run.fair),
-                        Err(e) => {
-                            inner.stats.verdict_errors.inc();
-                            (Err(e), 0, false)
-                        }
-                    };
-                    verdicts.push(JobVerdict {
-                        name: name.clone(),
-                        n,
-                        result,
-                        rep_width,
-                        fair,
-                        cutoff: None,
-                    });
-                }
-                inner.stats.formulas_checked.inc();
-                inner.stats.cutoff_answers.inc();
-                verdicts.push(JobVerdict {
-                    name: name.clone(),
-                    n: lo.max(cert.c),
-                    result: Ok(cert.holds),
-                    rep_width: cert.rep_width,
-                    fair: false,
-                    cutoff: Some(cert.c),
-                });
-            }
-            Err(msg) => {
-                inner.stats.formulas_checked.inc();
-                inner.stats.verdict_errors.inc();
-                verdicts.push(JobVerdict {
-                    name: name.clone(),
-                    n: lo,
-                    result: Err(icstar_sym::SymError::CutoffRefused(msg)),
-                    rep_width: 0,
-                    fair: false,
-                    cutoff: None,
-                });
-            }
-        }
     }
 }
 

@@ -22,15 +22,10 @@ pub(crate) struct ServiceStats {
     /// `serve.formulas.checked` — individual `(formula, size)` checks.
     pub(crate) formulas_checked: Counter,
     /// `serve.verdicts.errors` — checks whose verdict was an error
-    /// (unknown atom, unrestricted formula, failed build). The `HEALTH`
-    /// wire command's error count.
+    /// (unknown atom, unrestricted formula, failed build, an unbounded
+    /// tail refused for want of a proven cutoff). The `HEALTH` wire
+    /// command's error count.
     pub(crate) verdict_errors: Counter,
-    /// `serve.cutoff.certified` — cutoff certificates issued (one per
-    /// distinct (template, spec, formula) triple; refusals not counted).
-    pub(crate) cutoffs_certified: Counter,
-    /// `serve.cutoff.hits` — unbounded-tail verdicts answered from a
-    /// certificate instead of building and checking a structure.
-    pub(crate) cutoff_answers: Counter,
     /// `serve.queue.depth` — jobs submitted but not yet picked up.
     pub(crate) queue_depth: Gauge,
     /// `serve.workers.busy` — workers currently processing a job.
@@ -63,8 +58,6 @@ impl ServiceStats {
             jobs_completed: registry.counter("serve.jobs.completed"),
             formulas_checked: registry.counter("serve.formulas.checked"),
             verdict_errors: registry.counter("serve.verdicts.errors"),
-            cutoffs_certified: registry.counter("serve.cutoff.certified"),
-            cutoff_answers: registry.counter("serve.cutoff.hits"),
             queue_depth: registry.gauge("serve.queue.depth"),
             workers_busy: registry.gauge("serve.workers.busy"),
             workers_total: registry.gauge("serve.workers.total"),
@@ -108,12 +101,6 @@ pub struct StatsSnapshot {
     /// Total abstract states carried by evicted entries — together with
     /// `cache_evictions`, the pressure signal for tuning the budget.
     pub evicted_abstract_states: u64,
-    /// Cutoff certificates issued so far (one per distinct (template,
-    /// spec, formula) triple; refusals are not counted).
-    pub cutoffs_certified: u64,
-    /// Unbounded-tail verdicts answered from a cutoff certificate —
-    /// each one a skipped structure build and model-checking run.
-    pub cutoff_answers: u64,
     /// Estimated median of `serve.job.total_ns` — derived from the same
     /// histogram atomics the `METRICS` exposition and the `HEALTH`
     /// command read, via

@@ -34,12 +34,11 @@ pub enum SymError {
     /// abstraction and the explicit composition — an engine bug, never
     /// expected on released code.
     AbstractionMismatch(String),
-    /// An unbounded (`all n`) verification was requested but the cutoff
-    /// certification engine refused to certify a stabilization point for
-    /// this (template, spec, formula) triple; the payload is the
-    /// [`CutoffRefusal`](crate::CutoffRefusal)'s display text. Bounded
-    /// sizes can still be checked directly.
-    CutoffRefused(String),
+    /// An unbounded (`all n ≥ lo`) verification was requested. No size
+    /// beyond the ones checked directly is answered: agreement at a few
+    /// small sizes does not imply a cutoff, and no proven cutoff exists
+    /// yet. Bounded sizes can still be checked directly.
+    NoProvenCutoff,
 }
 
 impl fmt::Display for SymError {
@@ -70,8 +69,8 @@ impl fmt::Display for SymError {
                     "counter abstraction disagrees with explicit composition: {m}"
                 )
             }
-            SymError::CutoffRefused(m) => {
-                write!(f, "no cutoff certificate: {m}")
+            SymError::NoProvenCutoff => {
+                write!(f, "no proven cutoff: unbounded sizes are not answered")
             }
         }
     }
@@ -111,5 +110,8 @@ mod tests {
         assert!(SymError::AbstractionMismatch("boom".into())
             .to_string()
             .contains("boom"));
+        assert!(SymError::NoProvenCutoff
+            .to_string()
+            .starts_with("no proven cutoff"));
     }
 }

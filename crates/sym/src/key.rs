@@ -4,9 +4,9 @@
 //! caller of the same family, so it needs one answer to "same workload".
 //! [`WorkloadKey`] is that answer: an injective byte encoding of a
 //! template and its counting spec. Equal keys mean equal workloads and
-//! distinct workloads never share a key, so the structure cache, the
-//! disk spill files and the certificate store key on it exactly, with no
-//! hash buckets and no second structural compare. The bytes are
+//! distinct workloads never share a key, so the structure cache and the
+//! disk spill files key on it exactly, with no hash buckets and no
+//! second structural compare. The bytes are
 //! deterministic across processes and runs, so they are also what spill
 //! files store and compare on restore.
 

@@ -96,7 +96,6 @@
 
 mod build;
 mod counter;
-mod cutoff;
 mod engine;
 mod error;
 mod explore;
@@ -115,9 +114,6 @@ pub use crosscheck::{
     counting_relabel, full_relabel, guarded_interleave, guarded_interleave_with_states,
     representative_relabel, verify_counter_abstraction, verify_representative_width,
     CROSS_CHECK_MAX_WIDTH,
-};
-pub use cutoff::{
-    guard_floor, spec_floor, CutoffCertificate, CutoffConfig, CutoffEvidence, CutoffRefusal,
 };
 pub use engine::{required_rep_width, CheckRun, SymEngine, SymSession};
 pub use error::SymError;

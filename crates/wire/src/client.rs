@@ -35,11 +35,6 @@ pub struct HealthSnapshot {
     pub traces_retained: u64,
     /// Span events evicted from the ring since start.
     pub traces_dropped: u64,
-    /// Cutoff certificates issued (`serve.cutoff.certified`).
-    pub cutoffs_certified: u64,
-    /// Unbounded-tail verdicts answered from a cutoff certificate
-    /// (`serve.cutoff.hits`).
-    pub cutoff_answers: u64,
     /// Estimated median job latency in nanoseconds (see
     /// [`StatsSnapshot::p50_total_ns`]).
     pub p50_total_ns: u64,
@@ -325,8 +320,6 @@ impl WireClient {
                 "cached_abstract_states" => s.cached_abstract_states = value,
                 "cache_evictions" => s.cache_evictions = value,
                 "evicted_abstract_states" => s.evicted_abstract_states = value,
-                "cutoffs_certified" => s.cutoffs_certified = value,
-                "cutoff_answers" => s.cutoff_answers = value,
                 "p50_total_ns" => s.p50_total_ns = value,
                 "p99_total_ns" => s.p99_total_ns = value,
                 _ => {} // forward compatibility
@@ -400,8 +393,6 @@ impl WireClient {
                 "errors" => h.errors = value,
                 "traces_retained" => h.traces_retained = value,
                 "traces_dropped" => h.traces_dropped = value,
-                "cutoffs_certified" => h.cutoffs_certified = value,
-                "cutoff_answers" => h.cutoff_answers = value,
                 "p50_total_ns" => h.p50_total_ns = value,
                 "p99_total_ns" => h.p99_total_ns = value,
                 _ => {} // forward compatibility

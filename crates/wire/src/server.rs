@@ -1076,8 +1076,6 @@ fn stats_text(shared: &Shared) -> String {
     let _ = writeln!(out, "cached_abstract_states {}", s.cached_abstract_states);
     let _ = writeln!(out, "cache_evictions {}", s.cache_evictions);
     let _ = writeln!(out, "evicted_abstract_states {}", s.evicted_abstract_states);
-    let _ = writeln!(out, "cutoffs_certified {}", s.cutoffs_certified);
-    let _ = writeln!(out, "cutoff_answers {}", s.cutoff_answers);
     let _ = writeln!(out, "p50_total_ns {}", s.p50_total_ns);
     let _ = writeln!(out, "p99_total_ns {}", s.p99_total_ns);
     let _ = writeln!(out, ".");
@@ -1130,8 +1128,7 @@ fn health_line(shared: &Shared) -> String {
     let recorder = shared.service.recorder();
     format!(
         "OK health uptime_ms={} queue_depth={} workers={} jobs_in_flight={} errors={} \
-         traces_retained={} traces_dropped={} cutoffs_certified={} cutoff_answers={} \
-         p50_total_ns={} p99_total_ns={}\n",
+         traces_retained={} traces_dropped={} p50_total_ns={} p99_total_ns={}\n",
         shared.started.elapsed().as_millis(),
         telemetry.gauge("serve.queue.depth").get().max(0),
         shared.service.workers(),
@@ -1139,8 +1136,6 @@ fn health_line(shared: &Shared) -> String {
         telemetry.counter("serve.verdicts.errors").get(),
         recorder.len(),
         recorder.dropped(),
-        s.cutoffs_certified,
-        s.cutoff_answers,
         s.p50_total_ns,
         s.p99_total_ns,
     )

@@ -25,12 +25,14 @@
 //!
 //! `sizes` may end with an *unbounded* range `lo..*`
 //! (`sizes 100 1000 5..*;`), asking for the verdict at **every**
-//! `n ≥ lo` via a certified cutoff ([`icstar_serve::VerifyJob::all_from`]);
-//! a certificate-backed verdict carries a trailing `cutoff <c>` clause
-//! (`verdict "mutex" @ 2 = holds cutoff 2;`) meaning the same verdict
-//! holds at every size `≥ c`. Both are extensions in the format's
-//! usual style: absent clauses mean the old behavior, so pre-cutoff
-//! transcripts parse unchanged.
+//! `n ≥ lo` ([`icstar_serve::VerifyJob::all_from`]). No proven cutoff
+//! exists yet, so the server answers the range with one `error`
+//! verdict per formula at `n = lo`. A verdict may carry a trailing
+//! `cutoff <c>` clause (`verdict "mutex" @ 2 = holds cutoff 2;`),
+//! meaning the same verdict holds at every size `≥ c`. The clause is
+//! parse-only: no server of this version emits it, and older
+//! transcripts that carry it still read back. Both are extensions in
+//! the format's usual style: absent clauses mean the old behavior.
 //!
 //! Guards compare occupancy with `<=`, `>=`, `==`, or `in lo..hi`
 //! (inclusive interval); `bcast` clauses declare broadcast moves — one
@@ -387,8 +389,8 @@ pub fn print_wire_report(report: &WireReport) -> String {
         if v.fair {
             out.push_str(" fair");
         }
-        // Certificate-backed verdicts carry their stabilization point;
-        // absent (= directly checked) is again the parser's default.
+        // A cutoff clause round-trips when present; absent (= directly
+        // checked) is again the parser's default.
         if let Some(cv) = v.cutoff {
             let _ = write!(out, " cutoff {cv}");
         }
@@ -425,10 +427,11 @@ pub struct WireVerdict {
     /// paths only (`verdict … = holds fair;` on the wire); `false` —
     /// omitted when printing — for unconstrained templates and errors.
     pub fair: bool,
-    /// The certified stabilization point backing this verdict
-    /// (`verdict … = holds cutoff 2;` on the wire): the same truth value
-    /// holds at every family size `≥ c`. `None` — omitted when
-    /// printing — for directly-checked verdicts and older servers.
+    /// A cutoff backing this verdict (`verdict … = holds cutoff 2;` on
+    /// the wire): the same truth value holds at every family size `≥ c`.
+    /// Parse-only: no server of this version emits it, so a report from
+    /// the service always reads `None` — omitted when printing. Older
+    /// transcripts that carry the clause still round-trip.
     pub cutoff: Option<u32>,
 }
 
@@ -466,7 +469,7 @@ impl From<&VerdictReport> for WireReport {
                     outcome: v.result.as_ref().map(|b| *b).map_err(|e| e.to_string()),
                     rep_width: v.rep_width,
                     fair: v.fair,
-                    cutoff: v.cutoff,
+                    cutoff: None,
                 })
                 .collect(),
         }
@@ -1035,8 +1038,8 @@ fn report(c: &mut Cursor<'_>) -> Result<WireReport, WireParseError> {
         // (older servers, unconstrained templates) means false.
         let rep_width = if c.eat_word("k") { c.int()? } else { 0 };
         let fair = c.eat_word("fair");
-        // Optional certified cutoff; absent (older servers, direct
-        // checks) means none.
+        // Optional cutoff clause (parse-only: this version never emits
+        // it); absent means none.
         let cutoff = if c.eat_word("cutoff") {
             Some(c.int()?)
         } else {
@@ -1320,7 +1323,6 @@ mod tests {
                     result: Ok(true),
                     rep_width: 0,
                     fair: false,
-                    cutoff: None,
                 },
                 JobVerdict {
                     name: "two in crit".into(),
@@ -1328,7 +1330,6 @@ mod tests {
                     result: Ok(false),
                     rep_width: 2,
                     fair: true,
-                    cutoff: None,
                 },
                 JobVerdict {
                     name: "bogus".into(),
@@ -1336,7 +1337,6 @@ mod tests {
                     result: Err(SymError::UnknownAtom("bogus_ge1".into())),
                     rep_width: 0,
                     fair: false,
-                    cutoff: None,
                 },
             ],
         };

@@ -7,9 +7,15 @@ use std::net::TcpStream;
 
 use icstar_logic::parse_state;
 use icstar_serve::{ServeConfig, VerifyJob, VerifyService};
-use icstar_sym::{mutex_template, ring_station_template};
+use icstar_sym::{
+    mutex_template, ring_station_template, Guard, GuardedBuilder, GuardedTemplate, SymError,
+};
 use icstar_telemetry::{SpanEvent, SpanId, TraceId};
 use icstar_wire::{JobStatus, WireClient, WireError, WireServer};
+
+/// The display text of `SymError::NoProvenCutoff`, as an unbounded
+/// tail's `error` verdict carries it over the wire.
+const REFUSAL: &str = "no proven cutoff: unbounded sizes are not answered";
 
 fn test_service() -> VerifyService {
     VerifyService::start(ServeConfig {
@@ -340,11 +346,10 @@ fn raw_protocol_lines_work_without_the_client() {
     );
 
     // An unbounded job (PROTOCOL.md's fifth transcript exchange): the
-    // `1..*` range asks for every size n ≥ 1, answered via a certified
-    // cutoff — direct verdicts below the stabilization point, then one
-    // certificate-backed verdict with the `cutoff` clause covering the
-    // entire infinite tail. The report's server-side bytes are pinned
-    // exactly.
+    // `1..*` range asks for every size n ≥ 1. No proven cutoff exists,
+    // so each formula gets one `error` refusal at n = 1 and no verdict
+    // carries a `cutoff` clause. The report's server-side bytes are
+    // pinned exactly.
     writeln!(writer, "SUBMIT").unwrap();
     writeln!(
         writer,
@@ -381,10 +386,8 @@ fn raw_protocol_lines_work_without_the_client() {
         block,
         format!(
             "report {unbounded_id} {{\n  \
-             verdict \"mutex\" @ 1 = holds;\n  \
-             verdict \"mutex\" @ 2 = holds cutoff 2;\n  \
-             verdict \"access\" @ 1 = holds k 1;\n  \
-             verdict \"access\" @ 2 = holds k 1 cutoff 2;\n}}\n"
+             verdict \"mutex\" @ 1 = error \"{REFUSAL}\";\n  \
+             verdict \"access\" @ 1 = error \"{REFUSAL}\";\n}}\n"
         ),
         "unbounded report bytes are pinned by PROTOCOL.md"
     );
@@ -400,41 +403,74 @@ fn raw_protocol_lines_work_without_the_client() {
     assert_eq!(line.trim_end(), "OK bye");
 }
 
+/// The guard chain: `s_i → s_{i+1}` guarded by `@q_i >= 2` over
+/// `s0..s8`, so `EF q8_ge1` is false up to n = 8 and true from n = 9 —
+/// a flip no small-size agreement predicts.
+fn guard_chain() -> GuardedTemplate {
+    let mut b = GuardedBuilder::new();
+    let states: Vec<u32> = (0..9)
+        .map(|i| b.state(format!("s{i}"), [format!("q{i}")]))
+        .collect();
+    for (i, &s) in states.iter().enumerate() {
+        b.edge(s, s);
+        if let Some(&up) = states.get(i + 1) {
+            b.edge_guarded(s, up, [Guard::at_least(format!("q{i}"), 2)]);
+        }
+    }
+    b.build(states[0])
+}
+
 #[test]
-fn unbounded_jobs_certify_over_the_wire() {
+fn unbounded_jobs_are_refused_over_the_wire() {
+    assert_eq!(SymError::NoProvenCutoff.to_string(), REFUSAL);
     let server = WireServer::bind("127.0.0.1:0", test_service()).unwrap();
     let mut client = WireClient::connect(server.local_addr()).unwrap();
 
-    let job = VerifyJob::new(mutex_template())
-        .all_sizes_from(1)
-        .formula("mutex", parse_state("AG !crit_ge2").unwrap());
+    // `sizes 1 2 … 12 13..*`: direct verdicts for the bounded sizes,
+    // then one refusal at lo; no verdict carries a cutoff clause.
+    let chain = parse_state("EF q8_ge1").unwrap();
+    let job = VerifyJob::new(guard_chain())
+        .at_sizes(1..=12)
+        .all_sizes_from(13)
+        .formula("chain", chain.clone());
     let id = client.submit(&job).unwrap();
     let report = client.result(id).unwrap();
-    assert!(report.all_hold());
-    let cert = report.verdicts.last().unwrap();
-    let c = cert.cutoff.expect("final verdict carries the cutoff");
-    assert!(report.verdicts[..report.verdicts.len() - 1]
+    let seen: Vec<_> = report
+        .verdicts
         .iter()
-        .all(|v| v.cutoff.is_none() && v.n < c));
+        .map(|v| (v.n, v.outcome.clone(), v.cutoff))
+        .collect();
+    let expected: Vec<_> = (1..=12)
+        .map(|n| (n, Ok(n >= 9), None))
+        .chain([(13, Err(REFUSAL.to_string()), None)])
+        .collect();
+    assert_eq!(seen, expected);
 
-    // A certificate is sampled evidence: a bounded follow-up at a size
-    // ≥ c gets a direct verdict, not the cached certificate's.
-    let bounded = VerifyJob::new(mutex_template())
-        .at_size(c + 3)
-        .formula("mutex", parse_state("AG !crit_ge2").unwrap());
+    // A bounded follow-up past lo gets a direct verdict.
+    let bounded = VerifyJob::new(guard_chain())
+        .at_size(13)
+        .formula("chain", chain);
     let id = client.submit(&bounded).unwrap();
     let report = client.result(id).unwrap();
     assert_eq!(report.verdicts[0].outcome, Ok(true));
     assert_eq!(report.verdicts[0].cutoff, None);
 
-    // Both counters crossed the wire, and HEALTH agrees with STATS: only
-    // the unbounded job's final verdict came from the certificate.
+    // The refusal is the one error so far, and HEALTH agrees with STATS
+    // and METRICS: fourteen checks, one of them an error.
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cutoffs_certified, 1);
-    assert_eq!(stats.cutoff_answers, 1);
+    assert_eq!(stats.formulas_checked, 14);
     let health = client.health().unwrap();
-    assert_eq!(health.cutoffs_certified, stats.cutoffs_certified);
-    assert_eq!(health.cutoff_answers, stats.cutoff_answers);
+    assert_eq!(health.errors, 1);
+    assert_eq!(health.jobs_in_flight, 0);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(
+        metrics.counter("icstar_serve_verdicts_errors"),
+        Some(health.errors)
+    );
+    assert_eq!(
+        metrics.counter("icstar_serve_formulas_checked"),
+        Some(stats.formulas_checked)
+    );
 }
 
 #[test]
@@ -485,8 +521,6 @@ fn stats_key_set_is_pinned() {
             "cached_abstract_states",
             "cache_evictions",
             "evicted_abstract_states",
-            "cutoffs_certified",
-            "cutoff_answers",
             "p50_total_ns",
             "p99_total_ns",
         ],

@@ -1,36 +1,45 @@
-//! The cutoff-certification battery: every certificate the engine
-//! issues is re-validated against direct verification, and every family
-//! that must not certify is pinned as a refusal.
+//! The unbounded-size refusal battery: a job's `lo..*` tail is never
+//! answered with a truth value, and every bounded size next to it is
+//! answered exactly as a direct check answers it.
 //!
-//! A [`CutoffCertificate`] claims that one verdict covers **infinitely
-//! many** family sizes, so a wrong certificate is the worst bug this
-//! repository can ship — worse than a crash, because nothing downstream
-//! can notice. Two oracles guard against it:
+//! A verdict that claims to cover **infinitely many** family sizes is
+//! the worst bug this repository can ship — worse than a crash, because
+//! nothing downstream can notice. Agreement between a few small sizes
+//! does not imply a cutoff: the guard chain below is false up to
+//! `n = 8` and true from `n = 9`, and no guard or atom constant reveals
+//! that. Until a proven route exists, the service refuses the tail with
+//! [`SymError::NoProvenCutoff`].
 //!
-//! * the gallery workloads (`docs/WORKLOADS.md`) certify their
-//!   documented properties and the certified verdict is compared with a
-//!   direct counter-abstraction check at **every** `n ≤ c + 5`;
-//! * 100+ random guarded/broadcast templates go through the same
-//!   certify-then-revalidate loop over formulas drawn from their own
-//!   counting vocabulary.
+//! Every job here asks for `sizes 1 2 … 12 13..*` and must come back
+//! with:
 //!
-//! The refusal side is equally load-bearing: a family engineered to
-//! keep changing behavior past any small size (a guard bound of 1000)
-//! must be *refused*, never certified from the small prefix.
+//! * a verdict at each `n ≤ 12` equal to [`SymEngine::check`] at `n`;
+//! * exactly one `NoProvenCutoff` verdict per formula at `n = 13`, and
+//!   never `holds` or `fails` there;
+//! * `serve.verdicts.errors` raised by exactly the number of refusals.
+//!
+//! The families are the gallery workloads (`docs/WORKLOADS.md`), the
+//! guard chain, a late-trigger family whose verdict flips at
+//! `n = 1000`, and 100 seeded random guarded templates with broadcasts
+//! and interval guards.
 
 use icstar::Atom;
-use icstar_logic::parse_state;
+use icstar_logic::{parse_state, StateFormula};
 use icstar_serve::{VerifyJob, VerifyService};
 use icstar_sym::arb::{random_guarded_template, RandomGuardedConfig};
 use icstar_sym::{
-    barrier_template, msi_template, mutex_template, ring_station_template, wakeup_template,
-    CutoffConfig, CutoffRefusal, Guard, GuardedBuilder, GuardedTemplate, SymEngine,
+    barrier_template, msi_template, mutex_template, ring_station_template, wakeup_template, Guard,
+    GuardedBuilder, GuardedTemplate, SymEngine, SymError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The largest size every job checks directly; its tail starts one
+/// above.
+const BOUNDED: u32 = 12;
+
 /// The six gallery workloads with the properties `docs/WORKLOADS.md`
-/// certifies for them (counting, quantified, and depth-2 nested rows).
+/// lists for them (counting, quantified, and depth-2 nested rows).
 fn gallery() -> Vec<(&'static str, GuardedTemplate, Vec<&'static str>)> {
     let fig41 = GuardedTemplate::free(icstar_nets::fig41_template());
     vec![
@@ -73,64 +82,97 @@ fn gallery() -> Vec<(&'static str, GuardedTemplate, Vec<&'static str>)> {
     ]
 }
 
-/// The battery's core move: a certificate's single verdict must match a
-/// direct counter-abstraction check at every covered size up to
-/// `c + 5` — the certified region's first few sizes are exactly where a
-/// too-early stabilization claim would show. (Sizes below `c` carry no
-/// claim: the verdict changing there is why `c` is where it is.)
-fn revalidate(name: &str, engine: &SymEngine, src: &str) {
-    let f = parse_state(src).unwrap();
-    let cert = engine
-        .certify_cutoff(&f)
-        .unwrap_or_else(|r| panic!("{name}: {src:?} refused: {r}"));
-    for n in cert.c..=cert.c + 5 {
-        let direct = engine
-            .check(n, &f)
-            .unwrap_or_else(|e| panic!("{name}: {src:?} at n = {n}: {e}"));
+/// The errors the service has counted so far (`serve.verdicts.errors`).
+fn verdict_errors(service: &VerifyService) -> u64 {
+    service.telemetry().counter("serve.verdicts.errors").get()
+}
+
+/// Submits `sizes 1 … BOUNDED (BOUNDED+1)..*` for `formulas` on `t` and
+/// checks the report against direct verification: every bounded verdict
+/// equals [`SymEngine::check`], and the tail is one refusal per formula.
+/// Returns the bounded verdicts, size-major, for family-specific pins.
+fn assert_refused_past_direct_sizes(
+    service: &VerifyService,
+    name: &str,
+    t: &GuardedTemplate,
+    formulas: &[(String, StateFormula)],
+) -> Vec<(u32, bool)> {
+    let job = VerifyJob::new(t.clone())
+        .at_sizes(1..=BOUNDED)
+        .all_sizes_from(BOUNDED + 1)
+        .formulas_from(formulas.to_vec());
+    let errors_before = verdict_errors(service);
+    let report = service.submit(job).wait().unwrap();
+    let errors = verdict_errors(service) - errors_before;
+
+    let per_size = formulas.len();
+    let (bounded, tail) = report.verdicts.split_at(BOUNDED as usize * per_size);
+    let engine = SymEngine::new(t.clone());
+    let mut direct = Vec::with_capacity(bounded.len());
+    for (i, v) in bounded.iter().enumerate() {
+        // Size-major: every formula at n = 1, then at n = 2, and so on.
+        let n = 1 + (i / per_size) as u32;
+        let (src, f) = &formulas[i % per_size];
+        assert_eq!((&v.name, v.n), (src, n), "{name}: verdicts out of order");
+        let expected = engine
+            .check(n, f)
+            .unwrap_or_else(|e| panic!("{name}: {src} at n = {n}: {e}"));
         assert_eq!(
-            direct, cert.holds,
-            "{name}: certificate (c = {}) disagrees with the direct \
-             verdict for {src:?} at n = {n}",
-            cert.c
+            v.result,
+            Ok(expected),
+            "{name}: {src} at n = {n} disagrees with the direct check"
         );
+        direct.push((n, expected));
     }
+
+    // The tail: one refusal per formula, in submission order, at lo.
+    assert_eq!(tail.len(), per_size, "{name}: one tail verdict per formula");
+    for (v, (fname, _)) in tail.iter().zip(formulas) {
+        assert_eq!(&v.name, fname);
+        assert_eq!(v.n, BOUNDED + 1, "{name}: {fname} refused at lo");
+        assert_eq!(
+            v.result,
+            Err(SymError::NoProvenCutoff),
+            "{name}: {fname} must be refused, never answered"
+        );
+        assert_eq!((v.rep_width, v.fair), (0, false));
+    }
+    assert_eq!(
+        errors, per_size as u64,
+        "{name}: serve.verdicts.errors counts each refusal once"
+    );
+    direct
+}
+
+fn named(sources: &[impl AsRef<str>]) -> Vec<(String, StateFormula)> {
+    sources
+        .iter()
+        .map(|s| (s.as_ref().to_string(), parse_state(s.as_ref()).unwrap()))
+        .collect()
 }
 
 #[test]
-fn gallery_certificates_agree_with_direct_verification() {
+fn gallery_unbounded_jobs_are_refused_past_direct_sizes() {
+    let service = VerifyService::with_defaults();
     for (name, t, props) in gallery() {
-        let engine = SymEngine::new(t);
-        for src in props {
-            revalidate(name, &engine, src);
-        }
+        assert_refused_past_direct_sizes(&service, name, &t, &named(&props));
     }
 }
 
 #[test]
-fn random_templates_certify_only_stabilizing_truths() {
-    // Random guarded/broadcast templates (fairness off — fair templates
-    // are refused by design), formulas drawn from each template's own
-    // counting vocabulary. Every certificate is revalidated; refusals
-    // are fine (not every random family stabilizes within the horizon),
-    // but the run must certify enough to have teeth.
+fn random_templates_unbounded_jobs_are_refused_past_direct_sizes() {
+    // Seeded random guarded templates (fairness off by default) with
+    // formulas drawn from each template's own counting vocabulary.
     let cfg = RandomGuardedConfig::default();
-    // A tight scan horizon keeps the 480-certification battery fast in
-    // debug builds; random counting formulas stabilize by c = 2 anyway,
-    // and the `certified >= 100` floor below would catch a horizon that
-    // starts refusing real stabilizations.
-    let quick = CutoffConfig {
-        max_c: 6,
-        samples: 2,
-        ..CutoffConfig::default()
-    };
-    let mut templates = 0u32;
-    let mut certified = 0u32;
-    for seed in 0..120u64 {
+    let service = VerifyService::with_defaults();
+    let (mut templates, mut with_broadcasts, mut with_intervals) = (0u32, 0u32, 0u32);
+    for seed in 0..200u64 {
+        if templates == 100 {
+            break;
+        }
         let mut rng = StdRng::seed_from_u64(9_000 + seed);
         let t = random_guarded_template(&mut rng, &cfg);
-        let engine = SymEngine::new(t);
-        templates += 1;
-        let atoms: Vec<String> = engine
+        let atoms: Vec<String> = SymEngine::new(t.clone())
             .spec()
             .atom_universe()
             .into_iter()
@@ -140,40 +182,37 @@ fn random_templates_certify_only_stabilizing_truths() {
             })
             .collect();
         let Some(a) = atoms.first() else {
-            continue; // label-free template: no formulas to certify
+            continue; // label-free template: no formulas to submit
         };
         let mut sources = vec![format!("AG {a}"), format!("EF {a}"), format!("AG EF {a}")];
         if let Some(b) = atoms.get(1) {
             sources.push(format!("AG ({a} -> EF {b})"));
         }
-        for src in &sources {
-            let f = parse_state(src).unwrap();
-            let Ok(cert) = engine.certify_cutoff_with(&f, &quick) else {
-                continue;
-            };
-            certified += 1;
-            for n in cert.c..=cert.c + 3 {
-                assert_eq!(
-                    engine.check(n, &f).unwrap(),
-                    cert.holds,
-                    "seed {seed}: certificate (c = {}) disagrees with the \
-                     direct verdict for {src:?} at n = {n}",
-                    cert.c
-                );
-            }
-        }
+        assert_refused_past_direct_sizes(&service, &format!("seed {seed}"), &t, &named(&sources));
+        templates += 1;
+        with_broadcasts += u32::from(!t.broadcasts().is_empty());
+        let interval = |g: &Guard| matches!(g, Guard::InRange(..) | Guard::StateInRange(..));
+        let edge_guards = (0..t.num_states() as u32)
+            .flat_map(|q| (0..t.successors(q).len()).map(move |k| (q, k)))
+            .flat_map(|(q, k)| t.guards(q, k));
+        let bcast_guards = t.broadcasts().iter().flat_map(|b| b.guards());
+        with_intervals += u32::from(edge_guards.chain(bcast_guards).any(interval));
     }
-    assert!(templates >= 100, "the battery must cover 100+ templates");
+    assert_eq!(templates, 100, "the battery must cover 100 templates");
     assert!(
-        certified >= 100,
-        "only {certified} certificates issued — the battery lost its teeth"
+        with_broadcasts >= 20,
+        "only {with_broadcasts} with broadcasts"
+    );
+    assert!(
+        with_intervals >= 20,
+        "only {with_intervals} with interval guards"
     );
 }
 
 /// A family engineered to *change* behavior at a large size: copies sit
 /// in `wait` until 1000 of them exist, then one may step into `boom`.
-/// Every n < 1000 looks identical — exactly the trap a naive
-/// small-prefix scan would fall into.
+/// Every n < 1000 looks identical — exactly the trap a small-prefix
+/// scan falls into.
 fn late_trigger() -> GuardedTemplate {
     let mut b = GuardedBuilder::new();
     let wait = b.state("wait", ["wait"]);
@@ -188,40 +227,19 @@ fn late_trigger() -> GuardedTemplate {
 fn non_stabilizing_family_is_refused_not_certified() {
     let engine = SymEngine::new(late_trigger());
     let f = parse_state("AG boom_eq0").unwrap();
-    // The verdict genuinely flips at the guard bound...
+    // The verdict genuinely flips at the guard bound; a proven route
+    // must reproduce both sides of it.
     assert!(engine.check(999, &f).unwrap());
     assert!(!engine.check(1000, &f).unwrap());
-    // ...so certification must refuse (the guard floor sits beyond any
-    // reasonable scan horizon), never certify the small-n prefix.
-    match engine.certify_cutoff(&f) {
-        Err(CutoffRefusal::FloorBeyondHorizon { floor, .. }) => assert_eq!(floor, 1000),
-        other => panic!("expected a floor refusal, got {other:?}"),
-    }
-    // Even with the horizon raised, the refusal stays honest: the scan
-    // must not certify below the floor.
-    let wide = CutoffConfig {
-        max_c: 64,
-        ..CutoffConfig::default()
-    };
-    assert!(engine.certify_cutoff_with(&f, &wide).is_err());
-}
-
-#[test]
-fn pinned_refusals_for_fragment_and_fairness() {
-    // Nexttime distinguishes sizes forever (one step changes one
-    // counter); the fragment gate refuses it up front.
-    let engine = SymEngine::new(mutex_template());
-    assert!(matches!(
-        engine.certify_cutoff(&parse_state("AX try_ge1").unwrap()),
-        Err(CutoffRefusal::Fragment(_))
-    ));
-    // Fair templates route through a different checker whose verdicts
-    // the correspondence argument does not cover.
-    let fair = SymEngine::new(mutex_template().with_fairness("enter", [(1, 2)]));
-    assert!(matches!(
-        fair.certify_cutoff(&parse_state("AG AF crit_ge1").unwrap()),
-        Err(CutoffRefusal::Fair)
-    ));
+    // Every bounded size agrees, and the tail is still refused.
+    let service = VerifyService::with_defaults();
+    let direct = assert_refused_past_direct_sizes(
+        &service,
+        "late trigger",
+        &late_trigger(),
+        &named(&["AG boom_eq0"]),
+    );
+    assert!(direct.iter().all(|&(_, holds)| holds));
 }
 
 /// The guard chain: states `s0..s8`, `s_i` labeled `q_i`, every state
@@ -244,11 +262,10 @@ fn guard_chain() -> GuardedTemplate {
 
 #[test]
 fn guard_chain_direct_verdicts_are_pinned() {
-    // The known counterexample to the certificate's premise: the counter
-    // structures of adjacent small sizes correspond after projection to
-    // `q8_ge1`, yet the verdict flips at n = 9. A certificate scanned
-    // from small sizes (today `c = 2, holds = false`) is wrong from there
-    // on; these direct verdicts are what a sound route must reproduce.
+    // The known counterexample to a cutoff read off small sizes: the
+    // counter structures of adjacent small sizes correspond after
+    // projection to `q8_ge1`, yet the verdict flips at n = 9. These
+    // direct verdicts are what a sound route must reproduce.
     let engine = SymEngine::new(guard_chain());
     let f = parse_state("EF q8_ge1").unwrap();
     for n in 1..=8 {
@@ -260,18 +277,23 @@ fn guard_chain_direct_verdicts_are_pinned() {
 }
 
 #[test]
-fn guard_chain_bounded_jobs_get_direct_verdicts_after_certification() {
-    // An unbounded job caches whatever the scan concludes for the chain
-    // (today `c = 2, holds = false`); a bounded job at n = 9 must still be
-    // checked directly, not answered from that certificate.
+fn guard_chain_job_is_refused_past_its_direct_sizes() {
     let service = VerifyService::with_defaults();
-    let f = parse_state("EF q8_ge1").unwrap();
-    let unbounded = VerifyJob::new(guard_chain())
-        .all_sizes_from(1)
-        .formula("chain", f.clone());
-    service.submit(unbounded).wait().unwrap();
-    let bounded = VerifyJob::new(guard_chain()).at_size(9).formula("chain", f);
+    let direct = assert_refused_past_direct_sizes(
+        &service,
+        "guard chain",
+        &guard_chain(),
+        &named(&["EF q8_ge1"]),
+    );
+    assert_eq!(direct.len(), BOUNDED as usize);
+    for (n, holds) in direct {
+        assert_eq!(holds, n >= 9, "n = {n}");
+    }
+    // A refused tail leaves nothing behind: a bounded follow-up past lo
+    // is checked directly.
+    let bounded = VerifyJob::new(guard_chain())
+        .at_sizes([9, BOUNDED + 1])
+        .formula("chain", parse_state("EF q8_ge1").unwrap());
     let report = service.submit(bounded).wait().unwrap();
-    assert!(matches!(report.verdicts[0].result, Ok(true)));
-    assert_eq!(report.verdicts[0].cutoff, None);
+    assert!(report.verdicts.iter().all(|v| v.result == Ok(true)));
 }
